@@ -1,0 +1,8 @@
+"""Make the benchmark modules and the package under ../src importable in tests."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+sys.path.insert(0, HERE)
