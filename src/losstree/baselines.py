@@ -10,10 +10,10 @@ through the parent, and the parent alone explains them all.
 
 import numpy as np
 
-from .errors import InconsistentObservation
+from .errors import InconsistentObservation, OutOfDomain
 from .lossmodel import DEFAULT_TOL, addloss, forward
 from .noiseless import closed_form
-from .topology import ROOT, LogicalTree
+from .topology import LogicalTree
 
 
 def binarize(y, threshold: float = DEFAULT_TOL) -> np.ndarray:
@@ -31,22 +31,17 @@ def scfs(tree: LogicalTree, bad: np.ndarray) -> set[int]:
     exactly and no smaller consistent set exists.
     """
     bad = np.asarray(bad, dtype=bool)
-    all_bad = np.zeros(tree.n + 1, dtype=bool)
-    for v in range(1, tree.n + 1):
-        lo, hi = tree.leaf_span[v]
-        all_bad[v] = bool(bad[lo - 1 : hi - 1].all())
-    picked = {
-        v
-        for v in range(1, tree.n + 1)
-        if all_bad[v] and (tree.parent[v] == ROOT or not all_bad[tree.parent[v]])
-    }
-    covered = np.zeros(tree.m, dtype=bool)
-    for v in picked:
-        lo, hi = tree.leaf_span[v]
-        covered[lo - 1 : hi - 1] = True
-    if not np.array_equal(covered, bad):
+    if bad.shape != (tree.m,):
+        raise OutOfDomain(f"tree has {tree.m} paths but {bad.size} flags were given")
+    lo, hi = tree.leaf_span[1:].T - 1
+    bad_before = np.concatenate(([0], np.cumsum(bad)))  # bad paths among the first j
+    all_bad = np.zeros(tree.n + 1, dtype=bool)  # the root (index 0) stays False
+    all_bad[1:] = bad_before[hi] - bad_before[lo] == hi - lo
+    picked = np.flatnonzero(all_bad[1:] & ~all_bad[tree.parent[1:]])  # labels - 1
+    # Picked spans are all bad and disjoint: they cover the bad paths iff sizes add up.
+    if (hi - lo)[picked].sum() != bad.sum():
         raise InconsistentObservation("picked links do not cover the bad paths")
-    return picked
+    return set((picked + 1).tolist())
 
 
 def compare_with_sparse_recovery(

@@ -17,6 +17,10 @@ class DegreeViolation(LossTreeError):
     """A node violates the degree rules (unary internal node, multi-child root)."""
 
 
+class MalformedLine(LossTreeError):
+    """A line of a topology file does not have the form the format requires."""
+
+
 class ParameterOutOfRange(LossTreeError):
     """A generator parameter is outside its legal range."""
 

@@ -139,18 +139,28 @@ def load_observations(path) -> np.ndarray:
     else:
         scale = "addloss"
         entries = {}
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "scale":
+            if parts[0] == "scale" and len(parts) == 2:
                 scale = parts[1]
-            elif parts[0] == "y":
-                entries[int(parts[1])] = float(parts[2])
-            else:
-                raise OutOfDomain(f"unrecognized observation line: {line!r}")
+                continue
+            try:
+                if parts[0] != "y" or len(parts) != 3:
+                    raise ValueError
+                j, value = int(parts[1]), float(parts[2])
+            except ValueError:
+                raise OutOfDomain(f"line {lineno}: unrecognized line {line!r}") from None
+            if j in entries:
+                raise OutOfDomain(f"line {lineno}: path {j} is observed twice")
+            entries[j] = value
+        if sorted(entries) != list(range(1, len(entries) + 1)):
+            raise OutOfDomain("observation file must cover paths 1..m exactly once")
         values = np.array([entries[j] for j in sorted(entries)])
+    if not np.all(np.isfinite(values)):
+        raise OutOfDomain("observations must be finite")
     if scale == "probability":
         return addloss(values)
     if scale != "addloss":

@@ -9,18 +9,21 @@ output: the unique minimum-l1 solution, which also attains the minimum l0.
 
 That output has the closed form x*_i = gamma_i - gamma_f(i), where
 gamma_i is the smallest observation in the subtree under i (and the top
-link takes gamma itself).  ``closed_form`` computes it in one pass and is
-the production path; the iterative ``upsparse`` is kept for
-cross-validation and exposes the per-complex machinery.
+link takes gamma itself).  ``closed_form`` is the batch-first production
+path: y is (m,) or (B, m), and since every subtree's leaves form one
+contiguous label range, all gamma_i come from one sparse-table
+range-minimum query (about log2 m array operations).  The iterative
+``upsparse`` is kept for cross-validation and exposes the per-complex
+machinery.
 """
 
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InfeasibleStart, NotInternal
+from .errors import InfeasibleStart, NotInternal, OutOfDomain
 from .lossmodel import DEFAULT_TOL, forward, is_feasible, receiver_solution
-from .topology import ROOT, LogicalTree
+from .topology import LogicalTree
 
 UP = "up"
 DOWN = "down"
@@ -84,7 +87,7 @@ def upsparse(tree: LogicalTree, y, x0=None, tol: float = DEFAULT_TOL) -> Solutio
     nodes level by level from the deepest, in canonical label order within
     a level.  The output is independent of the starting solution.
     """
-    y = np.asarray(y, dtype=float)
+    y = _check_observations(tree, y)
     if x0 is None:
         x = receiver_solution(tree, y)
     else:
@@ -99,32 +102,16 @@ def upsparse(tree: LogicalTree, y, x0=None, tol: float = DEFAULT_TOL) -> Solutio
 
 
 def closed_form(tree: LogicalTree, y) -> np.ndarray:
-    """Minimum-l1 solution directly from per-subtree observation minima."""
-    y = np.asarray(y, dtype=float)
-    gamma = np.empty(tree.n + 1)
-    gamma[ROOT] = 0.0
-    x = np.empty(tree.n)
-    for v in range(1, tree.n + 1):
-        lo, hi = tree.leaf_span[v]
-        gamma[v] = y[lo - 1 : hi - 1].min()
-    for v in range(1, tree.n + 1):
-        x[v - 1] = gamma[v] if tree.parent[v] == ROOT else gamma[v] - gamma[tree.parent[v]]
-    return x
-
-
-def closed_form_batch(tree: LogicalTree, ys: np.ndarray) -> np.ndarray:
-    """``closed_form`` applied to every row of a (batch, m) observation array."""
-    ys = np.asarray(ys, dtype=float)
-    gamma = np.empty((ys.shape[0], tree.n + 1))
-    gamma[:, ROOT] = 0.0
-    for v in range(1, tree.n + 1):
-        lo, hi = tree.leaf_span[v]
-        gamma[:, v] = ys[:, lo - 1 : hi - 1].min(axis=1)
-    x = np.empty((ys.shape[0], tree.n))
-    for v in range(1, tree.n + 1):
-        p = int(tree.parent[v])
-        x[:, v - 1] = gamma[:, v] if p == ROOT else gamma[:, v] - gamma[:, p]
-    return x
+    """Minimum-l1 solution for one observation (m,) or a batch (B, m)."""
+    y = _check_observations(tree, y, batch=True)
+    rows, first, second = tree.span_min_index
+    table = [y]  # table[k][..., i] = min(y[..., i : i + 2**k])
+    for k in range(rows - 1):
+        table.append(np.minimum(table[-1][..., : -(1 << k)], table[-1][..., 1 << k :]))
+    flat = np.concatenate(table, axis=-1)
+    gamma = np.zeros(y.shape[:-1] + (tree.n + 1,))
+    gamma[..., 1:] = np.minimum(flat[..., first], flat[..., second])
+    return gamma[..., 1:] - gamma[..., tree.parent[1:]]
 
 
 def classify_complexes(tree: LogicalTree, x, tol: float = DEFAULT_TOL) -> list[ComplexState]:
@@ -201,13 +188,21 @@ def local_l1(y, x) -> float:
     return float(y.sum() - x * (len(y) - 1))
 
 
+def _check_observations(tree: LogicalTree, y, batch: bool = False) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in ((1, 2) if batch else (1,)) or y.shape[-1] != tree.m:
+        raise OutOfDomain(f"tree has {tree.m} paths but observations have shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise OutOfDomain("observations must be finite")
+    return y
+
+
 __all__ = [
     "ComplexState",
     "SolutionReport",
     "put_in_upstate",
     "upsparse",
     "closed_form",
-    "closed_form_batch",
     "classify_complexes",
     "unique_sparsest",
     "recovery_condition",

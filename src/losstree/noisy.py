@@ -48,8 +48,8 @@ class IntervalObservation:
             raise OutOfDomain("interval bounds must have equal length")
         if np.any(self.lo < 0) or not np.all(np.isfinite(self.lo)):
             raise OutOfDomain("lower bounds must be finite and non-negative")
-        if np.any(self.hi < self.lo):
-            raise OutOfDomain("upper bounds must not fall below lower bounds")
+        if np.any(np.isnan(self.hi)) or np.any(self.hi < self.lo):
+            raise OutOfDomain("upper bounds must not be NaN or fall below lower bounds")
 
     @classmethod
     def exact(cls, y) -> "IntervalObservation":

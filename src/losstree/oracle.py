@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange
 from .lossmodel import DEFAULT_TOL, addloss, forward, sample_feasible
-from .noiseless import closed_form, closed_form_batch
+from .noiseless import closed_form
 from .noisy import MIN_L1, IntervalObservation, NoisySolution
 from .topology import LogicalTree, measurement_matrix
 
@@ -288,7 +288,7 @@ def noisy_grid_check(
         for j in range(tree.m):
             ys[:, j] = axes[j][(idx // strides[j]) % sizes[j]]
         if check_l1:
-            best = closed_form_batch(tree, ys).sum(axis=1).min()
+            best = closed_form(tree, ys).sum(axis=1).min()
             if best < cand_l1 - tol:
                 return False
         else:

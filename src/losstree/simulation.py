@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigInvalid, ParameterOutOfRange
+from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
 from .lossmodel import DEFAULT_TOL, addloss, forward, inverse_addloss
 from .noiseless import closed_form
 from .noisy import MODES, IntervalObservation, upsparse_plus
@@ -117,11 +117,16 @@ class ExperimentConfig:
 
 
 def path_loss_probabilities(tree: LogicalTree, b) -> np.ndarray:
-    """p_j = 1 - prod(1 - b_k) over the links of path j."""
+    """p_j = 1 - prod(1 - b_k) over path j, multiplied out one depth level at a time."""
     b = np.asarray(b, dtype=float)
-    return np.array(
-        [1.0 - np.prod([1.0 - b[k - 1] for k in path]) for path in tree.paths]
-    )
+    if b.shape != (tree.n,) or not np.all((b >= 0) & (b < 1)):
+        raise OutOfDomain(f"need {tree.n} link loss probabilities in [0, 1)")
+    order, bounds = tree.depth_order
+    parent, survive = tree.parent[order], 1.0 - b[order - 1]
+    q = np.ones(tree.n + 1)  # survival probability from the root to each node
+    for start, stop in zip(bounds[1:-1], bounds[2:]):
+        q[order[start:stop]] = q[parent[start:stop]] * survive[start:stop]
+    return 1.0 - q[1 : tree.m + 1]
 
 
 def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:

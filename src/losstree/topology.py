@@ -26,6 +26,7 @@ from .errors import (
     CycleDetected,
     DegreeViolation,
     DisconnectedInput,
+    MalformedLine,
     ParameterOutOfRange,
 )
 
@@ -98,12 +99,29 @@ class LogicalTree:
         return span
 
     @cached_property
+    def depth_order(self) -> tuple[np.ndarray, list[int]]:
+        """Nodes 1..n by depth, then label; order[bounds[d] : bounds[d+1]] have depth d."""
+        order = np.argsort(self.depth[1:], kind="stable") + 1
+        return order, np.searchsorted(self.depth[order], np.arange(self.height + 2)).tolist()
+
+    @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:
         """levels[d] lists the nodes at depth d in canonical label order."""
-        out = [[] for _ in range(self.height + 1)]
-        for v in range(1, self.n + 1):
-            out[self.depth[v]].append(v)
-        return tuple(tuple(level) for level in out)
+        order, bounds = self.depth_order
+        return tuple(tuple(order[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:]))
+
+    @cached_property
+    def span_min_index(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(rows, first, second): a sparse-table plan for leaf-span minima.
+
+        Row k holds min(y[i : i + 2**k]) for i = 0..m - 2**k, rows concatenated.
+        Two such windows cover the leaf span of link v from either end; their
+        minima sit at flat positions first[v-1] and second[v-1].
+        """
+        lo, hi = self.leaf_span[1:].T - 1
+        k = (np.frexp(hi - lo)[1] - 1).astype(np.int64)  # floor(log2(length))
+        row_start = k * (self.m + 1) - (1 << k) + 1
+        return int(k.max()) + 1, row_start + lo, row_start + hi - (1 << k)
 
     def subtree_leaves(self, v: int) -> range:
         lo, hi = self.leaf_span[v]
@@ -335,15 +353,17 @@ def load_topology(path) -> LogicalTree:
     root = None
     edges = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("root"):
-                root = _node_id(line.split()[1])
-                continue
-            child, par = line.split()
-            edges.append((_node_id(child), _node_id(par)))
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise MalformedLine(f"line {lineno}: expected two tokens, got {line!r}")
+            if tokens[0] == "root":
+                root = _node_id(tokens[1])
+            else:
+                edges.append((_node_id(tokens[0]), _node_id(tokens[1])))
     if root is None:
         raise DisconnectedInput("topology file has no 'root <id>' line")
     return build_tree(edges, root=root)

@@ -13,6 +13,7 @@ from losstree import (
     gen_regular_tree,
     scfs,
 )
+from losstree.errors import OutOfDomain
 
 from conftest import random_small_trees, random_sparse_x
 
@@ -38,6 +39,11 @@ class TestScfs:
     def test_shared_prefix_names_the_fork(self, fig_tree):
         # Paths 1 and 2 bad: only the link feeding exactly those two fits.
         assert scfs(fig_tree, np.array([True, True, False])) == {5}
+
+    @pytest.mark.parametrize("bad", [[True, False], [True, False, True, False]])
+    def test_rejects_wrong_length(self, fig_tree, bad):
+        with pytest.raises(OutOfDomain):
+            scfs(fig_tree, bad)
 
     def test_all_paths_bad_names_top_link(self, fig_tree):
         assert scfs(fig_tree, np.array([True, True, True])) == {4}

@@ -222,6 +222,71 @@ class TestScfs:
         assert "no bad links" in stdout
 
 
+class TestBadInput:
+    """Malformed input exits 1 with one ``error:`` line and no JSON output."""
+
+    @staticmethod
+    def run_bad(capsys, *argv, expect=""):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert expect in err
+        assert stdout == ""
+
+    @pytest.fixture
+    def tree4(self, tmp_path):
+        """A 4-leaf binary tree file."""
+        path = tmp_path / "t4.tree"
+        assert main(["gen-tree", "--regular", "2", "3", "--out", str(path)]) == 0
+        return str(path)
+
+    def test_solve_observation_length_mismatch(self, capsys, tmp_path, tree4):
+        capsys.readouterr()
+        obs = tmp_path / "y.json"
+        save_observations([0.1, 0.2], obs)
+        self.run_bad(capsys, "solve", "--tree", tree4, "--obs", str(obs), expect="4 paths")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_solve_non_finite_observation(self, capsys, tmp_path, tree4, value):
+        capsys.readouterr()
+        obs = tmp_path / "y.json"
+        obs.write_text(f"[{value}, 0.1, 0.1, 0.1]")
+        self.run_bad(capsys, "solve", "--tree", tree4, "--obs", str(obs), expect="finite")
+
+    def test_scfs_observation_length_mismatch(self, capsys, tmp_path, tree4):
+        capsys.readouterr()
+        obs = tmp_path / "y.json"
+        save_observations([0.1, 0.0, 0.2], obs)
+        self.run_bad(capsys, "scfs", "--tree", tree4, "--obs", str(obs), expect="4 paths")
+
+    def test_text_observations_missing_path(self, capsys, tmp_path, tree4):
+        capsys.readouterr()
+        obs = tmp_path / "y.txt"
+        obs.write_text("y 1 0.1\ny 2 0.1\ny 4 0.1\n")
+        self.run_bad(capsys, "solve", "--tree", tree4, "--obs", str(obs), expect="1..m")
+
+    def test_text_observations_nan(self, capsys, tmp_path, tree4):
+        capsys.readouterr()
+        obs = tmp_path / "y.txt"
+        obs.write_text("y 1 0.1\ny 2 nan\ny 3 0.1\ny 4 0.1\n")
+        self.run_bad(capsys, "solve", "--tree", tree4, "--obs", str(obs), expect="finite")
+
+    def test_topology_line_with_extra_token(self, capsys, tmp_path):
+        tree = tmp_path / "bad.tree"
+        tree.write_text("root 0\n3 0\n1 3 extra\n2 3\n")
+        obs = tmp_path / "y.json"
+        save_observations([0.1, 0.2], obs)
+        self.run_bad(capsys, "solve", "--tree", str(tree), "--obs", str(obs), expect="line 3")
+
+    def test_noisy_nan_upper_bound(self, capsys, tmp_path, tree4):
+        capsys.readouterr()
+        iv = tmp_path / "iv.json"
+        rows = [{"path": j, "lo": 0.0, "hi": 0.5} for j in range(1, 5)]
+        rows[2]["hi"] = math.nan
+        iv.write_text(json.dumps(rows))
+        self.run_bad(capsys, "solve-noisy", "--tree", tree4, "--intervals", str(iv), expect="NaN")
+
+
 class TestUsage:
     def test_unknown_command_exit_one(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -180,3 +180,30 @@ class TestObservationFiles:
         path.write_text("[-1.0]")
         with pytest.raises(OutOfDomain):
             load_observations(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "y 1 0.1\ny 2 0.2\ny 4 0.3\n",  # path 3 missing
+            "y 1 0.1\ny 2 0.2\ny 2 0.3\n",  # path 2 twice
+            "y 0 0.1\ny 1 0.2\n",  # numbering starts at 1
+            "y 1 0.1\ny 2\n",  # value missing
+            "y 1 0.1\ny two 0.2\n",  # path not a number
+            "y 1 0.1\ny 2 nan\n",
+            "y 1 0.1\ny 2 inf\n",
+            "scale\ny 1 0.1\n",
+        ],
+    )
+    def test_malformed_text_rejected(self, tmp_path, text):
+        path = tmp_path / "obs.txt"
+        path.write_text(text)
+        with pytest.raises(OutOfDomain):
+            load_observations(path)
+
+    @pytest.mark.parametrize("text", ["[0.1, NaN]", '{"y": [0.1, Infinity]}',
+                                      '{"scale": "probability", "y": [NaN]}'])
+    def test_non_finite_json_rejected(self, tmp_path, text):
+        path = tmp_path / "obs.json"
+        path.write_text(text)
+        with pytest.raises(OutOfDomain):
+            load_observations(path)

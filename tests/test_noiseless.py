@@ -15,8 +15,8 @@ from losstree import (
     unique_sparsest,
     upsparse,
 )
-from losstree.errors import InfeasibleStart, NotInternal
-from losstree.noiseless import DOWN, MIXED, UP, closed_form_batch, local_l1
+from losstree.errors import InfeasibleStart, NotInternal, OutOfDomain
+from losstree.noiseless import DOWN, MIXED, UP, local_l1
 
 from conftest import random_small_trees, random_sparse_x
 
@@ -131,9 +131,31 @@ class TestClosedForm:
         rng = np.random.default_rng(12)
         for tree in random_small_trees(5, seed=13):
             ys = rng.uniform(0.0, 1.0, (40, tree.m))
-            batch = closed_form_batch(tree, ys)
+            batch = closed_form(tree, ys)
             for i, y in enumerate(ys):
                 assert np.array_equal(batch[i], closed_form(tree, y))
+
+    @pytest.mark.parametrize(
+        "y", [[2.0, 3.0], [2.0, 3.0, 4.0, 5.0], np.zeros((2, 4)), np.zeros((2, 2, 3)), 2.0]
+    )
+    def test_rejects_wrong_shape(self, fig_tree, y):
+        with pytest.raises(OutOfDomain):
+            closed_form(fig_tree, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, fig_tree, bad):
+        with pytest.raises(OutOfDomain):
+            closed_form(fig_tree, [2.0, bad, 4.0])
+        with pytest.raises(OutOfDomain):
+            closed_form(fig_tree, [[2.0, 3.0, 4.0], [2.0, bad, 4.0]])
+        with pytest.raises(OutOfDomain):
+            upsparse(fig_tree, [2.0, bad, 4.0])
+
+    def test_upsparse_rejects_wrong_length(self, fig_tree):
+        with pytest.raises(OutOfDomain):
+            upsparse(fig_tree, [2.0, 3.0])
+        with pytest.raises(OutOfDomain):
+            upsparse(fig_tree, [[2.0, 3.0, 4.0]])
 
 
 class TestClassifyComplexes:

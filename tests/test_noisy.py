@@ -43,6 +43,8 @@ class TestIntervalObservation:
             IntervalObservation(lo=[-0.1], hi=[1.0])
         with pytest.raises(OutOfDomain):
             IntervalObservation(lo=[INF], hi=[INF])
+        with pytest.raises(OutOfDomain):
+            IntervalObservation(lo=[0.0, 1.0], hi=[1.0, math.nan])
 
     def test_degenerate_and_contains(self):
         iv = IntervalObservation.exact([1.0, 2.0])

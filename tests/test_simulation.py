@@ -19,7 +19,7 @@ from losstree import (
     simulate_probes,
     write_experiment_csv,
 )
-from losstree.errors import ConfigInvalid, ParameterOutOfRange
+from losstree.errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
 from losstree.simulation import path_loss_probabilities
 from losstree.topology import build_tree
 
@@ -66,6 +66,14 @@ class TestSimulateProbes:
         assert p[2] == pytest.approx(1 - 0.8 * 0.95)
         # Consistent with the additive model.
         assert np.allclose(addloss(p), forward(fig_tree, addloss(b)))
+
+    @pytest.mark.parametrize(
+        "b", [[0.1, 0.0], [0.1, 0.0, 0.0, 0.0, 0.0, 0.0], [0.1, 1.0, 0.0, 0.0, 0.0],
+              [-0.1, 0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0, 0.0]],
+    )
+    def test_path_probability_rejects_bad_links(self, fig_tree, b):
+        with pytest.raises(OutOfDomain):
+            path_loss_probabilities(fig_tree, b)
 
     def test_counts_fit_binomial_distribution(self, chain_free_tree):
         # Chi-square goodness of fit at 1% on pooled counts.

@@ -17,6 +17,7 @@ from losstree.errors import (
     CycleDetected,
     DegreeViolation,
     DisconnectedInput,
+    MalformedLine,
     ParameterOutOfRange,
 )
 
@@ -77,6 +78,16 @@ class TestBuildTree:
     def test_root_as_child_rejected(self):
         with pytest.raises(CycleDetected):
             build_tree([(1, 0), (0, 1), (2, 1)], root=0)
+
+
+class TestLevels:
+    def test_levels_group_nodes_by_depth_in_label_order(self):
+        for tree in random_small_trees(10, seed=12) + [gen_ternary_tree(13)]:
+            assert len(tree.levels) == tree.height + 1
+            for d, level in enumerate(tree.levels):
+                expected = [v for v in range(1, tree.n + 1) if tree.depth[v] == d]
+                assert list(level) == expected
+                assert all(type(v) is int for v in level)
 
 
 class TestMeasurementMatrix:
@@ -215,6 +226,13 @@ class TestTopologyFile:
         tree = load_topology(path)
         assert tree.m == 2
         assert tree.alias[3] == "a"
+
+    @pytest.mark.parametrize("bad_line", ["a r extra", "a", "root"])
+    def test_malformed_line_names_its_number(self, tmp_path, bad_line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"root r\n\n{bad_line}\nb a\nc a\n")
+        with pytest.raises(MalformedLine, match="line 3"):
+            load_topology(path)
 
     def test_spec_shorthands(self, tmp_path, fig_tree):
         assert tree_from_spec("ternary:13").n == 13
