@@ -10,16 +10,16 @@ through the parent, and the parent alone explains them all.
 
 import numpy as np
 
-from .errors import InconsistentObservation, OutOfDomain
-from .lossmodel import DEFAULT_TOL, addloss, forward
+from .errors import InconsistentObservation, OutOfDomain, ParameterOutOfRange
+from .lossmodel import DEFAULT_TOL, addloss, forward, plant_hotspots
 from .noiseless import closed_form
 from .topology import LogicalTree
 
 
 def binarize(y, threshold: float = DEFAULT_TOL) -> np.ndarray:
     """Per-path bad flags: bad_j iff y_j exceeds the threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not threshold >= 0:
+        raise OutOfDomain(f"threshold must be non-negative, got {threshold}")
     return np.asarray(y, dtype=float) > threshold
 
 
@@ -33,13 +33,12 @@ def scfs(tree: LogicalTree, bad: np.ndarray) -> set[int]:
     bad = np.asarray(bad, dtype=bool)
     if bad.shape != (tree.m,):
         raise OutOfDomain(f"tree has {tree.m} paths but {bad.size} flags were given")
-    lo, hi = tree.leaf_span[1:].T - 1
-    bad_before = np.concatenate(([0], np.cumsum(bad)))  # bad paths among the first j
     all_bad = np.zeros(tree.n + 1, dtype=bool)  # the root (index 0) stays False
-    all_bad[1:] = bad_before[hi] - bad_before[lo] == hi - lo
+    all_bad[1:] = tree.span_min(bad)
     picked = np.flatnonzero(all_bad[1:] & ~all_bad[tree.parent[1:]])  # labels - 1
     # Picked spans are all bad and disjoint: they cover the bad paths iff sizes add up.
-    if (hi - lo)[picked].sum() != bad.sum():
+    lo, hi = tree.leaf_span[picked + 1].T
+    if (hi - lo).sum() != bad.sum():
         raise InconsistentObservation("picked links do not cover the bad paths")
     return set((picked + 1).tolist())
 
@@ -62,15 +61,15 @@ def compare_with_sparse_recovery(
 
     Returns (binary baseline rate, sparse recovery rate).
     """
+    if trials < 1:
+        raise ParameterOutOfRange(f"need at least one trial, got {trials}")
     n_scfs = 0
     n_sparse = 0
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, t)))
-        sup = rng.choice(tree.n, size=K, replace=False)
-        x_true = np.zeros(tree.n)
-        x_true[sup] = addloss(rng.uniform(*loss_range, size=K))
+        b = plant_hotspots(tree, K, loss_range, seed, t)
+        x_true = addloss(b)
         y = forward(tree, x_true)
-        truth = {int(s) + 1 for s in sup}
+        truth = set((np.flatnonzero(b) + 1).tolist())
         n_scfs += scfs(tree, binarize(y, threshold)) == truth
         n_sparse += bool(np.abs(closed_form(tree, y) - x_true).max() <= tol)
     return n_scfs / trials, n_sparse / trials

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import binarize, scfs
-from .errors import LossTreeError
+from .errors import LossTreeError, ParameterOutOfRange
 from .lossmodel import forward, load_observations
 from .noiseless import upsparse
 from .noisy import MODES, load_intervals, upsparse_plus
@@ -204,7 +204,7 @@ def _cmd_experiment(args) -> int:
             tree=args.tree,
             k_values=_parse_int_list(args.K),
             probe_counts=[
-                None if tok in ("inf", "exact") else int(tok)
+                None if tok in ("inf", "exact") else _int(tok)
                 for tok in args.probes.split(",")
             ],
             reps=args.trials,
@@ -270,10 +270,17 @@ def _parse_int_list(text: str) -> list[int]:
         tok = tok.strip()
         if "-" in tok[1:]:
             lo, hi = tok.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_int(lo), _int(hi) + 1))
         else:
-            out.append(int(tok))
+            out.append(_int(tok))
     return out
+
+
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParameterOutOfRange(f"expected an integer, got {token!r}") from None
 
 
 def _write_json(data: dict, out_path) -> None:

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import Infeasible, OutOfDomain
+from .errors import Infeasible, OutOfDomain, ParameterOutOfRange
 from .topology import LogicalTree
 
 # A value is classified lossy iff it exceeds DEFAULT_TOL; shared by the
@@ -91,20 +91,38 @@ def sample_feasible(tree: LogicalTree, y, rng: np.random.Generator) -> np.ndarra
     remainder.  Covers the polytope interior (not uniformly).
     """
     y = np.asarray(y, dtype=float)
+    gamma = tree.span_min(y)  # the tightest path below each link
     x = np.zeros(tree.n)
     used = np.zeros(tree.n + 1)  # loss already assigned above each node
     for level in tree.levels[1:]:
         for v in level:
-            if not tree.is_internal(v):
+            if v <= tree.m:
                 continue
-            lo, hi = tree.leaf_span[v]
-            cap = (y[lo - 1 : hi - 1] - used[v]).min()
-            x[v - 1] = rng.uniform(0.0, max(cap, 0.0))
+            x[v - 1] = rng.uniform(0.0, max(gamma[v - 1] - used[v], 0.0))
             for c in tree.children[v]:
                 used[c] = used[v] + x[v - 1]
-    for j in tree.leaves:
-        x[j - 1] = max(y[j - 1] - used[j], 0.0)
+    x[: tree.m] = np.maximum(y - used[1 : tree.m + 1], 0.0)
     return x
+
+
+def plant_hotspots(tree: LogicalTree, K: int, loss_range, seed, key, sup=None) -> np.ndarray:
+    """Loss probabilities with K lossy links, from the substream (seed, K, key).
+
+    The lossy links are drawn first, unless ``sup`` fixes them, and then
+    their losses, uniform in ``loss_range``.  Every instance stream of the
+    census, the experiment and the baseline comparison comes from here.
+    """
+    lo, hi = loss_range
+    if not (0 < lo <= hi < 1):
+        raise ParameterOutOfRange("loss range must satisfy 0 < lo <= hi < 1")
+    if not 0 <= K <= tree.n:
+        raise ParameterOutOfRange(f"K={K} is outside 0..n={tree.n}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, key)))
+    if sup is None:
+        sup = rng.choice(tree.n, size=K, replace=False)
+    b = np.zeros(tree.n)
+    b[sup] = rng.uniform(lo, hi, size=K)
+    return b
 
 
 def save_observations(y, path, scale: str = "addloss") -> None:
@@ -132,10 +150,12 @@ def load_observations(path) -> np.ndarray:
     if stripped.startswith("[") or stripped.startswith("{"):
         data = json.loads(text)
         if isinstance(data, list):
-            scale, values = "addloss", np.asarray(data, dtype=float)
-        else:
-            scale = data.get("scale", "addloss")
+            data = {"y": data}
+        scale = data.get("scale", "addloss")
+        try:
             values = np.asarray(data["y"], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise OutOfDomain('observations must be a list of numbers, bare or as "y"') from None
     else:
         scale = "addloss"
         entries = {}

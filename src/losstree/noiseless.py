@@ -12,9 +12,13 @@ gamma_i is the smallest observation in the subtree under i (and the top
 link takes gamma itself).  ``closed_form`` is the batch-first production
 path: y is (m,) or (B, m), and since every subtree's leaves form one
 contiguous label range, all gamma_i come from one sparse-table
-range-minimum query (about log2 m array operations).  The iterative
-``upsparse`` is kept for cross-validation and exposes the per-complex
-machinery.
+range-minimum query (``LogicalTree.span_min``, about log2 m array
+operations).  The iterative ``upsparse`` is kept for cross-validation
+and exposes the per-complex machinery.
+
+The diagnostics (complex states, uniqueness, the recovery condition) all
+read two per-complex numbers, the smallest child loss and the count of
+lossless children, which one array pass over the father map yields.
 """
 
 from dataclasses import asdict, dataclass
@@ -91,9 +95,11 @@ def upsparse(tree: LogicalTree, y, x0=None, tol: float = DEFAULT_TOL) -> Solutio
     if x0 is None:
         x = receiver_solution(tree, y)
     else:
-        if not is_feasible(tree, x0, y, tol):
-            raise InfeasibleStart("x0 does not satisfy the observations")
         x = np.array(x0, dtype=float)
+        if x.shape != (tree.n,) or not np.all(np.isfinite(x)):
+            raise OutOfDomain(f"x0 must hold {tree.n} finite link values, got shape {x.shape}")
+        if not is_feasible(tree, x, y, tol):
+            raise InfeasibleStart("x0 does not satisfy the observations")
     for level in range(tree.height - 1, 0, -1):
         for v in tree.levels[level]:
             if tree.is_internal(v):
@@ -104,32 +110,20 @@ def upsparse(tree: LogicalTree, y, x0=None, tol: float = DEFAULT_TOL) -> Solutio
 def closed_form(tree: LogicalTree, y) -> np.ndarray:
     """Minimum-l1 solution for one observation (m,) or a batch (B, m)."""
     y = _check_observations(tree, y, batch=True)
-    rows, first, second = tree.span_min_index
-    table = [y]  # table[k][..., i] = min(y[..., i : i + 2**k])
-    for k in range(rows - 1):
-        table.append(np.minimum(table[-1][..., : -(1 << k)], table[-1][..., 1 << k :]))
-    flat = np.concatenate(table, axis=-1)
     gamma = np.zeros(y.shape[:-1] + (tree.n + 1,))
-    gamma[..., 1:] = np.minimum(flat[..., first], flat[..., second])
+    gamma[..., 1:] = tree.span_min(y)
     return gamma[..., 1:] - gamma[..., tree.parent[1:]]
 
 
 def classify_complexes(tree: LogicalTree, x, tol: float = DEFAULT_TOL) -> list[ComplexState]:
     """Per-internal-node complex states under solution x."""
     x = np.asarray(x, dtype=float)
-    out = []
-    for i in tree.internal:
-        kid_vals = x[[c - 1 for c in tree.children[i]]]
-        delta = float(kid_vals.min())
-        lossless = int((kid_vals <= tol).sum())
-        if delta <= tol:
-            state = UP
-        elif x[i - 1] <= tol:
-            state = DOWN
-        else:
-            state = MIXED
-        out.append(ComplexState(node=i, state=state, delta=delta, lossless_children=lossless))
-    return out
+    delta, lossless = _complex_summary(tree, x, tol)
+    state = np.where(delta <= tol, UP, np.where(x[tree.m :] <= tol, DOWN, MIXED))
+    return [
+        ComplexState(node=i, state=s, delta=d, lossless_children=c)
+        for i, s, d, c in zip(tree.internal, state.tolist(), delta.tolist(), lossless.tolist())
+    ]
 
 
 def unique_sparsest(tree: LogicalTree, x_star, tol: float = DEFAULT_TOL) -> bool:
@@ -142,13 +136,8 @@ def unique_sparsest(tree: LogicalTree, x_star, tol: float = DEFAULT_TOL) -> bool
     lossless children.
     """
     x_star = np.asarray(x_star, dtype=float)
-    for i in tree.internal:
-        if x_star[i - 1] <= tol:
-            continue
-        kid_vals = x_star[[c - 1 for c in tree.children[i]]]
-        if (kid_vals <= tol).sum() < 2:
-            return False
-    return True
+    _, lossless = _complex_summary(tree, x_star, tol)
+    return bool(np.all((x_star[tree.m :] <= tol) | (lossless >= 2)))
 
 
 def recovery_condition(tree: LogicalTree, x_true, tol: float = DEFAULT_TOL) -> bool:
@@ -157,12 +146,8 @@ def recovery_condition(tree: LogicalTree, x_true, tol: float = DEFAULT_TOL) -> b
     When true for the underlying solution, it is already in up state
     everywhere, so solving its observations recovers it exactly.
     """
-    x_true = np.asarray(x_true, dtype=float)
-    for i in tree.internal:
-        kid_vals = x_true[[c - 1 for c in tree.children[i]]]
-        if kid_vals.min() > tol:
-            return False
-    return True
+    delta, _ = _complex_summary(tree, np.asarray(x_true, dtype=float), tol)
+    return not np.any(delta > tol)
 
 
 def solution_report(tree: LogicalTree, x, tol: float = DEFAULT_TOL) -> SolutionReport:
@@ -178,14 +163,13 @@ def solution_report(tree: LogicalTree, x, tol: float = DEFAULT_TOL) -> SolutionR
     )
 
 
-def local_l1(y, x) -> float:
-    """l1 norm of the one-complex family member with father-link loss x.
-
-    For child observations y the family is [y_1 - x, ..., y_m - x, x],
-    so the norm is sum(y) - x * (len(y) - 1), decreasing in x.
-    """
-    y = np.asarray(y, dtype=float)
-    return float(y.sum() - x * (len(y) - 1))
+def _complex_summary(tree: LogicalTree, x: np.ndarray, tol: float):
+    """Smallest child loss and lossless-child count of each internal node (label - m - 1)."""
+    father = tree.parent[1:]  # link k+1 is a child link of node father[k]
+    delta = np.full(tree.n + 1, np.inf)
+    np.minimum.at(delta, father, x)
+    lossless = np.bincount(father[x <= tol], minlength=tree.n + 1)
+    return delta[tree.m + 1 :], lossless[tree.m + 1 :]
 
 
 def _check_observations(tree: LogicalTree, y, batch: bool = False) -> np.ndarray:
@@ -207,7 +191,6 @@ __all__ = [
     "unique_sparsest",
     "recovery_condition",
     "solution_report",
-    "local_l1",
     "UP",
     "DOWN",
     "MIXED",

@@ -11,7 +11,8 @@ For a single complex the family reduces to one parameter x (the father
 link loss): the children take [lo_j - x]^+ and realize max(x, lo_j).
 ``local_min_l0`` and ``local_min_l1`` characterize the optimal x sets.
 On a full tree the same thresholds generalize to per-subtree statistics
-(``z_stats``), and ``upsparse_plus`` applies them top down.
+(``z_stats``: leaf-span range minima of the bounds, plus one bottom-up
+merge of lower bounds), and ``upsparse_plus`` applies them top down.
 
 A note on ties: when a whole set of x values is optimal, results report
 the set and single-value fields use the canonical minimizer; tie-breaks
@@ -228,35 +229,28 @@ def local_min_l1(y_lo, y_hi) -> LocalMinL1:
 
 
 def z_stats(tree: LogicalTree, intervals: IntervalObservation) -> ZStats:
-    """Subtree interval statistics for every link, merged bottom up.
+    """Subtree interval statistics for every link.
 
-    min_upper and max_lower are plain min/max merges; max_lower_within
-    needs every subtree's multiset of lower bounds (only those at or
-    below the local min_upper can count), giving quadratic worst-case
-    work on the sorted merges.
+    min_upper and max_lower are leaf-span minima of hi and -lo
+    (``LogicalTree.span_min``); max_lower_within needs every subtree's
+    multiset of lower bounds (only those at or below the local min_upper
+    can count), merged bottom up with quadratic worst-case work.
     """
     _check_paths(tree, intervals)
-    lo, hi = intervals.lo, intervals.hi
-    min_upper = np.empty(tree.n + 1)
-    max_lower = np.empty(tree.n + 1)
+    lo = intervals.lo
+    min_upper = tree.span_min(intervals.hi)
     within = np.empty(tree.n + 1)
+    within[1 : tree.m + 1] = lo
     lowers: list = [None] * (tree.n + 1)
-    for j in tree.leaves:
-        min_upper[j] = hi[j - 1]
-        max_lower[j] = lo[j - 1]
-        within[j] = lo[j - 1]
-        lowers[j] = lo[j - 1 : j]
+    lowers[1 : tree.m + 1] = lo[:, None]
     for v in range(tree.n, tree.m, -1):
-        kids = tree.children[v]
-        min_upper[v] = min(min_upper[c] for c in kids)
-        max_lower[v] = max(max_lower[c] for c in kids)
-        merged = np.sort(np.concatenate([lowers[c] for c in kids]))
+        merged = np.sort(np.concatenate([lowers[c] for c in tree.children[v]]))
         lowers[v] = merged
-        idx = np.searchsorted(merged, min_upper[v], side="right") - 1
+        idx = np.searchsorted(merged, min_upper[v - 1], side="right") - 1
         within[v] = merged[idx]  # non-empty: the path attaining min_upper qualifies
     return ZStats(
-        min_upper=min_upper[1:],
-        max_lower=max_lower[1:],
+        min_upper=min_upper,
+        max_lower=-tree.span_min(-lo),
         max_lower_within=within[1:],
     )
 
@@ -276,8 +270,7 @@ def upsparse_plus(
     """
     if mode not in MODES:
         raise OutOfDomain(f"mode must be one of {MODES}, got {mode!r}")
-    _check_paths(tree, intervals)
-    stats = z_stats(tree, intervals)
+    stats = z_stats(tree, intervals)  # also checks the path count
     z = np.zeros(tree.n + 1)
     x = np.zeros(tree.n)
     for level in tree.levels[1:]:
@@ -323,12 +316,20 @@ def load_intervals(path) -> IntervalObservation:
     """Read a JSON interval file; "inf" or null upper ends mean unbounded."""
     with open(path, encoding="utf-8") as fh:
         rows = json.load(fh)
+    if not isinstance(rows, list):
+        raise OutOfDomain("interval file must hold a list of {path, lo, hi} rows")
     by_path = {}
     for row in rows:
-        hi = row["hi"]
-        if hi is None or (isinstance(hi, str) and hi.lower() in ("inf", "infinity")):
-            hi = math.inf
-        by_path[int(row["path"])] = (float(row["lo"]), float(hi))
+        try:
+            hi = row["hi"]
+            if hi is None or (isinstance(hi, str) and hi.lower() in ("inf", "infinity")):
+                hi = math.inf
+            j, bounds = int(row["path"]), (float(row["lo"]), float(hi))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise OutOfDomain(f"interval row {row!r} needs a numeric path, lo and hi") from None
+        if j in by_path:
+            raise OutOfDomain(f"interval file lists path {j} twice")
+        by_path[j] = bounds
     if sorted(by_path) != list(range(1, len(by_path) + 1)):
         raise OutOfDomain("interval file must cover paths 1..m exactly once")
     lo = np.array([by_path[j][0] for j in sorted(by_path)])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange
-from .lossmodel import DEFAULT_TOL, addloss, forward, sample_feasible
+from .lossmodel import DEFAULT_TOL, addloss, forward, plant_hotspots, sample_feasible
 from .noiseless import closed_form
 from .noisy import MIN_L1, IntervalObservation, NoisySolution
 from .topology import LogicalTree, measurement_matrix
@@ -60,9 +60,8 @@ class SupportScanner:
     def __init__(self, tree: LogicalTree):
         self.tree = tree
         self.dense = measurement_matrix(tree).dense().astype(float)
-        self.link_masks = np.zeros(tree.n, dtype=np.int64)
-        for j, row in enumerate(self.dense):
-            self.link_masks[row > 0] |= np.int64(1 << j)
+        self.path_bits = 1 << np.arange(tree.m, dtype=np.int64)  # bit j-1 stands for path j
+        self.link_masks = self.path_bits @ (self.dense > 0)  # the paths through each link
         self._levels: dict[int, tuple] = {}
 
     def level(self, k: int):
@@ -84,20 +83,12 @@ class SupportScanner:
 
     def feasible_at(self, y: np.ndarray, k: int, tol: float = FEAS_TOL):
         """Indices and solutions of feasible supports of size k for y."""
-        required = np.int64(0)
-        for j in np.flatnonzero(y > tol):
-            required |= np.int64(1 << int(j))
-        if k == 0:
-            if np.abs(y).max(initial=0.0) <= tol:
-                return np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0))
-            return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0))
+        required = self.path_bits[y > tol].sum()
         supports, stacks, pinv, masks = self.level(k)
         idx = np.flatnonzero((masks & required) == required)
         if idx.size == 0:
             return supports[:0], np.zeros((0, k))
-        x = np.einsum("nkm,m->nk", pinv[idx], y)
-        resid = np.einsum("nmk,nk->nm", stacks[idx], x) - y
-        ok = (x.min(axis=1) >= -tol) & (np.abs(resid).max(axis=1) <= tol)
+        x, ok = _restricted_solve(pinv[idx], stacks[idx], y, tol)
         return supports[idx[ok]], x[ok]
 
 
@@ -178,35 +169,26 @@ def uniqueness_census(
     supports with ``draws_per_placement`` loss draws each.  Per-trial RNG
     substreams make results independent of execution order.
     """
-    if K > tree.m:
-        raise ParameterOutOfRange(f"K={K} exceeds the path count m={tree.m}")
-    lo, hi = loss_range
-    if not (0 < lo <= hi < 1):
-        raise ParameterOutOfRange("loss range must satisfy 0 < lo <= hi < 1")
+    if not 0 <= K <= tree.m:
+        raise ParameterOutOfRange(f"K={K} is outside 0..m={tree.m}, m the path count")
     scanner = SupportScanner(tree)
 
     if placement == "exhaustive":
         supports = list(itertools.combinations(range(tree.n), K))
         if len(supports) * draws_per_placement > _SCAN_LIMIT:
             raise InstanceTooLarge("exhaustive placement sweep too large")
-        picks = [
-            (np.array(sup), t)
-            for sup in supports
-            for t in range(draws_per_placement)
-        ]
+        picks = [np.array(sup) for sup in supports for _ in range(draws_per_placement)]
     elif placement == "random":
-        picks = [(None, t) for t in range(trials)]
+        picks = [None] * trials
     else:
         raise ParameterOutOfRange(f"unknown placement mode {placement!r}")
+    if not picks:
+        raise ParameterOutOfRange("the census needs at least one trial")
 
     n_unique = 0
     n_recovered = 0
-    for i, (sup, t) in enumerate(picks):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, i)))
-        if sup is None:
-            sup = rng.choice(tree.n, size=K, replace=False)
-        x_true = np.zeros(tree.n)
-        x_true[sup] = addloss(rng.uniform(lo, hi, size=K))
+    for i, sup in enumerate(picks):
+        x_true = addloss(plant_hotspots(tree, K, loss_range, seed, i, sup))
         y = forward(tree, x_true)
         enum = sparsest_enumerate(
             tree, y, k_max=K, size_limit=size_limit, scanner=scanner
@@ -338,21 +320,21 @@ def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
 
 def _any_sparser(scanner: SupportScanner, ys: np.ndarray, k_below: int) -> bool:
     """True if any observation row admits a feasible support of size < k_below."""
-    if k_below <= 0:
-        return False
-    if np.any(np.abs(ys).max(axis=1) <= FEAS_TOL):
-        return True  # an all-zero observation admits the empty support
-    for k in range(1, k_below):
+    for k in range(k_below):
         supports, stacks, pinv, _ = scanner.level(k)
         for s in range(len(supports)):
-            x = ys @ pinv[s].T
-            resid = x @ stacks[s].T - ys
-            ok = (x.min(axis=1) >= -FEAS_TOL) & (
-                np.abs(resid).max(axis=1) <= FEAS_TOL
-            )
-            if ok.any():
+            if _restricted_solve(pinv[s], stacks[s], ys, FEAS_TOL)[1].any():
                 return True
     return False
+
+
+def _restricted_solve(pinv, stacks, y, tol):
+    """x = pinv @ y on supports of size k >= 0, and whether each is feasible: x >= -tol
+    (vacuous for k = 0, hence the initial 0) and every residual within tol.  Leading axes
+    of pinv (..., k, m), stacks (..., m, k) and y (..., m) broadcast to x (..., k), ok (...)."""
+    x = np.einsum("...km,...m->...k", pinv, y)
+    resid = np.einsum("...mk,...k->...m", stacks, x) - y
+    return x, (x.min(axis=-1, initial=0.0) >= -tol) & (np.abs(resid).max(axis=-1) <= tol)
 
 
 def _append_distinct(solutions, supports, x, sup, atol=1e-6):

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
-from .lossmodel import DEFAULT_TOL, addloss, forward, inverse_addloss
+from .lossmodel import DEFAULT_TOL, addloss, forward, inverse_addloss, plant_hotspots
 from .noiseless import closed_form
 from .noisy import MODES, IntervalObservation, upsparse_plus
 from .topology import LogicalTree, tree_from_spec
@@ -214,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig, tree: LogicalTree | None = None):
     rows = []
     for K in cfg.k_values:
         instances = [
-            _plant_instance(tree, K, cfg.loss_range, cfg.seed, rep)
+            plant_hotspots(tree, K, cfg.loss_range, cfg.seed, rep)
             for rep in range(cfg.reps)
         ]
         for probes in cfg.probe_counts:
@@ -264,14 +264,6 @@ def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:
                     r.seed,
                 ]
             )
-
-
-def _plant_instance(tree, K, loss_range, seed, rep) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, rep)))
-    b = np.zeros(tree.n)
-    sup = rng.choice(tree.n, size=K, replace=False)
-    b[sup] = rng.uniform(*loss_range, size=K)
-    return b
 
 
 def _score_one(tree, b_true, K, probes, rep, cfg: ExperimentConfig) -> Metrics:

@@ -123,6 +123,20 @@ class LogicalTree:
         row_start = k * (self.m + 1) - (1 << k) + 1
         return int(k.max()) + 1, row_start + lo, row_start + hi - (1 << k)
 
+    def span_min(self, y) -> np.ndarray:
+        """Smallest y over every link's leaf span: (..., m) -> (..., n).
+
+        Entry v-1 of the last axis is gamma_v = min(y[..., lo-1 : hi-1]) for
+        leaf_span[v] = (lo, hi), from one sparse-table range-minimum query
+        (about log2 m array operations for all links at once).
+        """
+        rows, first, second = self.span_min_index
+        table = [y]  # table[k][..., i] = min(y[..., i : i + 2**k])
+        for k in range(rows - 1):
+            table.append(np.minimum(table[-1][..., : -(1 << k)], table[-1][..., 1 << k :]))
+        flat = np.concatenate(table, axis=-1)
+        return np.minimum(flat[..., first], flat[..., second])
+
     def subtree_leaves(self, v: int) -> range:
         lo, hi = self.leaf_span[v]
         return range(int(lo), int(hi))

@@ -13,7 +13,7 @@ from losstree import (
     gen_regular_tree,
     scfs,
 )
-from losstree.errors import OutOfDomain
+from losstree.errors import OutOfDomain, ParameterOutOfRange
 
 from conftest import random_small_trees, random_sparse_x
 
@@ -33,6 +33,11 @@ class TestBinarize:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             binarize([1.0], threshold=-1.0)
+
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+    def test_bad_threshold_is_out_of_domain(self, threshold):
+        with pytest.raises(OutOfDomain):
+            binarize([1.0], threshold=threshold)
 
 
 class TestScfs:
@@ -100,6 +105,10 @@ class TestComparisonHarness:
         p_scfs, p_sparse = compare_with_sparse_recovery(tree, K=1, trials=40, seed=5)
         assert p_scfs == 1.0
         assert p_sparse == 1.0
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            compare_with_sparse_recovery(gen_regular_tree(3, 3), K=1, trials=0)
 
     def test_deterministic(self):
         tree = gen_regular_tree(3, 3)

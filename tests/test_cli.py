@@ -286,6 +286,59 @@ class TestBadInput:
         iv.write_text(json.dumps(rows))
         self.run_bad(capsys, "solve-noisy", "--tree", tree4, "--intervals", str(iv), expect="NaN")
 
+    @pytest.mark.parametrize("text, expect", [
+        ('{"scale": "addloss"}', '"y"'),
+        ('["a", 0.1, 0.1, 0.1]', "numbers"),
+        ('{"y": [0.1, {"v": 0.2}, 0.1, 0.1]}', "numbers"),
+    ])
+    def test_json_observations_malformed(self, capsys, tmp_path, tree4, text, expect):
+        capsys.readouterr()
+        obs = tmp_path / "y.json"
+        obs.write_text(text)
+        self.run_bad(capsys, "solve", "--tree", tree4, "--obs", str(obs), expect=expect)
+
+    @pytest.mark.parametrize("change, expect", [
+        ({"drop": "path"}, "needs a numeric path"),
+        ({"drop": "lo"}, "needs a numeric path"),
+        ({"drop": "hi"}, "needs a numeric path"),
+        ({"lo": "low"}, "needs a numeric path"),
+        ({"path": "two"}, "needs a numeric path"),
+        ({"hi": [0.5]}, "needs a numeric path"),
+        ({"path": 1}, "path 1 twice"),
+    ])
+    def test_interval_rows_malformed(self, capsys, tmp_path, tree4, change, expect):
+        capsys.readouterr()
+        rows = [{"path": j, "lo": 0.0, "hi": 0.5} for j in range(1, 5)]
+        rows[2].update(change)
+        rows[2].pop(change.get("drop"), None)
+        iv = tmp_path / "iv.json"
+        iv.write_text(json.dumps(rows))
+        self.run_bad(capsys, "solve-noisy", "--tree", tree4, "--intervals", str(iv), expect=expect)
+
+    @pytest.mark.parametrize("text", ['{"path": 1, "lo": 0.0, "hi": 0.5}', "0.5", '"rows"'])
+    def test_interval_file_not_a_list(self, capsys, tmp_path, tree4, text):
+        capsys.readouterr()
+        iv = tmp_path / "iv.json"
+        iv.write_text(text)
+        self.run_bad(capsys, "solve-noisy", "--tree", tree4, "--intervals", str(iv), expect="list")
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["census", "--tree", "ternary:13", "--K", "x"], "'x'"),
+        (["census", "--tree", "ternary:13", "--K", "1-y"], "'y'"),
+        (["census", "--tree", "ternary:13", "--K", "-1"], "K=-1"),
+        (["census", "--tree", "ternary:13", "--K", "1", "--trials", "0"], "at least one trial"),
+        (["experiment", "--tree", "ternary:13", "--probes", "10,abc"], "'abc'"),
+    ])
+    def test_bad_flag_values(self, capsys, argv, expect):
+        self.run_bad(capsys, *argv, expect=expect)
+
+    def test_scfs_negative_threshold(self, capsys, tmp_path, tree4):
+        capsys.readouterr()
+        obs = tmp_path / "y.json"
+        save_observations([0.1, 0.0, 0.2, 0.0], obs)
+        self.run_bad(capsys, "scfs", "--tree", tree4, "--obs", str(obs), "--threshold", "-1",
+                     expect="non-negative")
+
 
 class TestUsage:
     def test_unknown_command_exit_one(self, capsys):

@@ -1,10 +1,10 @@
-"""Array kernels against plain per-path loops, and experiment output goldens.
+"""Array kernels against plain loops, and experiment output goldens.
 
-The reference implementations below walk every root-to-leaf path link by
-link, the way the kernels' results are defined; the kernels must match
-them exactly, not just within a tolerance.  The golden CSVs under
-``tests/data/`` were written by the per-node loop implementations that
-the kernels replaced.
+The reference implementations below either walk every root-to-leaf path
+link by link, the way the kernels' results are defined, or are the
+per-node loops the kernels replaced; the kernels must match them
+exactly, not just within a tolerance.  The golden CSVs under
+``tests/data/`` were written by the per-node loop implementations.
 """
 
 from pathlib import Path
@@ -14,8 +14,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losstree import build_tree, closed_form, cover_intervals, gen_random_tree, scfs
+from losstree import (
+    IntervalObservation,
+    addloss,
+    build_tree,
+    classify_complexes,
+    closed_form,
+    cover_intervals,
+    gen_random_tree,
+    gen_ternary_tree,
+    recovery_condition,
+    sample_feasible,
+    scfs,
+    solution_report,
+    unique_sparsest,
+    upsparse_plus,
+    z_stats,
+)
 from losstree.cli import main
+from losstree.lossmodel import DEFAULT_TOL, plant_hotspots
+from losstree.noiseless import DOWN, MIXED, UP, ComplexState
 from losstree.simulation import path_loss_probabilities
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +89,75 @@ def ref_scfs(tree, bad):
     }
 
 
+def ref_classify_complexes(tree, x, tol=DEFAULT_TOL):
+    out = []
+    for i in tree.internal:
+        kid_vals = x[[c - 1 for c in tree.children[i]]]
+        delta = float(kid_vals.min())
+        lossless = int((kid_vals <= tol).sum())
+        if delta <= tol:
+            state = UP
+        elif x[i - 1] <= tol:
+            state = DOWN
+        else:
+            state = MIXED
+        out.append(ComplexState(node=i, state=state, delta=delta, lossless_children=lossless))
+    return out
+
+
+def ref_unique_sparsest(tree, x_star, tol=DEFAULT_TOL):
+    for i in tree.internal:
+        if x_star[i - 1] <= tol:
+            continue
+        kid_vals = x_star[[c - 1 for c in tree.children[i]]]
+        if (kid_vals <= tol).sum() < 2:
+            return False
+    return True
+
+
+def ref_recovery_condition(tree, x_true, tol=DEFAULT_TOL):
+    for i in tree.internal:
+        kid_vals = x_true[[c - 1 for c in tree.children[i]]]
+        if kid_vals.min() > tol:
+            return False
+    return True
+
+
+def ref_sample_feasible(tree, y, rng):
+    x = np.zeros(tree.n)
+    used = np.zeros(tree.n + 1)
+    for level in tree.levels[1:]:
+        for v in level:
+            if not tree.is_internal(v):
+                continue
+            lo, hi = tree.leaf_span[v]
+            cap = (y[lo - 1 : hi - 1] - used[v]).min()
+            x[v - 1] = rng.uniform(0.0, max(cap, 0.0))
+            for c in tree.children[v]:
+                used[c] = used[v] + x[v - 1]
+    for j in tree.leaves:
+        x[j - 1] = max(y[j - 1] - used[j], 0.0)
+    return x
+
+
+def ref_z_stats(tree, lo, hi):
+    """(min_upper, max_lower, max_lower_within) from each leaf set, path by path."""
+    below = [[] for _ in range(tree.n + 1)]
+    for j in tree.leaves:
+        for v in path_links(tree, j):
+            below[v].append(j - 1)
+    stats = np.empty((3, tree.n))
+    for v in range(1, tree.n + 1):
+        u = min(hi[below[v]])
+        stats[:, v - 1] = u, max(lo[below[v]]), max(lo[j] for j in below[v] if lo[j] <= u)
+    return stats
+
+
+def sparse_draw(rng, size):
+    """Non-negative values, about half exactly zero; rounding makes ties common."""
+    return np.where(rng.random(size) < 0.5, np.round(rng.uniform(0.0, 1.0, size), 1), 0.0)
+
+
 @st.composite
 def trees(draw):
     m = draw(st.integers(2, 60))
@@ -110,15 +197,76 @@ class TestKernelsMatchPathLoops:
         assert scfs(tree, bad) == ref_scfs(tree, bad)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
+    def test_complex_diagnostics(self, tree, seed):
+        rng = np.random.default_rng(seed)
+        at_tol = rng.choice([0.0, DEFAULT_TOL, 2 * DEFAULT_TOL, 0.1, 0.2], tree.n)
+        for x in (sparse_draw(rng, tree.n), closed_form(tree, sparse_draw(rng, tree.m)), at_tol):
+            assert classify_complexes(tree, x) == ref_classify_complexes(tree, x)
+            assert unique_sparsest(tree, x) is ref_unique_sparsest(tree, x)
+            assert recovery_condition(tree, x) is ref_recovery_condition(tree, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
+    def test_sample_feasible(self, tree, seed):
+        y = sparse_draw(np.random.default_rng(seed), tree.m)
+        ours, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(5):
+            assert np.array_equal(sample_feasible(tree, y, ours), ref_sample_feasible(tree, y, ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
+    def test_z_stats(self, tree, seed):
+        rng = np.random.default_rng(seed)
+        lo = np.round(rng.uniform(0.0, 1.0, tree.m), 1)
+        hi = lo + np.round(rng.uniform(0.0, 1.0, tree.m), 1)
+        hi[rng.random(tree.m) < 0.3] = np.inf
+        stats = z_stats(tree, IntervalObservation(lo=lo, hi=hi))
+        got = np.array([stats.min_upper, stats.max_lower, stats.max_lower_within])
+        assert np.array_equal(got, ref_z_stats(tree, lo, hi))
+
+
+def test_plant_hotspots_reproduces_the_inline_streams():
+    """The three per-caller planting loops it replaced, draw for draw."""
+    tree = gen_ternary_tree(13)
+    lo, hi = loss_range = (0.01, 0.10)
+    for seed, K, key in [(0, 1, 0), (7, 3, 5), (123, 4, 199), (5, 13, 2)]:
+        b = plant_hotspots(tree, K, loss_range, seed, key)
+        # simulation: the experiment's probability-scale instance
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, key)))
+        expected = np.zeros(tree.n)
+        sup = rng.choice(tree.n, size=K, replace=False)
+        expected[sup] = rng.uniform(*loss_range, size=K)
+        assert np.array_equal(b, expected)
+        # oracle census (random placement) and the baseline comparison: addloss scale
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, key)))
+        sup = rng.choice(tree.n, size=K, replace=False)
+        x_true = np.zeros(tree.n)
+        x_true[sup] = addloss(rng.uniform(lo, hi, size=K))
+        assert np.array_equal(addloss(b), x_true)
+        assert set((np.flatnonzero(b) + 1).tolist()) == {int(s) + 1 for s in sup}
+    # oracle census, exhaustive placement: the support is given, only losses are drawn
+    for key, fixed in enumerate([np.array([0, 4]), np.array([12, 3])]):
+        rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(2, key)))
+        x_true = np.zeros(tree.n)
+        x_true[fixed] = addloss(rng.uniform(lo, hi, size=2))
+        assert np.array_equal(addloss(plant_hotspots(tree, 2, loss_range, 9, key, fixed)), x_true)
+
+
 def test_kernels_never_build_the_path_lists():
     tree = caterpillar(300)
     rng = np.random.default_rng(0)
     b = np.where(rng.random(tree.n) < 0.1, 0.05, 0.0)
-    closed_form(tree, rng.uniform(0.0, 1.0, tree.m))
+    y = rng.uniform(0.0, 1.0, tree.m)
+    x = closed_form(tree, y)
     closed_form(tree, rng.uniform(0.0, 1.0, (4, tree.m)))
     path_loss_probabilities(tree, b)
     cover_intervals(tree, b, 0.01)
     scfs(tree, rng.random(tree.m) < 0.5)
+    solution_report(tree, x)  # classify_complexes, unique_sparsest, recovery_condition
+    sample_feasible(tree, y, rng)
+    upsparse_plus(tree, IntervalObservation(lo=y, hi=y + 0.1))  # through z_stats
     assert "paths" not in tree.__dict__
 
 

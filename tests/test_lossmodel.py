@@ -17,7 +17,8 @@ from losstree import (
     sample_feasible,
     save_observations,
 )
-from losstree.errors import Infeasible, OutOfDomain
+from losstree.errors import Infeasible, OutOfDomain, ParameterOutOfRange
+from losstree.lossmodel import plant_hotspots
 
 from conftest import random_small_trees
 
@@ -207,3 +208,25 @@ class TestObservationFiles:
         path.write_text(text)
         with pytest.raises(OutOfDomain):
             load_observations(path)
+
+    @pytest.mark.parametrize("text", ['{"scale": "addloss"}', '{"y": null, "x": [0.1]}',
+                                      '["a"]', '{"y": [0.1, "b"]}', '{"y": {"1": 0.1}}'])
+    def test_malformed_json_rejected(self, tmp_path, text):
+        path = tmp_path / "obs.json"
+        path.write_text(text)
+        with pytest.raises(OutOfDomain):
+            load_observations(path)
+
+
+class TestPlantHotspots:
+    def test_k_lossy_links_in_range(self):
+        tree = gen_regular_tree(3, 3)
+        b = plant_hotspots(tree, 4, (0.02, 0.05), seed=1, key=0)
+        assert np.count_nonzero(b) == 4
+        assert np.all((b == 0) | ((b >= 0.02) & (b <= 0.05)))
+
+    @pytest.mark.parametrize("K, loss_range", [(-1, (0.01, 0.1)), (14, (0.01, 0.1)),
+                                               (2, (0.0, 0.1)), (2, (0.2, 0.1)), (2, (0.1, 1.0))])
+    def test_bad_parameters_rejected(self, K, loss_range):
+        with pytest.raises(ParameterOutOfRange):
+            plant_hotspots(gen_regular_tree(3, 3), K, loss_range, seed=0, key=0)

@@ -16,7 +16,7 @@ from losstree import (
     upsparse,
 )
 from losstree.errors import InfeasibleStart, NotInternal, OutOfDomain
-from losstree.noiseless import DOWN, MIXED, UP, local_l1
+from losstree.noiseless import DOWN, MIXED, UP
 
 from conftest import random_small_trees, random_sparse_x
 
@@ -109,6 +109,12 @@ class TestUpsparse:
     def test_infeasible_start_rejected(self, fig_tree):
         with pytest.raises(InfeasibleStart):
             upsparse(fig_tree, [2.0, 3.0, 4.0], x0=[9, 9, 9, 9, 9])
+
+    @pytest.mark.parametrize("x0", [[0.0, 1.0, 2.0, 2.0], [[0.0, 1.0, 2.0, 2.0, 0.0]],
+                                    [0.0, 1.0, 2.0, 2.0, np.nan], [np.inf, 1.0, 2.0, 2.0, 0.0]])
+    def test_malformed_start_rejected(self, fig_tree, x0):
+        with pytest.raises(OutOfDomain, match="x0"):
+            upsparse(fig_tree, [2.0, 3.0, 4.0], x0=x0)
 
 
 class TestClosedForm:
@@ -225,19 +231,6 @@ class TestRecoveryCondition:
             x_hat = upsparse(tree, forward(tree, x_true)).x
             assert np.abs(x_hat - x_true).max() < 1e-9
         assert hits > 10
-
-
-class TestLocalL1Formula:
-    def test_family_norm_linear_in_pulled_loss(self, one_complex):
-        y = np.array([2.0, 3.0, 4.0])
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            t = rng.uniform(0, y.min())
-            member = np.append(y - t, t)
-            assert member.sum() == pytest.approx(local_l1(y, t))
-        assert local_l1(y, y.min()) == pytest.approx(
-            upsparse(one_complex, y).l1
-        )
 
 
 class TestReportSerialization:

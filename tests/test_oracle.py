@@ -24,7 +24,7 @@ from losstree import (
     upsparse,
     upsparse_plus,
 )
-from losstree.errors import InstanceTooLarge, KTooSmall, NotBranchNode
+from losstree.errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange
 from losstree.noisy import NoisySolution
 
 from conftest import random_small_trees, random_sparse_x
@@ -137,6 +137,14 @@ class TestUniquenessCensus:
         assert res.trials == 3
         assert res.p_unique == 1.0
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(trials=0), dict(placement="exhaustive", draws_per_placement=0),
+        dict(K=-1), dict(K=5), dict(loss_range=(0.0, 0.1)),
+    ])
+    def test_bad_parameters_rejected(self, kwargs):
+        with pytest.raises(ParameterOutOfRange):
+            uniqueness_census(gen_regular_tree(2, 3), **{"K": 1, **kwargs})
+
     def test_recovery_needs_a_lossless_child(self):
         # On the two-leaf tree, two hotspots are never uniquely sparsest
         # (one lossless link at the fork), yet placements touching the top
@@ -191,6 +199,16 @@ class TestNoisyGridCheck:
         )
         assert bogus.l0() == 4
         assert not noisy_grid_check(one_complex, iv, bogus)
+
+    def test_rejects_lossy_candidate_when_zero_is_realizable(self, one_complex):
+        # Every interval reaches 0, where the empty support is feasible.
+        iv = IntervalObservation(lo=[0, 0, 0], hi=[1, 1, 1])
+        lossy = NoisySolution(
+            x=np.array([0.0, 0.0, 0.0, 0.5]), y=np.full(3, 0.5), z=np.zeros(4), mode=MIN_L0
+        )
+        assert lossy.l0() == 1
+        assert not noisy_grid_check(one_complex, iv, lossy)
+        assert noisy_grid_check(one_complex, iv, upsparse_plus(one_complex, iv, MIN_L0))
 
     def test_rejects_inflated_l1(self, one_complex):
         iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])

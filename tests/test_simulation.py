@@ -241,9 +241,9 @@ class TestRunExperiment:
 
     def test_paired_instances_across_probe_counts(self):
         # The planted hotspots per repetition must not depend on N.
-        from losstree.simulation import _plant_instance
+        from losstree.lossmodel import plant_hotspots
 
         tree = gen_regular_tree(3, 3)
-        a = _plant_instance(tree, 3, (0.01, 0.1), seed=5, rep=2)
-        b = _plant_instance(tree, 3, (0.01, 0.1), seed=5, rep=2)
+        a = plant_hotspots(tree, 3, (0.01, 0.1), seed=5, key=2)
+        b = plant_hotspots(tree, 3, (0.01, 0.1), seed=5, key=2)
         assert np.array_equal(a, b)
