@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import binarize, scfs
-from .errors import LossTreeError, ParameterOutOfRange
+from .errors import LossTreeError, OutOfDomain, ParameterOutOfRange
 from .lossmodel import forward, load_observations
 from .noiseless import upsparse
 from .noisy import MODES, load_intervals, upsparse_plus
@@ -40,8 +40,11 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     started = time.perf_counter()
     try:
-        code = args.func(args)
-    except (LossTreeError, OSError, json.JSONDecodeError) as exc:
+        # Huge inputs may overflow a sum to inf; _write_json reports that as
+        # an input error, so numpy's overflow warning would only repeat it.
+        with np.errstate(over="ignore"):
+            code = args.func(args)
+    except (LossTreeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:
@@ -269,8 +272,10 @@ def _parse_int_list(text: str) -> list[int]:
     for tok in str(text).split(","):
         tok = tok.strip()
         if "-" in tok[1:]:
-            lo, hi = tok.split("-", 1)
-            out.extend(range(_int(lo), _int(hi) + 1))
+            lo, hi = (_int(end) for end in tok.split("-", 1))
+            if hi < lo:
+                raise ParameterOutOfRange(f"range {tok!r} runs downward; write it as {hi}-{lo}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(_int(tok))
     return out
@@ -284,7 +289,10 @@ def _int(token: str) -> int:
 
 
 def _write_json(data: dict, out_path) -> None:
-    text = json.dumps(data, indent=2)
+    try:
+        text = json.dumps(data, indent=2, allow_nan=False)
+    except ValueError:
+        raise OutOfDomain("the result overflows to a non-finite number; inputs too large") from None
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

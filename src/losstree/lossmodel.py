@@ -148,14 +148,22 @@ def load_observations(path) -> np.ndarray:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise OutOfDomain("observation file nests JSON too deeply") from None
         if isinstance(data, list):
             data = {"y": data}
         scale = data.get("scale", "addloss")
+        y = data.get("y")
+        # JSON numbers decode to int or float; true/false (bool), strings and
+        # nested values are not observations.
+        if not isinstance(y, list) or not set(map(type, y)) <= {int, float}:
+            raise OutOfDomain('observations must be a list of numbers, bare or as "y"')
         try:
-            values = np.asarray(data["y"], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            raise OutOfDomain('observations must be a list of numbers, bare or as "y"') from None
+            values = np.array(y, dtype=float)
+        except OverflowError:
+            raise OutOfDomain("observations must be finite") from None
     else:
         scale = "addloss"
         entries = {}

@@ -11,8 +11,9 @@ For a single complex the family reduces to one parameter x (the father
 link loss): the children take [lo_j - x]^+ and realize max(x, lo_j).
 ``local_min_l0`` and ``local_min_l1`` characterize the optimal x sets.
 On a full tree the same thresholds generalize to per-subtree statistics
-(``z_stats``: leaf-span range minima of the bounds, plus one bottom-up
-merge of lower bounds), and ``upsparse_plus`` applies them top down.
+(``z_stats``: leaf-span range minima of the bounds, plus one offline
+range query over ranked lower bounds, O((n + m) log m) in all), and
+``upsparse_plus`` applies them top down in one pass in label order.
 
 A note on ties: when a whole set of x values is optimal, results report
 the set and single-value fields use the canonical minimizer; tie-breaks
@@ -106,9 +107,9 @@ class NoisySolution:
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
-            "x": [float(v) for v in self.x],
-            "y": [float(v) for v in self.y],
-            "z": [float(v) for v in self.z],
+            "x": self.x.tolist(),
+            "y": self.y.tolist(),
+            "z": self.z.tolist(),
             "l0": self.l0(),
             "l1": self.l1(),
         }
@@ -232,26 +233,33 @@ def z_stats(tree: LogicalTree, intervals: IntervalObservation) -> ZStats:
     """Subtree interval statistics for every link.
 
     min_upper and max_lower are leaf-span minima of hi and -lo
-    (``LogicalTree.span_min``); max_lower_within needs every subtree's
-    multiset of lower bounds (only those at or below the local min_upper
-    can count), merged bottom up with quadratic worst-case work.
+    (``LogicalTree.span_min``).  max_lower_within is an offline range query:
+    with lo ranked once, it is the lower bound of largest rank in the span
+    among the ranks below the count of lower bounds <= min_upper.  Every
+    span is cut into aligned power-of-two blocks (``LogicalTree.span_blocks``);
+    one sort orders the ranks inside every block, one searchsorted finds each
+    block's best qualifying rank and one reduceat keeps the best block of
+    each link: O((n + m) log m) work in a fixed number of array operations.
     """
     _check_paths(tree, intervals)
     lo = intervals.lo
     min_upper = tree.span_min(intervals.hi)
-    within = np.empty(tree.n + 1)
-    within[1 : tree.m + 1] = lo
-    lowers: list = [None] * (tree.n + 1)
-    lowers[1 : tree.m + 1] = lo[:, None]
-    for v in range(tree.n, tree.m, -1):
-        merged = np.sort(np.concatenate([lowers[c] for c in tree.children[v]]))
-        lowers[v] = merged
-        idx = np.searchsorted(merged, min_upper[v - 1], side="right") - 1
-        within[v] = merged[idx]  # non-empty: the path attaining min_upper qualifies
+    link, base, starts, leaf_base = tree.span_blocks
+    order = np.argsort(lo, kind="stable")
+    rank = np.empty(tree.m, dtype=np.int64)
+    rank[order] = np.arange(tree.m)
+    # One key per leaf per level, ordered by block and then by rank.  A block
+    # whose ranks all reach the count finds a key of an earlier block and
+    # yields a negative best; only leaf 1's own block has base 0, and its
+    # rank is always below its count.
+    keys = np.sort(leaf_base + rank, axis=None)
+    count = np.searchsorted(lo[order], min_upper, side="right")
+    best = keys[np.searchsorted(keys, base + count[link]) - 1] - base
+    # non-negative for every link: the path attaining min_upper qualifies
     return ZStats(
         min_upper=min_upper,
         max_lower=-tree.span_min(-lo),
-        max_lower_within=within[1:],
+        max_lower_within=lo[order[np.maximum.reduceat(best, starts)]],
     )
 
 
@@ -271,28 +279,24 @@ def upsparse_plus(
     if mode not in MODES:
         raise OutOfDomain(f"mode must be one of {MODES}, got {mode!r}")
     stats = z_stats(tree, intervals)  # also checks the path count
-    z = np.zeros(tree.n + 1)
-    x = np.zeros(tree.n)
-    for level in tree.levels[1:]:
-        for v in level:
-            zf = z[tree.parent[v]]
-            if mode == MIN_L1:
-                thr = min(stats.max_lower[v - 1], stats.min_upper[v - 1])
-            else:
-                thr = stats.max_lower_within[v - 1]
-            if (
-                mode == MIN_L1_AMONG_L0
-                and thr > zf
-                and stats.min_upper[v - 1] < stats.max_lower[v - 1]
-            ):
-                thr = stats.min_upper[v - 1]
-            if thr > zf:
-                x[v - 1] = thr - zf
-                z[v] = thr
-            else:
-                x[v - 1] = 0.0
-                z[v] = zf
-    return NoisySolution(x=x, y=z[1 : tree.m + 1].copy(), z=z[1:], mode=mode)
+    if mode == MIN_L1:
+        test = value = np.minimum(stats.max_lower, stats.min_upper)
+    else:
+        test = value = stats.max_lower_within
+        if mode == MIN_L1_AMONG_L0:
+            value = np.where(stats.min_upper < stats.max_lower, stats.min_upper, test)
+    # A link takes value when test exceeds its father's path loss.  Internal
+    # labels are in preorder, so one pass in label order sees every father
+    # first; leaves have internal fathers and follow in one array step.
+    m, parent = tree.m, tree.parent
+    zs = [0.0] * (m + 1)
+    for p, t, val in zip(parent[m + 1 :].tolist(), test[m:].tolist(), value[m:].tolist()):
+        zf = zs[p]
+        zs.append(val if t > zf else zf)
+    z = np.array(zs)
+    zf = z[parent[1 : m + 1]]
+    z[1 : m + 1] = np.where(test[:m] > zf, test[:m], zf)  # no bump on a single path
+    return NoisySolution(x=z[1:] - z[parent[1:]], y=z[1 : m + 1].copy(), z=z[1:], mode=mode)
 
 
 def save_intervals(intervals: IntervalObservation, path) -> None:
@@ -315,25 +319,36 @@ def save_intervals(intervals: IntervalObservation, path) -> None:
 def load_intervals(path) -> IntervalObservation:
     """Read a JSON interval file; "inf" or null upper ends mean unbounded."""
     with open(path, encoding="utf-8") as fh:
-        rows = json.load(fh)
+        try:
+            rows = json.load(fh)
+        except RecursionError:
+            raise OutOfDomain("interval file nests JSON too deeply") from None
     if not isinstance(rows, list):
         raise OutOfDomain("interval file must hold a list of {path, lo, hi} rows")
     by_path = {}
     for row in rows:
         try:
-            hi = row["hi"]
+            path, lo, hi = row["path"], row["lo"], row["hi"]
             if hi is None or (isinstance(hi, str) and hi.lower() in ("inf", "infinity")):
                 hi = math.inf
-            j, bounds = int(row["path"]), (float(row["lo"]), float(hi))
+            if bool in (type(path), type(lo), type(hi)):
+                raise TypeError
+            j, bounds = int(path), (float(lo), float(hi))
+            if isinstance(path, float) and path != j:
+                raise ValueError
         except (KeyError, TypeError, ValueError, OverflowError):
-            raise OutOfDomain(f"interval row {row!r} needs a numeric path, lo and hi") from None
+            raise OutOfDomain(
+                f"interval row {row!r} needs a numeric path, lo and hi"
+                " (a whole path number; true/false are not numbers)"
+            ) from None
         if j in by_path:
             raise OutOfDomain(f"interval file lists path {j} twice")
         by_path[j] = bounds
-    if sorted(by_path) != list(range(1, len(by_path) + 1)):
+    paths = sorted(by_path)
+    if paths != list(range(1, len(by_path) + 1)):
         raise OutOfDomain("interval file must cover paths 1..m exactly once")
-    lo = np.array([by_path[j][0] for j in sorted(by_path)])
-    hi = np.array([by_path[j][1] for j in sorted(by_path)])
+    lo = np.array([by_path[j][0] for j in paths])
+    hi = np.array([by_path[j][1] for j in paths])
     return IntervalObservation(lo=lo, hi=hi)
 
 

@@ -87,16 +87,14 @@ class LogicalTree:
     @cached_property
     def leaf_span(self) -> np.ndarray:
         """leaf_span[v] = (lo, hi): leaves of v's subtree are lo..hi-1."""
-        span = np.zeros((self.n + 1, 2), dtype=np.int64)
-        for j in self.leaves:
-            span[j] = (j, j + 1)
+        lo, hi = list(range(self.n + 1)), list(range(1, self.n + 2))  # right for leaves
         # Internal labels follow preorder, so descendants have larger labels:
         # a reverse sweep sees every child before its father.
         for v in range(self.n, self.m, -1):
             kids = self.children[v]
-            span[v] = (span[kids[0]][0], span[kids[-1]][1])
-        span[ROOT] = (1, self.m + 1)
-        return span
+            lo[v], hi[v] = lo[kids[0]], hi[kids[-1]]
+        lo[ROOT], hi[ROOT] = 1, self.m + 1
+        return np.array([lo, hi], dtype=np.int64).T.copy()
 
     @cached_property
     def depth_order(self) -> tuple[np.ndarray, list[int]]:
@@ -122,6 +120,33 @@ class LogicalTree:
         k = (np.frexp(hi - lo)[1] - 1).astype(np.int64)  # floor(log2(length))
         row_start = k * (self.m + 1) - (1 << k) + 1
         return int(k.max()) + 1, row_start + lo, row_start + hi - (1 << k)
+
+    @cached_property
+    def span_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(link, base, starts, leaf_base): every leaf span cut into aligned blocks.
+
+        Block (k, i) holds leaf positions i * 2**k .. (i + 1) * 2**k - 1
+        (0-based), as in a merge-sort tree over the m leaves, with key base
+        (k * m + i) * m.  Entry s of the cut is the block with key base[s] in
+        the span of link link[s] + 1; the entries of link v are contiguous,
+        begin at starts[v - 1] and tile its span exactly (at most two blocks
+        per level).  leaf_base[k, p] is the key base of the level-k block
+        holding position p.
+        """
+        m, levels = self.m, self.m.bit_length()
+        # Span a..b-1 (0-based) at level k still needs blocks first..end-1 with
+        # first = ceil(a / 2**k) and end = floor(b / 2**k); fe holds -first and
+        # end.  The bottom-up segment-tree walk peels block first when first is
+        # odd and block end-1 when end is odd.
+        span = (self.leaf_span[1:] * [-1, 1] + [1, -1]).astype(np.int32)  # -a, b
+        fe = span[:, :, None] >> np.arange(levels, dtype=np.int32)
+        flat = np.flatnonzero((fe & 1 == 1) & (fe[:, :1] + fe[:, 1:] > 0))
+        rest, level = np.divmod(flat, levels)
+        link, side = np.divmod(rest, 2)
+        base = (level * m + np.abs(fe.ravel()[flat]) - side) * m
+        k = np.arange(levels)[:, None]
+        leaf_base = (k * m + (np.arange(m) >> k)) * m
+        return link, base, np.searchsorted(link, np.arange(self.n)), leaf_base
 
     def span_min(self, y) -> np.ndarray:
         """Smallest y over every link's leaf span: (..., m) -> (..., n).

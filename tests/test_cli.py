@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: subcommands, files, exit codes, manifests."""
 
 import importlib
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losstree import IntervalObservation, load_topology, save_intervals, save_observations
 from losstree.cli import main
@@ -116,6 +120,18 @@ class TestSolveNoisy:
             "--mode", "min-l1",
         )
         assert json.loads(stdout)["x"] == [0.0, 1.0, 3.0, 2.0]
+
+
+    def test_whole_float_path_numbers(self, capsys, tmp_path):
+        tree = tmp_path / "c.tree"
+        assert main(["gen-tree", "--regular", "3", "2", "--out", str(tree)]) == 0
+        capsys.readouterr()
+        rows = [{"path": float(j), "lo": 1.0, "hi": 2.0} for j in (3, 1, 2)]
+        iv = tmp_path / "iv.json"
+        iv.write_text(json.dumps(rows))
+        code, stdout, _ = run_cli(capsys, "solve-noisy", "--tree", str(tree), "--intervals", str(iv))
+        assert code == 0
+        assert json.loads(stdout)["x"] == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestCensus:
@@ -290,6 +306,11 @@ class TestBadInput:
         ('{"scale": "addloss"}', '"y"'),
         ('["a", 0.1, 0.1, 0.1]', "numbers"),
         ('{"y": [0.1, {"v": 0.2}, 0.1, 0.1]}', "numbers"),
+        ('{"y": [0.1, true, 0.1, 0.1]}', "numbers"),
+        ("[false, 0.1, 0.1, 0.1]", "numbers"),
+        ('{"y": [[0.1, 0.1, 0.1, 0.1]]}', "numbers"),
+        ('{"y": 0.1}', "numbers"),
+        pytest.param("[1" + "0" * 400 + ", 0.1, 0.1, 0.1]", "finite", id="integer-beyond-float"),
     ])
     def test_json_observations_malformed(self, capsys, tmp_path, tree4, text, expect):
         capsys.readouterr()
@@ -305,6 +326,10 @@ class TestBadInput:
         ({"path": "two"}, "needs a numeric path"),
         ({"hi": [0.5]}, "needs a numeric path"),
         ({"path": 1}, "path 1 twice"),
+        ({"path": 2.5}, "whole path number"),
+        ({"path": True}, "true/false"),
+        ({"lo": True}, "true/false"),
+        ({"hi": False}, "true/false"),
     ])
     def test_interval_rows_malformed(self, capsys, tmp_path, tree4, change, expect):
         capsys.readouterr()
@@ -328,9 +353,38 @@ class TestBadInput:
         (["census", "--tree", "ternary:13", "--K", "-1"], "K=-1"),
         (["census", "--tree", "ternary:13", "--K", "1", "--trials", "0"], "at least one trial"),
         (["experiment", "--tree", "ternary:13", "--probes", "10,abc"], "'abc'"),
+        (["census", "--tree", "ternary:13", "--K", "3-1"], "'3-1' runs downward"),
+        (["census", "--tree", "ternary:13", "--K", "1,4-2"], "'4-2' runs downward"),
     ])
     def test_bad_flag_values(self, capsys, argv, expect):
         self.run_bad(capsys, *argv, expect=expect)
+
+    @pytest.mark.parametrize("flag, command", [("--obs", "solve"), ("--intervals", "solve-noisy")])
+    def test_file_not_utf8(self, capsys, tmp_path, tree4, flag, command):
+        capsys.readouterr()
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"[0.1, \xff]")
+        self.run_bad(capsys, command, "--tree", tree4, flag, str(path), expect="utf-8")
+
+    @pytest.mark.parametrize("flag, command", [("--obs", "solve"), ("--intervals", "solve-noisy")])
+    def test_json_nested_too_deeply(self, capsys, tmp_path, tree4, flag, command):
+        capsys.readouterr()
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self.run_bad(capsys, command, "--tree", tree4, flag, str(path), expect="too deeply")
+
+    def test_result_overflow(self, capsys, tmp_path, tree4):
+        """Finite but huge observations whose l1 norm overflows: no Infinity in the JSON."""
+        capsys.readouterr()
+        obs = tmp_path / "y.json"
+        obs.write_text("[1e308, 1.5e308, 1.7e308, 0.0]")
+        self.run_bad(capsys, "solve", "--tree", tree4, "--obs", str(obs), expect="non-finite")
+        rows = [{"path": j, "lo": lo, "hi": "inf"} for j, lo in enumerate([1e308, 1.5e308, 1.7e308], 1)]
+        rows.append({"path": 4, "lo": 0.0, "hi": 1.0})
+        iv = tmp_path / "iv.json"
+        iv.write_text(json.dumps(rows))
+        self.run_bad(capsys, "solve-noisy", "--tree", tree4, "--intervals", str(iv),
+                     "--mode", "min-l1", expect="non-finite")
 
     def test_scfs_negative_threshold(self, capsys, tmp_path, tree4):
         capsys.readouterr()
@@ -338,6 +392,95 @@ class TestBadInput:
         save_observations([0.1, 0.0, 0.2, 0.0], obs)
         self.run_bad(capsys, "scfs", "--tree", tree4, "--obs", str(obs), "--threshold", "-1",
                      expect="non-negative")
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-finite {token} in the JSON output")
+
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["inf", "Infinity", "NaN", "0.5", "-1"])
+)
+ANY_JSON = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.one_of(st.floats(0.0, 3.0), st.integers(0, 3), st.floats(min_value=0.0))
+VALUES = st.one_of(NUMBERS, NUMBERS, NUMBERS, ANY_JSON)
+TOKENS = st.one_of(
+    st.integers(-1, 6).map(str), st.floats().map(repr), st.text(max_size=4),
+    st.sampled_from(["y", "scale", "probability", "addloss", "#", "nan"]),
+)
+TEXT_FILES = st.lists(st.lists(TOKENS, max_size=4).map(" ".join), max_size=6).map("\n".join)
+OBSERVATION_FILES = st.one_of(
+    st.lists(VALUES, min_size=4, max_size=4).map(json.dumps),
+    st.lists(VALUES, max_size=5).map(json.dumps),
+    st.fixed_dictionaries(
+        {"y": st.lists(VALUES, min_size=4, max_size=4)},
+        optional={"scale": st.sampled_from(["addloss", "probability"]) | ANY_JSON},
+    ).map(json.dumps),
+    ANY_JSON.map(json.dumps),
+    TEXT_FILES,
+    st.binary(max_size=12),
+)
+
+
+@st.composite
+def interval_files(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(ANY_JSON.map(json.dumps) | TEXT_FILES | st.binary(max_size=12))
+    paths = draw(st.permutations([1, 2, 3, 4]) | st.lists(VALUES, max_size=5))
+    rows = []
+    for path in paths:
+        row = {
+            "path": path,
+            "lo": draw(VALUES),
+            "hi": draw(st.one_of(NUMBERS.map(lambda v: v + 3), st.sampled_from(["inf", None]), VALUES)),
+        }
+        if draw(st.integers(0, 7)) == 0:
+            del row[draw(st.sampled_from(["path", "lo", "hi"]))]
+        rows.append(row)
+    return json.dumps(rows)
+
+
+class TestMalformedFiles:
+    """Random malformed observation and interval files: a clean error or finite JSON."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("malformed")
+        assert main(["gen-tree", "--regular", "2", "3", "--out", str(work / "t4.tree")]) == 0
+        return work
+
+    @staticmethod
+    def run(workdir, content, *argv):
+        path = workdir / "input"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8", errors="surrogatepass")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path), "--tree", str(workdir / "t4.tree")])
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+            assert out.getvalue() == ""
+        else:
+            assert code == 0, err.getvalue()
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=OBSERVATION_FILES)
+    def test_solve(self, workdir, content):
+        self.run(workdir, content, "solve", "--obs")
+
+    @settings(max_examples=200, deadline=None)
+    @given(content=interval_files(), mode=st.sampled_from(["min-l0", "min-l1", "min-l1-among-l0"]))
+    def test_solve_noisy(self, workdir, content, mode):
+        self.run(workdir, content, "solve-noisy", "--mode", mode, "--intervals")
 
 
 class TestUsage:

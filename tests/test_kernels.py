@@ -34,6 +34,7 @@ from losstree import (
 from losstree.cli import main
 from losstree.lossmodel import DEFAULT_TOL, plant_hotspots
 from losstree.noiseless import DOWN, MIXED, UP, ComplexState
+from losstree.noisy import MIN_L1, MIN_L1_AMONG_L0, MODES
 from losstree.simulation import path_loss_probabilities
 
 DATA = Path(__file__).parent / "data"
@@ -153,14 +154,51 @@ def ref_z_stats(tree, lo, hi):
     return stats
 
 
+def ref_upsparse_plus(tree, lo, hi, mode):
+    """(x, y, z) from the per-node loop, with the statistics of ``ref_z_stats``."""
+    min_upper, max_lower, max_lower_within = ref_z_stats(tree, lo, hi)
+    z = np.zeros(tree.n + 1)
+    x = np.zeros(tree.n)
+    for level in tree.levels[1:]:
+        for v in level:
+            zf = z[tree.parent[v]]
+            if mode == MIN_L1:
+                thr = min(max_lower[v - 1], min_upper[v - 1])
+            else:
+                thr = max_lower_within[v - 1]
+            if mode == MIN_L1_AMONG_L0 and thr > zf and min_upper[v - 1] < max_lower[v - 1]:
+                thr = min_upper[v - 1]
+            if thr > zf:
+                x[v - 1] = thr - zf
+                z[v] = thr
+            else:
+                x[v - 1] = 0.0
+                z[v] = zf
+    return x, z[1 : tree.m + 1], z[1:]
+
+
+def interval_draw(rng, m):
+    """Rounded bounds (ties are common), about 30% unbounded and 20% exact."""
+    lo = np.round(rng.uniform(0.0, 1.0, m), 1)
+    hi = lo + np.round(rng.uniform(0.0, 1.0, m), 1)
+    hi[rng.random(m) < 0.3] = np.inf
+    exact = rng.random(m) < 0.2
+    hi[exact] = lo[exact]
+    return lo, hi
+
+
 def sparse_draw(rng, size):
     """Non-negative values, about half exactly zero; rounding makes ties common."""
     return np.where(rng.random(size) < 0.5, np.round(rng.uniform(0.0, 1.0, size), 1), 0.0)
 
 
+# Leaf counts at and next to powers of two put span ends on every block boundary.
+BLOCK_SIZES = st.sampled_from([2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+
+
 @st.composite
-def trees(draw):
-    m = draw(st.integers(2, 60))
+def trees(draw, sizes=st.integers(2, 60)):
+    m = draw(sizes)
     if draw(st.booleans()):
         return caterpillar(m)
     return gen_random_tree(m, draw(st.integers(2, 6)), draw(st.integers(0, 2**31 - 1)))
@@ -216,15 +254,51 @@ class TestKernelsMatchPathLoops:
             assert np.array_equal(sample_feasible(tree, y, ours), ref_sample_feasible(tree, y, ref))
 
     @settings(max_examples=60, deadline=None)
-    @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
+    @given(tree=trees(st.integers(2, 60) | BLOCK_SIZES))
+    def test_span_blocks_tile_every_span(self, tree):
+        link, base, starts, leaf_base = tree.span_blocks
+        assert np.array_equal(starts, np.searchsorted(link, np.arange(tree.n)))
+        for k, row in enumerate(leaf_base):
+            assert row.tolist() == [(k * tree.m + p // 2**k) * tree.m for p in range(tree.m)]
+        for v in range(1, tree.n + 1):
+            covered, per_level = [], [0] * tree.m.bit_length()
+            for key in base[link == v - 1] // tree.m:
+                k, i = divmod(int(key), tree.m)
+                covered += range(i << k, (i + 1) << k)
+                per_level[k] += 1
+            lo, hi = tree.leaf_span[v]
+            assert sorted(covered) == list(range(lo - 1, hi - 1))
+            assert max(per_level) <= 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree=trees(st.integers(2, 60) | BLOCK_SIZES), seed=st.integers(0, 2**31 - 1))
     def test_z_stats(self, tree, seed):
-        rng = np.random.default_rng(seed)
-        lo = np.round(rng.uniform(0.0, 1.0, tree.m), 1)
-        hi = lo + np.round(rng.uniform(0.0, 1.0, tree.m), 1)
-        hi[rng.random(tree.m) < 0.3] = np.inf
+        lo, hi = interval_draw(np.random.default_rng(seed), tree.m)
         stats = z_stats(tree, IntervalObservation(lo=lo, hi=hi))
         got = np.array([stats.min_upper, stats.max_lower, stats.max_lower_within])
         assert np.array_equal(got, ref_z_stats(tree, lo, hi))
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree=trees(st.integers(2, 60) | BLOCK_SIZES), seed=st.integers(0, 2**31 - 1))
+    def test_upsparse_plus(self, tree, seed):
+        lo, hi = interval_draw(np.random.default_rng(seed), tree.m)
+        intervals = IntervalObservation(lo=lo, hi=hi)
+        for mode in MODES:
+            sol = upsparse_plus(tree, intervals, mode)
+            x, y, z = ref_upsparse_plus(tree, lo, hi, mode)
+            assert np.array_equal(sol.x, x) and np.array_equal(sol.y, y)
+            assert np.array_equal(sol.z, z)
+
+
+def test_interval_solver_on_a_long_caterpillar():
+    """20,000 leaves: exact intervals reduce both solvers to the closed form."""
+    tree = caterpillar(20000)
+    y = sparse_draw(np.random.default_rng(5), tree.m)
+    exact = IntervalObservation.exact(y)
+    assert np.array_equal(z_stats(tree, exact).max_lower_within, tree.span_min(y))
+    x = closed_form(tree, y)
+    for mode in MODES:
+        assert np.array_equal(upsparse_plus(tree, exact, mode).x, x)
 
 
 def test_plant_hotspots_reproduces_the_inline_streams():
