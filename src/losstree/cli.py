@@ -8,6 +8,7 @@ when --out is given, so any result can be reproduced exactly.  Exit codes:
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -54,6 +55,7 @@ def main(argv=None) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="losstree",

@@ -21,7 +21,7 @@ read two per-complex numbers, the smallest child loss and the count of
 lossless children, which one array pass over the father map yields.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +62,14 @@ class SolutionReport:
     recovery_condition: bool
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["x"] = [float(v) for v in self.x]
-        d["l1"] = float(self.l1)
-        return d
+        return {
+            "x": self.x.tolist(),
+            "l0": self.l0,
+            "l1": float(self.l1),
+            "states": [dict(vars(s)) for s in self.states],
+            "unique_sparsest": self.unique_sparsest,
+            "recovery_condition": self.recovery_condition,
+        }
 
 
 def put_in_upstate(tree: LogicalTree, i: int, x) -> np.ndarray:

@@ -21,13 +21,13 @@ marginals, which are unaffected).
 """
 
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
 from .lossmodel import DEFAULT_TOL, addloss, forward, inverse_addloss, plant_hotspots
@@ -156,14 +156,25 @@ def confidence_intervals(run: ProbeRun, level: float) -> IntervalObservation:
     if not (0 < level < 1):
         raise ParameterOutOfRange("confidence level must lie in (0, 1)")
     n = run.probes
-    t = stats.t.ppf((1 + level) / 2, n - 1)
-    h = t * np.sqrt(run.p_hat * (1 - run.p_hat) / n)
+    h = _t_quantile(level, n) * np.sqrt(run.p_hat * (1 - run.p_hat) / n)
     lo_p = np.clip(run.p_hat - h, 0.0, 1 - EPS_P)
     hi_p = np.clip(run.p_hat + h, 0.0, 1 - EPS_P)
     lo_p[run.losses == 0] = 0.0
     hi = addloss(hi_p)
     hi[run.losses == n] = math.inf
     return IntervalObservation(lo=addloss(lo_p), hi=hi)
+
+
+@functools.lru_cache
+def _t_quantile(level: float, n: int) -> float:
+    """The (1+level)/2 quantile of Student's t with n-1 degrees of freedom.
+
+    scipy is imported here, on first use, so commands without t-based
+    intervals never load it.
+    """
+    from scipy.special import stdtrit
+
+    return stdtrit(n - 1, (1 + level) / 2)
 
 
 def cover_intervals(

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from losstree import IntervalObservation, load_topology, save_intervals, save_observations
+from losstree import (
+    IntervalObservation,
+    load_topology,
+    save_intervals,
+    save_observations,
+    tree_from_spec,
+)
 from losstree.cli import main
 
 
@@ -31,6 +37,16 @@ CLI_TIMEOUT_S = 60
 
 def _gen_tree_argv(out):
     return ["gen-tree", "--regular", "2", "2", "--out", str(out)]
+
+
+def _src_env():
+    """The environment with the src/ directory of the imported package on PYTHONPATH."""
+    import losstree
+
+    src_dir = Path(losstree.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [str(src_dir), env.get("PYTHONPATH")] if p)
+    return env
 
 
 def _assert_gen_tree_run(proc, out):
@@ -509,8 +525,6 @@ class TestUsage:
 
         # ``python -m losstree`` runs that target in a fresh process, started
         # away from the checkout so a relative ``src`` on PYTHONPATH cannot help.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in [str(src_dir), env.get("PYTHONPATH")] if p)
         out = tmp_path / "t.tree"
         proc = subprocess.run(
             [sys.executable, "-m", "losstree", *_gen_tree_argv(out)],
@@ -518,7 +532,7 @@ class TestUsage:
             text=True,
             timeout=CLI_TIMEOUT_S,
             cwd=tmp_path,
-            env=env,
+            env=_src_env(),
         )
         _assert_gen_tree_run(proc, out)
 
@@ -534,3 +548,80 @@ class TestUsage:
             timeout=CLI_TIMEOUT_S,
         )
         _assert_gen_tree_run(proc, out)
+
+
+# Loads the CLI, runs one command, and reports which scipy modules are loaded.
+_SCIPY_PROBE = """
+import json, sys
+import losstree, losstree.cli
+code = losstree.cli.main(sys.argv[1:])
+loaded = [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]
+print(json.dumps([code, loaded]))
+"""
+
+
+def _split_manifest(stderr):
+    """The stderr lines before the manifest, and the manifest less its clock."""
+    lines = stderr.splitlines()
+    if lines and lines[-1].startswith('{"command"'):
+        manifest = json.loads(lines.pop())
+        del manifest["wall_clock_s"]
+        return lines, manifest
+    return lines, None
+
+
+class TestStartup:
+    @pytest.fixture
+    def obs(self, tmp_path):
+        path = tmp_path / "y.json"
+        save_observations(np.full(tree_from_spec("ternary:13").m, 0.1), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, expect_loaded",
+        [
+            (["solve", "--tree", "ternary:13", "--obs", "{obs}"], []),
+            (["experiment", "--tree", "ternary:13", "--probes", "100", "--trials", "2",
+              "--mode", "min-l0", "--interval-mode", "t-ci"], ["scipy.special"]),
+            (["experiment", "--tree", "ternary:13", "--probes", "100", "--trials", "2",
+              "--mode", "min-l0", "--interval-mode", "cover"], []),
+        ],
+        ids=["solve", "t-ci-experiment", "cover-experiment"],
+    )
+    def test_scipy_loaded_only_for_t_intervals(self, tmp_path, obs, argv, expect_loaded):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, *(a.format(obs=obs) for a in argv)],
+            capture_output=True,
+            text=True,
+            timeout=CLI_TIMEOUT_S,
+            cwd=tmp_path,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, expect_loaded]
+
+    def test_parser_reuse_matches_fresh_processes(self, capsys, monkeypatch, tmp_path, obs):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        sequence = [
+            ["experiment", "--tree", "ternary:13", "--mode", "bogus"],
+            ["--help"],
+            ["census", "--tree", "ternary:13", "--K", "1"],
+            ["experiment", "--tree", "ternary:13"],
+            ["solve", "--tree", "ternary:13", "--obs", str(obs)],
+            ["census", "--tree", "ternary:13", "--K", "1"],
+        ]
+        env = _src_env()
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "losstree", *argv],
+                capture_output=True,
+                text=True,
+                timeout=CLI_TIMEOUT_S,
+                cwd=tmp_path,
+                env=env,
+            )
+            assert code == fresh.returncode, argv
+            assert captured.out == fresh.stdout, argv
+            assert _split_manifest(captured.err) == _split_manifest(fresh.stderr), argv

@@ -20,7 +20,7 @@ from losstree import (
     write_experiment_csv,
 )
 from losstree.errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
-from losstree.simulation import path_loss_probabilities
+from losstree.simulation import _t_quantile, path_loss_probabilities
 from losstree.topology import build_tree
 
 
@@ -133,6 +133,19 @@ class TestConfidenceIntervals:
         run = simulate_probes(chain_free_tree, np.zeros(3), probes=10, seed=7)
         with pytest.raises(ParameterOutOfRange):
             confidence_intervals(run, level=1.0)
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_t_quantile_matches_scipy_stats(self, level):
+        ns = [*range(2, 2001), 10**4, 10**5, 10**6]
+        expected = stats.t.ppf((1 + level) / 2, np.array(ns) - 1)
+        got = np.array([_t_quantile(level, n) for n in ns])
+        assert np.array_equal(got, expected)  # exact, not approximate
+
+    def test_t_quantile_is_cached(self):
+        _t_quantile(0.9, 1000)
+        hits = _t_quantile.cache_info().hits
+        assert _t_quantile(0.9, 1000) == stats.t.ppf(0.95, 999)
+        assert _t_quantile.cache_info().hits == hits + 1
 
 
 class TestCoverIntervals:
