@@ -23,7 +23,7 @@ print(f"links n={tree.n}, paths m={tree.m}, height={tree.height}")
 print("canonical label -> original id:", tree.alias)
 
 matrix = measurement_matrix(tree)
-print("per-path link lists:", matrix.rows)
+print("per-path link lists:", tree.paths)
 print("dense form (note the identity block over the leaf columns):")
 print(matrix.dense())
 

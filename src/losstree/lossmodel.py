@@ -42,13 +42,13 @@ def inverse_addloss(x) -> np.ndarray:
 
 def forward(tree: LogicalTree, x) -> np.ndarray:
     """Path observations y_j = sum of x over the links on path j."""
-    x = np.asarray(x, dtype=float)
+    x = _checked(x, tree.n, "links")
     return np.array([x[[k - 1 for k in path]].sum() for path in tree.paths])
 
 
 def receiver_solution(tree: LogicalTree, y) -> np.ndarray:
     """The solution that puts all loss on the leaf links: x_R = y, x_I = 0."""
-    y = np.asarray(y, dtype=float)
+    y = _checked(y, tree.m, "paths")
     x = np.zeros(tree.n)
     x[: tree.m] = y
     return x
@@ -57,27 +57,27 @@ def receiver_solution(tree: LogicalTree, y) -> np.ndarray:
 def general_solution(tree: LogicalTree, x_internal, y, tol: float = DEFAULT_TOL):
     """Solution with the given internal-link values; leaf values are forced.
 
-    Raises Infeasible if some leaf value would drop below -tol, i.e. the
-    internal assignment lies outside the feasible polytope for this y.
+    The leaf values are x_R = y - A_I x_I, the path sums of x while its
+    leaf entries are still zero.  Raises Infeasible if some leaf value
+    would drop below -tol, i.e. the internal assignment lies outside the
+    feasible polytope for this y.
     """
-    y = np.asarray(y, dtype=float)
-    x_internal = np.asarray(x_internal, dtype=float)
+    y = _checked(y, tree.m, "paths")
     x = np.zeros(tree.n)
-    x[tree.m :] = x_internal
-    for j in tree.leaves:
-        above = sum(x[k - 1] for k in tree.paths[j - 1][:-1])
-        leaf_val = y[j - 1] - above
-        if leaf_val < -tol:
-            raise Infeasible(
-                f"internal values overshoot path {j}: leaf value {leaf_val:.3g}"
-            )
-        x[j - 1] = leaf_val
+    x[tree.m :] = _checked(x_internal, tree.n - tree.m, "internal links")
+    leaf = y - forward(tree, x)
+    short = np.flatnonzero(leaf < -tol)
+    if short.size:
+        j = int(short[0]) + 1
+        raise Infeasible(f"internal values overshoot path {j}: leaf value {leaf[j - 1]:.3g}")
+    x[: tree.m] = leaf
     return x
 
 
 def is_feasible(tree: LogicalTree, x, y, tol: float = DEFAULT_TOL) -> bool:
     """True iff x >= -tol componentwise and the path sums match y within tol."""
-    x = np.asarray(x, dtype=float)
+    x = _checked(x, tree.n, "links")
+    y = _checked(y, tree.m, "paths")
     if x.min() < -tol:
         return False
     return np.abs(forward(tree, x) - y).max() <= tol
@@ -88,20 +88,22 @@ def sample_feasible(tree: LogicalTree, y, rng: np.random.Generator) -> np.ndarra
 
     Internal links are sampled top down, each uniformly within the slack
     its ancestors leave on the tightest path below it; leaves take the
-    remainder.  Covers the polytope interior (not uniformly).
+    remainder.  Covers the polytope interior (not uniformly).  The uniform
+    draws are taken in order of depth, then label, and scaled in one pass
+    over the internal labels (preorder, so every father comes first).
     """
-    y = np.asarray(y, dtype=float)
+    y = _checked(y, tree.m, "paths")
+    m, parent = tree.m, tree.parent
     gamma = tree.span_min(y)  # the tightest path below each link
-    x = np.zeros(tree.n)
-    used = np.zeros(tree.n + 1)  # loss already assigned above each node
-    for level in tree.levels[1:]:
-        for v in level:
-            if v <= tree.m:
-                continue
-            x[v - 1] = rng.uniform(0.0, max(gamma[v - 1] - used[v], 0.0))
-            for c in tree.children[v]:
-                used[c] = used[v] + x[v - 1]
-    x[: tree.m] = np.maximum(y - used[1 : tree.m + 1], 0.0)
+    u = np.empty(tree.n - m)
+    u[np.argsort(tree.depth[m + 1 :], kind="stable")] = rng.random(tree.n - m)
+    z = [0.0] * (m + 1)  # loss assigned on the root-to-node path, node included
+    x = [0.0] * m
+    for p, g, r in zip(parent[m + 1 :].tolist(), gamma[m:].tolist(), u.tolist()):
+        x.append(r * max(g - z[p], 0.0))  # rng.uniform(0, c) draws c * rng.random()
+        z.append(z[p] + x[-1])
+    x = np.array(x)
+    x[:m] = np.maximum(y - np.array(z)[parent[1 : m + 1]], 0.0)
     return x
 
 
@@ -148,10 +150,7 @@ def load_observations(path) -> np.ndarray:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except RecursionError:
-            raise OutOfDomain("observation file nests JSON too deeply") from None
+        data = _load_json(text, "observation file")
         if isinstance(data, list):
             data = {"y": data}
         scale = data.get("scale", "addloss")
@@ -166,7 +165,7 @@ def load_observations(path) -> np.ndarray:
             raise OutOfDomain("observations must be finite") from None
     else:
         scale = "addloss"
-        entries = {}
+        entries = []
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -181,12 +180,8 @@ def load_observations(path) -> np.ndarray:
                 j, value = int(parts[1]), float(parts[2])
             except ValueError:
                 raise OutOfDomain(f"line {lineno}: unrecognized line {line!r}") from None
-            if j in entries:
-                raise OutOfDomain(f"line {lineno}: path {j} is observed twice")
-            entries[j] = value
-        if sorted(entries) != list(range(1, len(entries) + 1)):
-            raise OutOfDomain("observation file must cover paths 1..m exactly once")
-        values = np.array([entries[j] for j in sorted(entries)])
+            entries.append((j, value))
+        values = np.array(_in_path_order(entries, "observation file"))
     if not np.all(np.isfinite(values)):
         raise OutOfDomain("observations must be finite")
     if scale == "probability":
@@ -195,4 +190,36 @@ def load_observations(path) -> np.ndarray:
         raise OutOfDomain(f"unknown scale {scale!r}")
     if np.any(values < 0):
         raise OutOfDomain("observations must be non-negative")
+    return values
+
+
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise OutOfDomain(f"{what} nests JSON too deeply") from None
+
+
+def _in_path_order(entries, what: str) -> list:
+    """Values of (path, value) entries in path order; paths must be 1..m, once each."""
+    by_path = {}
+    for j, value in entries:
+        if j in by_path:
+            raise OutOfDomain(f"{what} lists path {j} twice")
+        by_path[j] = value
+    if sorted(by_path) != list(range(1, len(by_path) + 1)):
+        raise OutOfDomain(f"{what} must cover paths 1..m exactly once")
+    return [by_path[j] for j in sorted(by_path)]
+
+
+def _checked(values, size: int, what: str, batch: bool = False) -> np.ndarray:
+    """``values`` as floats, shaped (size,) or with ``batch`` (B, size), all finite."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise OutOfDomain(f"values for {what} must be numbers") from None
+    if values.ndim not in ((1, 2) if batch else (1,)) or values.shape[-1] != size:
+        raise OutOfDomain(f"need values for {size} {what}, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise OutOfDomain(f"values for {what} must be finite")
     return values

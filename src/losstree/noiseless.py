@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleStart, NotInternal, OutOfDomain
-from .lossmodel import DEFAULT_TOL, forward, is_feasible, receiver_solution
+from .errors import InfeasibleStart, NotInternal
+from .lossmodel import DEFAULT_TOL, _checked, is_feasible, receiver_solution
 from .topology import LogicalTree
 
 UP = "up"
@@ -77,43 +77,38 @@ def put_in_upstate(tree: LogicalTree, i: int, x) -> np.ndarray:
 
     Subtracts delta = min child loss from every child of i and adds it to
     link i, preserving all path sums; l1 drops by (#children - 1) * delta.
+    Returns a new array; ``x`` is left as it is.
     """
     if not tree.is_internal(i):
         raise NotInternal(f"node {i} is not an internal node")
     x = np.array(x, dtype=float)
-    kids = [c - 1 for c in tree.children[i]]
-    delta = x[kids].min()
-    x[kids] -= delta
-    x[i - 1] += delta
+    _pull_up(tree, i, x)
     return x
 
 
 def upsparse(tree: LogicalTree, y, x0=None, tol: float = DEFAULT_TOL) -> SolutionReport:
-    """Iteratively move every complex to its up state, bottom level first.
+    """Iteratively move every complex to its up state, children first.
 
-    Starts from ``x0`` (default: the receiver solution) and visits internal
-    nodes level by level from the deepest, in canonical label order within
-    a level.  The output is independent of the starting solution.
+    Starts from ``x0`` (default: the receiver solution) and visits the
+    internal nodes in decreasing label order, which puts every child
+    before its father (internal labels follow preorder), updating one copy
+    of x in place.  The output is independent of the starting solution.
     """
-    y = _check_observations(tree, y)
+    y = _checked(y, tree.m, "paths")
     if x0 is None:
         x = receiver_solution(tree, y)
     else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (tree.n,) or not np.all(np.isfinite(x)):
-            raise OutOfDomain(f"x0 must hold {tree.n} finite link values, got shape {x.shape}")
+        x = _checked(x0, tree.n, "links in x0").copy()
         if not is_feasible(tree, x, y, tol):
             raise InfeasibleStart("x0 does not satisfy the observations")
-    for level in range(tree.height - 1, 0, -1):
-        for v in tree.levels[level]:
-            if tree.is_internal(v):
-                x = put_in_upstate(tree, v, x)
+    for v in range(tree.n, tree.m, -1):
+        _pull_up(tree, v, x)
     return solution_report(tree, x, tol)
 
 
 def closed_form(tree: LogicalTree, y) -> np.ndarray:
     """Minimum-l1 solution for one observation (m,) or a batch (B, m)."""
-    y = _check_observations(tree, y, batch=True)
+    y = _checked(y, tree.m, "paths", batch=True)
     gamma = np.zeros(y.shape[:-1] + (tree.n + 1,))
     gamma[..., 1:] = tree.span_min(y)
     return gamma[..., 1:] - gamma[..., tree.parent[1:]]
@@ -167,6 +162,14 @@ def solution_report(tree: LogicalTree, x, tol: float = DEFAULT_TOL) -> SolutionR
     )
 
 
+def _pull_up(tree: LogicalTree, i: int, x: np.ndarray) -> None:
+    """The up-move of ``put_in_upstate`` on internal node i, in place."""
+    kids = [c - 1 for c in tree.children[i]]
+    delta = x[kids].min()
+    x[kids] -= delta
+    x[i - 1] += delta
+
+
 def _complex_summary(tree: LogicalTree, x: np.ndarray, tol: float):
     """Smallest child loss and lossless-child count of each internal node (label - m - 1)."""
     father = tree.parent[1:]  # link k+1 is a child link of node father[k]
@@ -174,15 +177,6 @@ def _complex_summary(tree: LogicalTree, x: np.ndarray, tol: float):
     np.minimum.at(delta, father, x)
     lossless = np.bincount(father[x <= tol], minlength=tree.n + 1)
     return delta[tree.m + 1 :], lossless[tree.m + 1 :]
-
-
-def _check_observations(tree: LogicalTree, y, batch: bool = False) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in ((1, 2) if batch else (1,)) or y.shape[-1] != tree.m:
-        raise OutOfDomain(f"tree has {tree.m} paths but observations have shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise OutOfDomain("observations must be finite")
-    return y
 
 
 __all__ = [

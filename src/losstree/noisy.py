@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomain, XOutOfRange
-from .lossmodel import DEFAULT_TOL
+from .lossmodel import DEFAULT_TOL, _in_path_order, _load_json
 from .topology import ROOT, LogicalTree
 
 MIN_L0 = "min-l0"
@@ -319,13 +319,10 @@ def save_intervals(intervals: IntervalObservation, path) -> None:
 def load_intervals(path) -> IntervalObservation:
     """Read a JSON interval file; "inf" or null upper ends mean unbounded."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            rows = json.load(fh)
-        except RecursionError:
-            raise OutOfDomain("interval file nests JSON too deeply") from None
+        rows = _load_json(fh.read(), "interval file")
     if not isinstance(rows, list):
         raise OutOfDomain("interval file must hold a list of {path, lo, hi} rows")
-    by_path = {}
+    entries = []
     for row in rows:
         try:
             path, lo, hi = row["path"], row["lo"], row["hi"]
@@ -341,14 +338,8 @@ def load_intervals(path) -> IntervalObservation:
                 f"interval row {row!r} needs a numeric path, lo and hi"
                 " (a whole path number; true/false are not numbers)"
             ) from None
-        if j in by_path:
-            raise OutOfDomain(f"interval file lists path {j} twice")
-        by_path[j] = bounds
-    paths = sorted(by_path)
-    if paths != list(range(1, len(by_path) + 1)):
-        raise OutOfDomain("interval file must cover paths 1..m exactly once")
-    lo = np.array([by_path[j][0] for j in paths])
-    hi = np.array([by_path[j][1] for j in paths])
+        entries.append((j, bounds))
+    lo, hi = np.array(_in_path_order(entries, "interval file")).reshape(-1, 2).T.copy()
     return IntervalObservation(lo=lo, hi=hi)
 
 

@@ -117,16 +117,20 @@ class ExperimentConfig:
 
 
 def path_loss_probabilities(tree: LogicalTree, b) -> np.ndarray:
-    """p_j = 1 - prod(1 - b_k) over path j, multiplied out one depth level at a time."""
+    """p_j = 1 - prod(1 - b_k) over path j, multiplied out top down.
+
+    One pass over the internal labels (preorder, so every father comes
+    first) gives each node's survival probability from the root; the
+    leaves, whose fathers are internal, follow in one array step.
+    """
     b = np.asarray(b, dtype=float)
     if b.shape != (tree.n,) or not np.all((b >= 0) & (b < 1)):
         raise OutOfDomain(f"need {tree.n} link loss probabilities in [0, 1)")
-    order, bounds = tree.depth_order
-    parent, survive = tree.parent[order], 1.0 - b[order - 1]
-    q = np.ones(tree.n + 1)  # survival probability from the root to each node
-    for start, stop in zip(bounds[1:-1], bounds[2:]):
-        q[order[start:stop]] = q[parent[start:stop]] * survive[start:stop]
-    return 1.0 - q[1 : tree.m + 1]
+    m, parent, survive = tree.m, tree.parent, 1.0 - b
+    q = [1.0] * (m + 1)  # survival from the root to each internal node; leaves below
+    for p, s in zip(parent[m + 1 :].tolist(), survive[m:].tolist()):
+        q.append(q[p] * s)
+    return 1.0 - np.array(q)[parent[1 : m + 1]] * survive[:m]
 
 
 def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:

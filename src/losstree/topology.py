@@ -67,11 +67,6 @@ class LogicalTree:
         return int(self.depth.max())
 
     @cached_property
-    def label(self) -> dict:
-        """Original node id -> canonical label (inverse of ``alias``)."""
-        return {orig: lab for lab, orig in self.alias.items()}
-
-    @cached_property
     def paths(self) -> tuple[tuple[int, ...], ...]:
         """paths[j-1] lists the links on the root-to-leaf-j path, top down."""
         out = []
@@ -95,18 +90,6 @@ class LogicalTree:
             lo[v], hi[v] = lo[kids[0]], hi[kids[-1]]
         lo[ROOT], hi[ROOT] = 1, self.m + 1
         return np.array([lo, hi], dtype=np.int64).T.copy()
-
-    @cached_property
-    def depth_order(self) -> tuple[np.ndarray, list[int]]:
-        """Nodes 1..n by depth, then label; order[bounds[d] : bounds[d+1]] have depth d."""
-        order = np.argsort(self.depth[1:], kind="stable") + 1
-        return order, np.searchsorted(self.depth[order], np.arange(self.height + 2)).tolist()
-
-    @cached_property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        """levels[d] lists the nodes at depth d in canonical label order."""
-        order, bounds = self.depth_order
-        return tuple(tuple(order[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:]))
 
     @cached_property
     def span_min_index(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -172,22 +155,22 @@ class LogicalTree:
 
 @dataclass(eq=False)
 class MeasurementMatrix:
-    """Binary path-by-link incidence, stored as per-path link lists.
+    """Binary path-by-link incidence, stored as the links' leaf spans.
 
-    Row j holds the links on the root-to-leaf-j path; under canonical
-    labeling the first m columns form the m-by-m identity.
+    Path j uses link v exactly when leaf j lies under v, lo_v <= j < hi_v
+    for span[v-1] = leaf_span[v] = (lo_v, hi_v); under canonical labeling
+    the first m columns form the m-by-m identity.
     """
 
     m: int
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    span: np.ndarray
 
     def dense(self) -> np.ndarray:
         """Dense m-by-n 0/1 array; column k-1 corresponds to link k."""
-        a = np.zeros((self.m, self.n), dtype=np.int64)
-        for j, links in enumerate(self.rows):
-            a[j, [k - 1 for k in links]] = 1
-        return a
+        j = np.arange(1, self.m + 1)[:, None]
+        lo, hi = self.span.T
+        return ((lo <= j) & (j < hi)).astype(np.int64)
 
 
 def build_tree(edges, root) -> LogicalTree:
@@ -259,7 +242,6 @@ def build_tree(edges, root) -> LogicalTree:
     label.update({orig: m + 1 + i for i, orig in enumerate(internal_order)})
 
     parent_arr = np.full(n + 1, -1, dtype=np.int64)
-    depth_arr = np.zeros(n + 1, dtype=np.int64)
     kids_canon: list[tuple[int, ...]] = [()] * (n + 1)
     kids_canon[ROOT] = (label[top],)
     parent_arr[label[top]] = ROOT
@@ -267,13 +249,13 @@ def build_tree(edges, root) -> LogicalTree:
         kids_canon[lab] = tuple(label[c] for c in children[orig])
         if orig != top:
             parent_arr[lab] = label[parent[orig]]
-    depth_arr[label[top]] = 1
-    queue = [label[top]]
-    while queue:
-        v = queue.pop()
-        for c in kids_canon[v]:
-            depth_arr[c] = depth_arr[v] + 1
-            queue.append(c)
+    # Internal labels are in preorder, so one pass in label order sees every
+    # father first; leaves have internal fathers and follow in one array step.
+    depth = [0] * (m + 1)
+    for p in parent_arr[m + 1 :].tolist():
+        depth.append(depth[p] + 1)
+    depth_arr = np.array(depth, dtype=np.int64)
+    depth_arr[1 : m + 1] = depth_arr[parent_arr[1 : m + 1]] + 1
 
     alias = {lab: orig for orig, lab in label.items()}
     return LogicalTree(
@@ -288,7 +270,7 @@ def build_tree(edges, root) -> LogicalTree:
 
 def measurement_matrix(tree: LogicalTree) -> MeasurementMatrix:
     """Path-by-link incidence of ``tree`` under canonical labeling."""
-    return MeasurementMatrix(m=tree.m, n=tree.n, rows=tree.paths)
+    return MeasurementMatrix(m=tree.m, n=tree.n, span=tree.leaf_span[1:])
 
 
 def gen_regular_tree(branching: int, height: int) -> LogicalTree:
@@ -303,9 +285,8 @@ def gen_regular_tree(branching: int, height: int) -> LogicalTree:
         )
     edges = [(1, 0)]
     next_id = 2
-    frontier = [(1, 1)]  # (node id, depth)
-    while frontier:
-        v, d = frontier.pop(0)
+    frontier = [(1, 1)]  # (node id, depth), walked first in, first out
+    for v, d in frontier:  # the walk also visits the entries appended below
         if d == height:
             continue
         for _ in range(branching):
@@ -354,16 +335,15 @@ def gen_random_tree(m: int, max_branching: int, seed: int) -> LogicalTree:
     rng = np.random.default_rng(seed)
     edges = [(1, 0)]
     next_id = 2
-    work = [(1, m)]  # (node id, leaves to place under it)
-    while work:
-        v, quota = work.pop(0)
+    work = [(1, m)]  # (node id, leaves to place under it), first in, first out
+    for v, quota in work:  # the walk also visits the entries appended below
         k = int(rng.integers(2, min(max_branching, quota) + 1))
-        cuts = np.sort(rng.choice(np.arange(1, quota), size=k - 1, replace=False))
-        parts = np.diff(np.concatenate(([0], cuts, [quota])))
-        for part in parts:
+        # k - 1 distinct cut points in 1..quota-1; seeded trees depend on this exact draw
+        cuts = sorted((rng.choice(quota - 1, size=k - 1, replace=False) + 1).tolist())
+        for lo, hi in zip([0] + cuts, cuts + [quota]):
             edges.append((next_id, v))
-            if part > 1:
-                work.append((next_id, int(part)))
+            if hi - lo > 1:
+                work.append((next_id, hi - lo))
             next_id += 1
     return build_tree(edges, root=0)
 

@@ -21,13 +21,16 @@ from losstree import (
     classify_complexes,
     closed_form,
     cover_intervals,
+    forward,
     gen_random_tree,
     gen_ternary_tree,
+    receiver_solution,
     recovery_condition,
     sample_feasible,
     scfs,
     solution_report,
     unique_sparsest,
+    upsparse,
     upsparse_plus,
     z_stats,
 )
@@ -58,6 +61,11 @@ def path_links(tree, j):
         chain.append(v)
         v = int(tree.parent[v])
     return chain[::-1]
+
+
+def depth_order(tree):
+    """Nodes 1..n by depth, then label: the top-down order of the per-node loops."""
+    return (np.argsort(tree.depth[1:], kind="stable") + 1).tolist()
 
 
 def ref_closed_form(tree, y):
@@ -127,15 +135,14 @@ def ref_recovery_condition(tree, x_true, tol=DEFAULT_TOL):
 def ref_sample_feasible(tree, y, rng):
     x = np.zeros(tree.n)
     used = np.zeros(tree.n + 1)
-    for level in tree.levels[1:]:
-        for v in level:
-            if not tree.is_internal(v):
-                continue
-            lo, hi = tree.leaf_span[v]
-            cap = (y[lo - 1 : hi - 1] - used[v]).min()
-            x[v - 1] = rng.uniform(0.0, max(cap, 0.0))
-            for c in tree.children[v]:
-                used[c] = used[v] + x[v - 1]
+    for v in depth_order(tree):
+        if not tree.is_internal(v):
+            continue
+        lo, hi = tree.leaf_span[v]
+        cap = (y[lo - 1 : hi - 1] - used[v]).min()
+        x[v - 1] = rng.uniform(0.0, max(cap, 0.0))
+        for c in tree.children[v]:
+            used[c] = used[v] + x[v - 1]
     for j in tree.leaves:
         x[j - 1] = max(y[j - 1] - used[j], 0.0)
     return x
@@ -159,22 +166,34 @@ def ref_upsparse_plus(tree, lo, hi, mode):
     min_upper, max_lower, max_lower_within = ref_z_stats(tree, lo, hi)
     z = np.zeros(tree.n + 1)
     x = np.zeros(tree.n)
-    for level in tree.levels[1:]:
-        for v in level:
-            zf = z[tree.parent[v]]
-            if mode == MIN_L1:
-                thr = min(max_lower[v - 1], min_upper[v - 1])
-            else:
-                thr = max_lower_within[v - 1]
-            if mode == MIN_L1_AMONG_L0 and thr > zf and min_upper[v - 1] < max_lower[v - 1]:
-                thr = min_upper[v - 1]
-            if thr > zf:
-                x[v - 1] = thr - zf
-                z[v] = thr
-            else:
-                x[v - 1] = 0.0
-                z[v] = zf
+    for v in depth_order(tree):
+        zf = z[tree.parent[v]]
+        if mode == MIN_L1:
+            thr = min(max_lower[v - 1], min_upper[v - 1])
+        else:
+            thr = max_lower_within[v - 1]
+        if mode == MIN_L1_AMONG_L0 and thr > zf and min_upper[v - 1] < max_lower[v - 1]:
+            thr = min_upper[v - 1]
+        if thr > zf:
+            x[v - 1] = thr - zf
+            z[v] = thr
+        else:
+            x[v - 1] = 0.0
+            z[v] = zf
     return x, z[1 : tree.m + 1], z[1:]
+
+
+def ref_upsparse(tree, x0):
+    """The level-by-level loop: deepest level first, label order within a level."""
+    x = np.array(x0, dtype=float)
+    for d in range(tree.height - 1, 0, -1):
+        for v in np.flatnonzero(tree.depth == d).tolist():
+            if tree.is_internal(v):
+                kids = [c - 1 for c in tree.children[v]]
+                delta = x[kids].min()
+                x[kids] -= delta
+                x[v - 1] += delta
+    return x
 
 
 def interval_draw(rng, m):
@@ -252,6 +271,16 @@ class TestKernelsMatchPathLoops:
         ours, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         for _ in range(5):
             assert np.array_equal(sample_feasible(tree, y, ours), ref_sample_feasible(tree, y, ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
+    def test_upsparse(self, tree, seed):
+        rng = np.random.default_rng(seed)
+        y = sparse_draw(rng, tree.m)
+        assert np.array_equal(upsparse(tree, y).x, ref_upsparse(tree, receiver_solution(tree, y)))
+        x0 = sparse_draw(rng, tree.n)
+        ours = upsparse(tree, forward(tree, x0), x0=x0).x
+        assert np.array_equal(ours, ref_upsparse(tree, x0))
 
     @settings(max_examples=60, deadline=None)
     @given(tree=trees(st.integers(2, 60) | BLOCK_SIZES))

@@ -10,6 +10,7 @@ from losstree import (
     forward,
     general_solution,
     gen_regular_tree,
+    gen_ternary_tree,
     inverse_addloss,
     is_feasible,
     load_observations,
@@ -133,10 +134,10 @@ class TestFeasibility:
         y = np.full(tree.m, 0.5)
         for depth in (1, 2, 3):
             x = np.zeros(tree.n)
-            for v in tree.levels[depth]:
+            for v in np.flatnonzero(tree.depth == depth):
                 x[v - 1] = 0.5
             assert is_feasible(tree, x, y)
-            assert (x > 0).sum() == len(tree.levels[depth])
+            assert (x > 0).sum() == (tree.depth == depth).sum()
 
 
 class TestSampling:
@@ -148,6 +149,39 @@ class TestSampling:
         assert xs.min() >= 0
         # Internal links do get strictly positive mass in many samples.
         assert (xs[:, tree.m :] > 0.05).mean() > 0.3
+
+
+def bad_vector(kind, size):
+    """A vector one short, one long, or of the right size with one NaN, inf or word."""
+    if kind == "short":
+        return np.zeros(size - 1)
+    if kind == "long":
+        return np.zeros(size + 1)
+    if kind == "word":
+        return [0.0] * (size - 1) + ["a"]
+    v = np.zeros(size)
+    v[size // 2] = np.nan if kind == "nan" else np.inf
+    return v
+
+
+# Each entry point, with one of its vector arguments replaced by bad(size).
+ENTRY_POINTS = {
+    "forward x": lambda t, bad: forward(t, bad(t.n)),
+    "receiver_solution y": lambda t, bad: receiver_solution(t, bad(t.m)),
+    "general_solution x_internal": lambda t, bad: general_solution(t, bad(t.n - t.m), np.zeros(t.m)),
+    "general_solution y": lambda t, bad: general_solution(t, np.zeros(t.n - t.m), bad(t.m)),
+    "is_feasible x": lambda t, bad: is_feasible(t, bad(t.n), np.zeros(t.m)),
+    "is_feasible y": lambda t, bad: is_feasible(t, np.zeros(t.n), bad(t.m)),
+    "sample_feasible y": lambda t, bad: sample_feasible(t, bad(t.m), np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("kind", ["short", "long", "nan", "inf", "word"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bad_vectors_rejected(entry, kind):
+    tree = gen_ternary_tree(13)
+    with pytest.raises(OutOfDomain):
+        ENTRY_POINTS[entry](tree, lambda size: bad_vector(kind, size))
 
 
 class TestObservationFiles:

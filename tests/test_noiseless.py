@@ -43,6 +43,13 @@ class TestPutInUpstate:
                 assert moved.sum() == pytest.approx(x.sum() - (kids - 1) * delta)
                 x = moved
 
+    def test_leaves_its_input_untouched(self, one_complex):
+        x0 = np.array([2.0, 3.0, 4.0, 0.0])
+        put_in_upstate(one_complex, 4, x0)
+        assert np.array_equal(x0, [2.0, 3.0, 4.0, 0.0])
+        upsparse(one_complex, [2.0, 3.0, 4.0], x0=x0)  # upsparse moves a copy in place
+        assert np.array_equal(x0, [2.0, 3.0, 4.0, 0.0])
+
     def test_rejects_leaf(self, one_complex):
         with pytest.raises(NotInternal):
             put_in_upstate(one_complex, 1, [0.0, 0.0, 0.0, 0.0])
@@ -52,10 +59,10 @@ class TestPutInUpstate:
         # top link after one round of up moves: three lossy links become one.
         tree = gen_regular_tree(3, 3)
         x = np.zeros(tree.n)
-        for v in tree.levels[2]:
+        for v in np.flatnonzero(tree.depth == 2):
             x[v - 1] = 0.5
         assert (x > 0).sum() == 3
-        for v in tree.levels[1]:
+        for v in np.flatnonzero(tree.depth == 1):
             x = put_in_upstate(tree, v, x)
         assert (x > 0).sum() == 1
         assert np.abs(forward(tree, x) - 0.5).max() < 1e-12

@@ -1,5 +1,8 @@
 """Tree construction, labeling, generators, matrices, and the file format."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,8 @@ from losstree.errors import (
 )
 
 from conftest import random_small_trees
+
+CATERPILLAR = Path(__file__).parent / "data" / "caterpillar40.tree"
 
 
 class TestBuildTree:
@@ -80,14 +85,39 @@ class TestBuildTree:
             build_tree([(1, 0), (0, 1), (2, 1)], root=0)
 
 
-class TestLevels:
-    def test_levels_group_nodes_by_depth_in_label_order(self):
-        for tree in random_small_trees(10, seed=12) + [gen_ternary_tree(13)]:
-            assert len(tree.levels) == tree.height + 1
-            for d, level in enumerate(tree.levels):
-                expected = [v for v in range(1, tree.n + 1) if tree.depth[v] == d]
-                assert list(level) == expected
-                assert all(type(v) is int for v in level)
+class TestPreorderLabels:
+    """Every label-order pass relies on fathers coming before their children."""
+
+    TREES = random_small_trees(10, seed=12) + [
+        gen_ternary_tree(13),
+        gen_random_tree(500, 3, seed=1),
+        load_topology(CATERPILLAR),
+    ]
+
+    def test_fathers_precede_internal_nodes_and_leaves_hang_from_internal_ones(self):
+        for tree in self.TREES:
+            internal = np.arange(tree.m + 1, tree.n + 1)
+            assert np.all(tree.parent[internal] < internal)
+            assert np.all(tree.parent[1 : tree.m + 1] > tree.m)
+
+    def test_depth_counts_the_links_up_to_the_root(self):
+        for tree in self.TREES:
+            for v in range(tree.n + 1):
+                links, u = 0, v
+                while u != 0:
+                    links, u = links + 1, int(tree.parent[u])
+                assert tree.depth[v] == links
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("random:300:4:7", "4f37dceaabf5ef96394aa2e708641bd49cfd5f324d03fc70d37726c2b38f4287"),
+    ("regular:3:5", "a36ac72a2dd25ea7934b7180a1e39d4812a4fdef4d83d8945682e4214b204809"),
+])
+def test_generated_topology_files_keep_their_bytes(tmp_path, spec, digest):
+    """Generators keep their edge order, so the same trees and files come out."""
+    path = tmp_path / "t.tree"
+    save_topology(tree_from_spec(spec), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestMeasurementMatrix:
