@@ -22,7 +22,7 @@ from .errors import LossTreeError, OutOfDomain, ParameterOutOfRange
 from .lossmodel import forward, load_observations
 from .noiseless import upsparse
 from .noisy import MODES, load_intervals, upsparse_plus
-from .oracle import l1_sampling_check, sparsest_enumerate, uniqueness_census
+from .oracle import SupportScanner, l1_sampling_check, sparsest_enumerate, uniqueness_census
 from .simulation import ExperimentConfig, run_experiment, write_experiment_csv
 from .topology import (
     gen_random_tree,
@@ -157,6 +157,7 @@ def _cmd_solve_noisy(args) -> int:
 
 def _cmd_census(args) -> int:
     tree = tree_from_spec(args.tree)
+    scanner = SupportScanner(tree)
     rows = []
     for k in _parse_int_list(args.K):
         res = uniqueness_census(
@@ -166,6 +167,7 @@ def _cmd_census(args) -> int:
             trials=args.trials,
             seed=args.seed,
             placement=args.placement,
+            scanner=scanner,
         )
         rows.append(
             {
@@ -235,16 +237,19 @@ def _cmd_verify(args) -> int:
     tree = tree_from_spec(args.tree)
     if args.obs is not None:
         instances = [load_observations(args.obs)]
+    elif args.trials < 1:
+        raise ParameterOutOfRange(f"verify needs at least one trial, got --trials {args.trials}")
     else:
         instances = []
         for t in range(args.trials):
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(t,)))
             x = np.where(rng.random(tree.n) < 0.4, rng.uniform(0.01, 0.2, tree.n), 0.0)
             instances.append(forward(tree, x))
+    scanner = SupportScanner(tree)
     failures = 0
     for i, y in enumerate(instances):
         report = upsparse(tree, y)
-        enum = sparsest_enumerate(tree, y)
+        enum = sparsest_enumerate(tree, y, scanner=scanner)
         l0_ok = enum.k_star == report.l0
         match_ok = True
         if enum.unique:

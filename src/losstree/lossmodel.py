@@ -83,28 +83,37 @@ def is_feasible(tree: LogicalTree, x, y, tol: float = DEFAULT_TOL) -> bool:
     return np.abs(forward(tree, x) - y).max() <= tol
 
 
-def sample_feasible(tree: LogicalTree, y, rng: np.random.Generator) -> np.ndarray:
-    """Draw one solution from the feasible polytope of y = A x, x >= 0.
+def sample_feasible(
+    tree: LogicalTree, y, rng: np.random.Generator, size: int | None = None
+) -> np.ndarray:
+    """Draw solutions from the feasible polytope of y = A x, x >= 0.
 
     Internal links are sampled top down, each uniformly within the slack
     its ancestors leave on the tightest path below it; leaves take the
-    remainder.  Covers the polytope interior (not uniformly).  The uniform
-    draws are taken in order of depth, then label, and scaled in one pass
-    over the internal labels (preorder, so every father comes first).
+    remainder.  Covers the polytope interior (not uniformly).  Returns one
+    (n,) solution, or with ``size`` a (size, n) array whose rows equal
+    ``size`` successive single draws.  Each draw takes its uniforms in
+    order of depth, then label; they are scaled in one pass over the
+    internal labels (preorder, so every father comes first) that handles
+    all draws at once.
     """
     y = _checked(y, tree.m, "paths")
+    if size is not None and size < 0:
+        raise ParameterOutOfRange(f"size must be non-negative, got {size}")
     m, parent = tree.m, tree.parent
     gamma = tree.span_min(y)  # the tightest path below each link
-    u = np.empty(tree.n - m)
-    u[np.argsort(tree.depth[m + 1 :], kind="stable")] = rng.random(tree.n - m)
-    z = [0.0] * (m + 1)  # loss assigned on the root-to-node path, node included
-    x = [0.0] * m
-    for p, g, r in zip(parent[m + 1 :].tolist(), gamma[m:].tolist(), u.tolist()):
-        x.append(r * max(g - z[p], 0.0))  # rng.uniform(0, c) draws c * rng.random()
-        z.append(z[p] + x[-1])
-    x = np.array(x)
-    x[:m] = np.maximum(y - np.array(z)[parent[1 : m + 1]], 0.0)
-    return x
+    draws = 1 if size is None else size
+    u = np.empty((tree.n - m, draws))
+    u[np.argsort(tree.depth[m + 1 :], kind="stable")] = rng.random((draws, tree.n - m)).T
+    z = np.zeros((tree.n + 1, draws))  # loss assigned on the root-to-node path, node included
+    x = np.empty((tree.n, draws))
+    for v, p, g in zip(range(m + 1, tree.n + 1), parent[m + 1 :].tolist(), gamma[m:].tolist()):
+        # rng.uniform(0, c) draws c * rng.random()
+        x[v - 1] = u[v - m - 1] * np.maximum(g - z[p], 0.0)
+        z[v] = z[p] + x[v - 1]
+    x[:m] = np.maximum(y[:, None] - z[parent[1 : m + 1]], 0.0)
+    x = x.T.copy()  # C order: each row is contiguous and sums like a single draw
+    return x[0] if size is None else x
 
 
 def plant_hotspots(tree: LogicalTree, K: int, loss_range, seed, key, sup=None) -> np.ndarray:

@@ -15,6 +15,7 @@ columns can cover every lossy path (a necessary condition that prunes
 most of the scan).
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange
-from .lossmodel import DEFAULT_TOL, addloss, forward, plant_hotspots, sample_feasible
+from .lossmodel import DEFAULT_TOL, _checked, addloss, forward, plant_hotspots, sample_feasible
 from .noiseless import closed_form
 from .noisy import MIN_L1, IntervalObservation, NoisySolution
 from .topology import LogicalTree, measurement_matrix
@@ -55,14 +56,25 @@ class CensusResult:
 
 
 class SupportScanner:
-    """Per-tree cache of support stacks and batched pseudo-inverses."""
+    """Per-tree cache of support stacks and batched pseudo-inverses.
+
+    Built empty and filled on first use, so one scanner can serve every
+    oracle call of a command, and a tree over the size limit is rejected
+    before any matrix is built.
+    """
 
     def __init__(self, tree: LogicalTree):
         self.tree = tree
-        self.dense = measurement_matrix(tree).dense().astype(float)
         self.path_bits = 1 << np.arange(tree.m, dtype=np.int64)  # bit j-1 stands for path j
-        self.link_masks = self.path_bits @ (self.dense > 0)  # the paths through each link
         self._levels: dict[int, tuple] = {}
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        return measurement_matrix(self.tree).dense().astype(float)
+
+    @functools.cached_property
+    def link_masks(self) -> np.ndarray:
+        return self.path_bits @ (self.dense > 0)  # the paths through each link
 
     def level(self, k: int):
         """(supports, column stacks, pseudo-inverses, cover masks) for size k."""
@@ -109,9 +121,11 @@ def sparsest_enumerate(
     """
     if tree.n > size_limit:
         raise InstanceTooLarge(f"n={tree.n} exceeds the oracle limit {size_limit}")
-    y = np.asarray(y, dtype=float)
+    y = _checked(y, tree.m, "paths")
     if scanner is None:
         scanner = SupportScanner(tree)
+    elif scanner.tree is not tree:
+        raise ParameterOutOfRange("the support scanner was built for another tree")
     if k_max is None:
         k_max = tree.m
     k_max = min(k_max, tree.m)
@@ -158,6 +172,7 @@ def uniqueness_census(
     draws_per_placement: int = 1,
     tol: float = DEFAULT_TOL,
     size_limit: int = SIZE_LIMIT,
+    scanner: SupportScanner | None = None,
 ) -> CensusResult:
     """Fraction of random K-hotspot instances with a unique sparsest solution.
 
@@ -167,11 +182,14 @@ def uniqueness_census(
     the minimum-l1 solution equals the planted truth.  Placements are
     random by default; ``placement="exhaustive"`` sweeps all (n choose K)
     supports with ``draws_per_placement`` loss draws each.  Per-trial RNG
-    substreams make results independent of execution order.
+    substreams make results independent of execution order.  A ``scanner``
+    built for ``tree`` may be shared across calls, so that each support
+    size is pseudo-inverted once for all of them.
     """
     if not 0 <= K <= tree.m:
         raise ParameterOutOfRange(f"K={K} is outside 0..m={tree.m}, m the path count")
-    scanner = SupportScanner(tree)
+    if scanner is None:
+        scanner = SupportScanner(tree)
 
     if placement == "exhaustive":
         supports = list(itertools.combinations(range(tree.n), K))
@@ -215,19 +233,17 @@ def l1_sampling_check(
 
     True iff no sample has a smaller norm, strictly smaller than every
     sample that differs from x_star by more than tol in any component.
+    All samples come from one batched draw.
     """
-    y = np.asarray(y, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    l1_star = x_star.sum()
+    x_star = _checked(x_star, tree.n, "links")
+    if samples < 1:
+        raise ParameterOutOfRange(f"the l1 check needs at least one sample, got {samples}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for _ in range(samples):
-        x_s = sample_feasible(tree, y, rng)
-        l1_s = x_s.sum()
-        if l1_s < l1_star - 1e-12:
-            return False
-        if np.abs(x_s - x_star).max() > tol and not l1_s > l1_star:
-            return False
-    return True
+    xs = sample_feasible(tree, y, rng, size=samples)
+    l1_star = x_star.sum()
+    l1 = xs.sum(axis=1)
+    far = np.abs(xs - x_star).max(axis=1) > tol
+    return not np.any((l1 < l1_star - 1e-12) | (far & ~(l1 > l1_star)))
 
 
 def noisy_grid_check(

@@ -371,6 +371,8 @@ class TestBadInput:
         (["experiment", "--tree", "ternary:13", "--probes", "10,abc"], "'abc'"),
         (["census", "--tree", "ternary:13", "--K", "3-1"], "'3-1' runs downward"),
         (["census", "--tree", "ternary:13", "--K", "1,4-2"], "'4-2' runs downward"),
+        (["verify", "--tree", "ternary:13", "--trials", "0"], "at least one trial"),
+        (["verify", "--tree", "ternary:13", "--trials", "-3"], "at least one trial"),
     ])
     def test_bad_flag_values(self, capsys, argv, expect):
         self.run_bad(capsys, *argv, expect=expect)

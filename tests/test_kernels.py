@@ -1,10 +1,12 @@
-"""Array kernels against plain loops, and experiment output goldens.
+"""Array kernels against plain loops, and experiment and oracle output goldens.
 
 The reference implementations below either walk every root-to-leaf path
 link by link, the way the kernels' results are defined, or are the
-per-node loops the kernels replaced; the kernels must match them
-exactly, not just within a tolerance.  The golden CSVs under
-``tests/data/`` were written by the per-node loop implementations.
+per-node and per-sample loops the kernels replaced; the kernels must
+match them exactly, not just within a tolerance.  The golden CSVs under
+``tests/data/`` were written by the per-node loop implementations, and
+the ``verify`` and ``census`` goldens by the per-sample l1 check with one
+support scanner per call.
 """
 
 from pathlib import Path
@@ -24,6 +26,7 @@ from losstree import (
     forward,
     gen_random_tree,
     gen_ternary_tree,
+    l1_sampling_check,
     receiver_solution,
     recovery_condition,
     sample_feasible,
@@ -148,6 +151,20 @@ def ref_sample_feasible(tree, y, rng):
     return x
 
 
+def ref_l1_sampling_check(tree, y, x_star, samples, seed, tol=DEFAULT_TOL):
+    """One single draw at a time, leaving at the first sample that undercuts x_star."""
+    l1_star = np.asarray(x_star, dtype=float).sum()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for _ in range(samples):
+        x_s = ref_sample_feasible(tree, y, rng)
+        l1_s = x_s.sum()
+        if l1_s < l1_star - 1e-12:
+            return False
+        if np.abs(x_s - x_star).max() > tol and not l1_s > l1_star:
+            return False
+    return True
+
+
 def ref_z_stats(tree, lo, hi):
     """(min_upper, max_lower, max_lower_within) from each leaf set, path by path."""
     below = [[] for _ in range(tree.n + 1)]
@@ -215,6 +232,11 @@ def sparse_draw(rng, size):
 BLOCK_SIZES = st.sampled_from([2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
 
 
+def star(m):
+    """One internal link above m leaves: the smallest top-down pass."""
+    return build_tree([("s", "r")] + [(f"l{j}", "s") for j in range(1, m + 1)], root="r")
+
+
 @st.composite
 def trees(draw, sizes=st.integers(2, 60)):
     m = draw(sizes)
@@ -265,12 +287,44 @@ class TestKernelsMatchPathLoops:
             assert recovery_condition(tree, x) is ref_recovery_condition(tree, x)
 
     @settings(max_examples=60, deadline=None)
-    @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
-    def test_sample_feasible(self, tree, seed):
+    @given(
+        tree=st.one_of(trees(), st.integers(2, 9).map(star)),
+        seed=st.integers(0, 2**31 - 1),
+        size=st.integers(1, 7),
+    )
+    def test_sample_feasible(self, tree, seed, size):
         y = sparse_draw(np.random.default_rng(seed), tree.m)
         ours, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        for _ in range(5):
+        for _ in range(size):
             assert np.array_equal(sample_feasible(tree, y, ours), ref_sample_feasible(tree, y, ref))
+        # The reference rejects a -0.0 cap, so -0.0 observations only test the batch.
+        y[np.flatnonzero(y == 0.0)[::2]] = -0.0
+        ours = np.random.default_rng(seed + 1)
+        single = np.array([sample_feasible(tree, y, ours) for _ in range(size)])
+        batch = sample_feasible(tree, y, np.random.default_rng(seed + 1), size=size)
+        assert batch.shape == (size, tree.n)
+        assert np.array_equal(batch, single)
+        assert np.array_equal(np.signbit(batch), np.signbit(single))
+        # Row sums, the l1 norms of the l1 check, round as a single draw's sum does.
+        assert np.array_equal(batch.sum(axis=1), [x.sum() for x in single])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tree=st.one_of(trees(st.integers(2, 30)), st.integers(2, 9).map(star)),
+        seed=st.integers(0, 2**31 - 1),
+        samples=st.sampled_from([1, 2, 9, 200]),
+        scale=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]),
+    )
+    def test_l1_sampling_check(self, tree, seed, samples, scale):
+        rng = np.random.default_rng(seed)
+        y = forward(tree, sparse_draw(rng, tree.n))
+        # The sparsest of 20 other samples is beaten by some, not all, of the checked ones.
+        pool = sample_feasible(tree, y, rng, size=20)
+        best_of_pool = pool[pool.sum(axis=1).argmin()]
+        for x in (closed_form(tree, y), receiver_solution(tree, y), best_of_pool):
+            for x_star in (x, x + scale * rng.standard_normal(tree.n)):
+                expected = ref_l1_sampling_check(tree, y, x_star, samples, seed)
+                assert l1_sampling_check(tree, y, x_star, samples, seed) is expected
 
     @settings(max_examples=60, deadline=None)
     @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
@@ -399,3 +453,41 @@ def test_experiment_csv_matches_golden(golden, capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_l1_sampling_check_gives_both_verdicts_like_the_loop():
+    """The closed form passes and the receiver solution fails, as in the loop."""
+    verdicts = set()
+    for tree in (gen_ternary_tree(13), caterpillar(8), star(4)):
+        for seed in range(5):
+            y = forward(tree, sparse_draw(np.random.default_rng(seed), tree.n))
+            for x_star in (closed_form(tree, y), receiver_solution(tree, y)):
+                verdict = l1_sampling_check(tree, y, x_star, 50, seed)
+                assert verdict is ref_l1_sampling_check(tree, y, x_star, 50, seed)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+ORACLE_GOLDENS = {
+    f"verify_{tree.replace(':', '_')}_seed{seed}.txt": (
+        ["verify", "--tree", tree, "--trials", "10", "--seed", str(seed)])
+    for tree in ("random:8:3:0", "regular:2:4") for seed in (0, 1)
+}
+
+
+@pytest.mark.parametrize("golden", sorted(ORACLE_GOLDENS))
+def test_verify_stdout_matches_golden(golden, capsys):
+    code = main(ORACLE_GOLDENS[golden])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert stdout.encode() == (DATA / golden).read_bytes()
+
+
+def test_census_matches_golden(capsys, tmp_path):
+    out = tmp_path / "census.csv"
+    code = main(["census", "--tree", "ternary:13", "--K", "1-3", "--trials", "50",
+                 "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert out.read_bytes() == (DATA / "census_ternary13.csv").read_bytes()
+    assert stdout.encode() == (DATA / "census_ternary13.txt").read_bytes()

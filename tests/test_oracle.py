@@ -24,8 +24,16 @@ from losstree import (
     upsparse,
     upsparse_plus,
 )
-from losstree.errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange
+from losstree.cli import main
+from losstree.errors import (
+    InstanceTooLarge,
+    KTooSmall,
+    NotBranchNode,
+    OutOfDomain,
+    ParameterOutOfRange,
+)
 from losstree.noisy import NoisySolution
+from losstree.oracle import SupportScanner
 
 from conftest import random_small_trees, random_sparse_x
 
@@ -113,6 +121,16 @@ class TestSparsestEnumerate:
         tree = gen_regular_tree(3, 4)  # 40 links
         with pytest.raises(InstanceTooLarge):
             sparsest_enumerate(tree, np.zeros(tree.m))
+        scanner = SupportScanner(tree)
+        with pytest.raises(InstanceTooLarge):
+            sparsest_enumerate(tree, np.zeros(tree.m), scanner=scanner)
+        assert "dense" not in vars(scanner)  # rejected before any matrix is built
+
+    @pytest.mark.parametrize("y", [[2.0, 3.0], [2.0, 3.0, 4.0, 5.0], [2.0, math.nan, 4.0],
+                                   [2.0, 3.0, INF], [[2.0, 3.0, 4.0]]])
+    def test_bad_observations_rejected(self, fig_tree, y):
+        with pytest.raises(OutOfDomain):
+            sparsest_enumerate(fig_tree, y)
 
 
 class TestUniquenessCensus:
@@ -145,6 +163,18 @@ class TestUniquenessCensus:
         with pytest.raises(ParameterOutOfRange):
             uniqueness_census(gen_regular_tree(2, 3), **{"K": 1, **kwargs})
 
+    def test_shared_scanner_gives_the_same_census(self):
+        tree = gen_regular_tree(3, 3)
+        scanner = SupportScanner(tree)
+        for k in (3, 1, 2):
+            shared = uniqueness_census(tree, K=k, trials=30, seed=4, scanner=scanner)
+            assert shared == uniqueness_census(tree, K=k, trials=30, seed=4)
+
+    def test_scanner_of_another_tree_rejected(self):
+        tree = gen_regular_tree(3, 3)
+        with pytest.raises(ParameterOutOfRange):
+            uniqueness_census(tree, K=1, trials=5, scanner=SupportScanner(gen_regular_tree(3, 3)))
+
     def test_recovery_needs_a_lossless_child(self):
         # On the two-leaf tree, two hotspots are never uniquely sparsest
         # (one lossless link at the fork), yet placements touching the top
@@ -169,6 +199,42 @@ class TestL1SamplingCheck:
     def test_zero_instance_trivially_passes(self, fig_tree):
         y = np.zeros(3)
         assert l1_sampling_check(fig_tree, y, np.zeros(5), samples=50)
+
+    @pytest.mark.parametrize("x_star", [[0, 1, 2, 2], [0, 1, 2, 2, 0, 0], [0, 1, 2, math.nan, 0],
+                                        [0, 1, 2, 2, -INF], "01220"])
+    def test_bad_solution_rejected(self, fig_tree, x_star):
+        with pytest.raises(OutOfDomain):
+            l1_sampling_check(fig_tree, [2.0, 3.0, 4.0], x_star)
+
+    @pytest.mark.parametrize("y", [[2.0, 3.0], [2.0, math.nan, 4.0]])
+    def test_bad_observations_rejected(self, fig_tree, y):
+        with pytest.raises(OutOfDomain):
+            l1_sampling_check(fig_tree, y, [0, 1, 2, 2, 0])
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_needs_a_sample(self, fig_tree, samples):
+        with pytest.raises(ParameterOutOfRange):
+            l1_sampling_check(fig_tree, [2.0, 3.0, 4.0], [0, 1, 2, 2, 0], samples=samples)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tree", "random:8:3:0", "--trials", "10"],
+    ["census", "--tree", "ternary:13", "--K", "1-3", "--trials", "20"],
+])
+def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
+    """One scanner serves the whole command, so no size level is pseudo-inverted twice."""
+    sizes = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert sizes
+    assert len(sizes) == len(set(sizes)), sorted(sizes)
 
 
 class TestNoisyGridCheck:
