@@ -11,7 +11,7 @@ through the parent, and the parent alone explains them all.
 import numpy as np
 
 from .errors import InconsistentObservation, OutOfDomain, ParameterOutOfRange
-from .lossmodel import DEFAULT_TOL, addloss, forward, plant_hotspots
+from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, addloss, forward, plant_hotspots
 from .noiseless import closed_form
 from .topology import LogicalTree
 
@@ -46,11 +46,9 @@ def scfs(tree: LogicalTree, bad: np.ndarray) -> set[int]:
 def compare_with_sparse_recovery(
     tree: LogicalTree,
     K: int,
-    loss_range: tuple[float, float] = (0.01, 0.10),
+    loss_range: tuple[float, float] = DEFAULT_LOSS_RANGE,
     trials: int = 300,
     seed: int = 0,
-    threshold: float = DEFAULT_TOL,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """Exact-location success rates of the binary baseline vs the l1 solver.
 
@@ -70,6 +68,6 @@ def compare_with_sparse_recovery(
         x_true = addloss(b)
         y = forward(tree, x_true)
         truth = set((np.flatnonzero(b) + 1).tolist())
-        n_scfs += scfs(tree, binarize(y, threshold)) == truth
-        n_sparse += bool(np.abs(closed_form(tree, y) - x_true).max() <= tol)
+        n_scfs += scfs(tree, binarize(y)) == truth
+        n_sparse += bool(np.abs(closed_form(tree, y) - x_true).max() <= DEFAULT_TOL)
     return n_scfs / trials, n_sparse / trials

@@ -19,11 +19,13 @@ import numpy as np
 from . import __version__
 from .baselines import binarize, scfs
 from .errors import LossTreeError, OutOfDomain, ParameterOutOfRange
-from .lossmodel import forward, load_observations
+from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, forward, load_observations
 from .noiseless import upsparse
 from .noisy import MODES, load_intervals, upsparse_plus
 from .oracle import SupportScanner, l1_sampling_check, sparsest_enumerate, uniqueness_census
-from .simulation import ExperimentConfig, run_experiment, write_experiment_csv
+from .simulation import (
+    INTERVAL_MODES, POINT_MODE, ExperimentConfig, run_experiment, write_experiment_csv
+)
 from .topology import (
     gen_random_tree,
     gen_regular_tree,
@@ -90,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", required=True, help="K value, list (1,2) or range (1-9)")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss-range", nargs=2, type=float, default=(0.01, 0.10))
+    p.add_argument("--loss-range", nargs=2, type=float, default=DEFAULT_LOSS_RANGE)
     p.add_argument("--placement", choices=("random", "exhaustive"), default="random")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_census)
@@ -102,10 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", default="1000,10000", help="counts; 'inf' = exact")
     p.add_argument("--trials", type=int, default=100, help="repetitions per cell")
     p.add_argument("--level", type=float, default=0.90)
-    p.add_argument(
-        "--mode", choices=("upsparse",) + MODES, default="upsparse"
-    )
-    p.add_argument("--interval-mode", choices=("t-ci", "cover"), default="t-ci")
+    p.add_argument("--mode", choices=(POINT_MODE,) + MODES, default=POINT_MODE)
+    p.add_argument("--interval-mode", choices=INTERVAL_MODES, default="t-ci")
     p.add_argument("--cover-halfwidth", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scfs", help="binary good/bad baseline")
     p.add_argument("--tree", required=True)
     p.add_argument("--obs", required=True)
-    p.add_argument("--threshold", type=float, default=1e-9)
+    p.add_argument("--threshold", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_scfs)
 
     return parser
@@ -253,7 +253,7 @@ def _cmd_verify(args) -> int:
         l0_ok = enum.k_star == report.l0
         match_ok = True
         if enum.unique:
-            match_ok = bool(np.abs(enum.solutions[0] - report.x).max() <= 1e-9)
+            match_ok = bool(np.abs(enum.solutions[0] - report.x).max() <= DEFAULT_TOL)
         l1_ok = l1_sampling_check(tree, y, report.x, samples=200, seed=args.seed + i)
         status = "ok" if (l0_ok and match_ok and l1_ok) else "MISMATCH"
         failures += status != "ok"

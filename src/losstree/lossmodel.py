@@ -54,19 +54,19 @@ def receiver_solution(tree: LogicalTree, y) -> np.ndarray:
     return x
 
 
-def general_solution(tree: LogicalTree, x_internal, y, tol: float = DEFAULT_TOL):
+def general_solution(tree: LogicalTree, x_internal, y):
     """Solution with the given internal-link values; leaf values are forced.
 
     The leaf values are x_R = y - A_I x_I, the path sums of x while its
     leaf entries are still zero.  Raises Infeasible if some leaf value
-    would drop below -tol, i.e. the internal assignment lies outside the
-    feasible polytope for this y.
+    would drop below -DEFAULT_TOL, i.e. the internal assignment lies
+    outside the feasible polytope for this y.
     """
     y = _checked(y, tree.m, "paths")
     x = np.zeros(tree.n)
     x[tree.m :] = _checked(x_internal, tree.n - tree.m, "internal links")
     leaf = y - forward(tree, x)
-    short = np.flatnonzero(leaf < -tol)
+    short = np.flatnonzero(leaf < -DEFAULT_TOL)
     if short.size:
         j = int(short[0]) + 1
         raise Infeasible(f"internal values overshoot path {j}: leaf value {leaf[j - 1]:.3g}")
@@ -74,13 +74,13 @@ def general_solution(tree: LogicalTree, x_internal, y, tol: float = DEFAULT_TOL)
     return x
 
 
-def is_feasible(tree: LogicalTree, x, y, tol: float = DEFAULT_TOL) -> bool:
-    """True iff x >= -tol componentwise and the path sums match y within tol."""
+def is_feasible(tree: LogicalTree, x, y) -> bool:
+    """True iff x >= -DEFAULT_TOL componentwise and the path sums match y within it."""
     x = _checked(x, tree.n, "links")
     y = _checked(y, tree.m, "paths")
-    if x.min() < -tol:
+    if x.min() < -DEFAULT_TOL:
         return False
-    return np.abs(forward(tree, x) - y).max() <= tol
+    return np.abs(forward(tree, x) - y).max() <= DEFAULT_TOL
 
 
 def sample_feasible(
@@ -114,6 +114,9 @@ def sample_feasible(
     x[:m] = np.maximum(y[:, None] - z[parent[1 : m + 1]], 0.0)
     x = x.T.copy()  # C order: each row is contiguous and sums like a single draw
     return x[0] if size is None else x
+
+
+DEFAULT_LOSS_RANGE = (0.01, 0.10)  # planted hotspot losses unless a range is given
 
 
 def plant_hotspots(tree: LogicalTree, K: int, loss_range, seed, key, sup=None) -> np.ndarray:

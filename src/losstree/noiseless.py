@@ -86,7 +86,7 @@ def put_in_upstate(tree: LogicalTree, i: int, x) -> np.ndarray:
     return x
 
 
-def upsparse(tree: LogicalTree, y, x0=None, tol: float = DEFAULT_TOL) -> SolutionReport:
+def upsparse(tree: LogicalTree, y, x0=None) -> SolutionReport:
     """Iteratively move every complex to its up state, children first.
 
     Starts from ``x0`` (default: the receiver solution) and visits the
@@ -99,11 +99,11 @@ def upsparse(tree: LogicalTree, y, x0=None, tol: float = DEFAULT_TOL) -> Solutio
         x = receiver_solution(tree, y)
     else:
         x = _checked(x0, tree.n, "links in x0").copy()
-        if not is_feasible(tree, x, y, tol):
+        if not is_feasible(tree, x, y):
             raise InfeasibleStart("x0 does not satisfy the observations")
     for v in range(tree.n, tree.m, -1):
         _pull_up(tree, v, x)
-    return solution_report(tree, x, tol)
+    return solution_report(tree, x)
 
 
 def closed_form(tree: LogicalTree, y) -> np.ndarray:
@@ -114,18 +114,18 @@ def closed_form(tree: LogicalTree, y) -> np.ndarray:
     return gamma[..., 1:] - gamma[..., tree.parent[1:]]
 
 
-def classify_complexes(tree: LogicalTree, x, tol: float = DEFAULT_TOL) -> list[ComplexState]:
+def classify_complexes(tree: LogicalTree, x) -> list[ComplexState]:
     """Per-internal-node complex states under solution x."""
     x = np.asarray(x, dtype=float)
-    delta, lossless = _complex_summary(tree, x, tol)
-    state = np.where(delta <= tol, UP, np.where(x[tree.m :] <= tol, DOWN, MIXED))
+    delta, lossless = _complex_summary(tree, x)
+    state = np.where(delta <= DEFAULT_TOL, UP, np.where(x[tree.m :] <= DEFAULT_TOL, DOWN, MIXED))
     return [
         ComplexState(node=i, state=s, delta=d, lossless_children=c)
         for i, s, d, c in zip(tree.internal, state.tolist(), delta.tolist(), lossless.tolist())
     ]
 
 
-def unique_sparsest(tree: LogicalTree, x_star, tol: float = DEFAULT_TOL) -> bool:
+def unique_sparsest(tree: LogicalTree, x_star) -> bool:
     """Whether the minimum-sparsity solution x_star is the only one.
 
     ``x_star`` must be an ``upsparse``/``closed_form`` output.  A complex
@@ -135,30 +135,30 @@ def unique_sparsest(tree: LogicalTree, x_star, tol: float = DEFAULT_TOL) -> bool
     lossless children.
     """
     x_star = np.asarray(x_star, dtype=float)
-    _, lossless = _complex_summary(tree, x_star, tol)
-    return bool(np.all((x_star[tree.m :] <= tol) | (lossless >= 2)))
+    _, lossless = _complex_summary(tree, x_star)
+    return bool(np.all((x_star[tree.m :] <= DEFAULT_TOL) | (lossless >= 2)))
 
 
-def recovery_condition(tree: LogicalTree, x_true, tol: float = DEFAULT_TOL) -> bool:
+def recovery_condition(tree: LogicalTree, x_true) -> bool:
     """Whether every internal node has at least one lossless child link.
 
     When true for the underlying solution, it is already in up state
     everywhere, so solving its observations recovers it exactly.
     """
-    delta, _ = _complex_summary(tree, np.asarray(x_true, dtype=float), tol)
-    return not np.any(delta > tol)
+    delta, _ = _complex_summary(tree, np.asarray(x_true, dtype=float))
+    return not np.any(delta > DEFAULT_TOL)
 
 
-def solution_report(tree: LogicalTree, x, tol: float = DEFAULT_TOL) -> SolutionReport:
+def solution_report(tree: LogicalTree, x) -> SolutionReport:
     """Norms, complex states, and diagnostics for a feasible solution x."""
     x = np.asarray(x, dtype=float)
     return SolutionReport(
         x=x,
-        l0=int((x > tol).sum()),
+        l0=int((x > DEFAULT_TOL).sum()),
         l1=float(x.sum()),
-        states=classify_complexes(tree, x, tol),
-        unique_sparsest=unique_sparsest(tree, x, tol),
-        recovery_condition=recovery_condition(tree, x, tol),
+        states=classify_complexes(tree, x),
+        unique_sparsest=unique_sparsest(tree, x),
+        recovery_condition=recovery_condition(tree, x),
     )
 
 
@@ -170,12 +170,12 @@ def _pull_up(tree: LogicalTree, i: int, x: np.ndarray) -> None:
     x[i - 1] += delta
 
 
-def _complex_summary(tree: LogicalTree, x: np.ndarray, tol: float):
+def _complex_summary(tree: LogicalTree, x: np.ndarray):
     """Smallest child loss and lossless-child count of each internal node (label - m - 1)."""
     father = tree.parent[1:]  # link k+1 is a child link of node father[k]
     delta = np.full(tree.n + 1, np.inf)
     np.minimum.at(delta, father, x)
-    lossless = np.bincount(father[x <= tol], minlength=tree.n + 1)
+    lossless = np.bincount(father[x <= DEFAULT_TOL], minlength=tree.n + 1)
     return delta[tree.m + 1 :], lossless[tree.m + 1 :]
 
 

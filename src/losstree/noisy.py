@@ -98,8 +98,8 @@ class NoisySolution:
     z: np.ndarray
     mode: str
 
-    def l0(self, tol: float = DEFAULT_TOL) -> int:
-        return int((self.x > tol).sum())
+    def l0(self) -> int:
+        return int((self.x > DEFAULT_TOL).sum())
 
     def l1(self) -> float:
         return float(self.x.sum())

@@ -2,11 +2,12 @@
 
 Nothing here reuses the solvers' reasoning: sparsest solutions come from
 exhaustive support enumeration (least-squares on every column subset),
-l1 minimality is checked against feasible-polytope samples, and interval
-solutions against a discretized grid of realizable observations.  The
-census measures how often the sparsest solution is unique, and how often
-the minimum-l1 solution equals the planted truth, under random hotspot
-placements.
+l1 minimality is checked against feasible-polytope samples, interval
+sparsity against a grid of realizable observations and interval l1 by one
+linear program over the interval box.  The sparsest solution is unique
+when one support is feasible at the smallest feasible size k*; the census
+measures how often that holds, and how often the minimum-l1 solution
+equals the planted truth, under random hotspot placements.
 
 Enumeration solves each restricted system in a batch: per support size k
 the (n choose k) column subsets are stacked and pseudo-inverted once per
@@ -23,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange
-from .lossmodel import DEFAULT_TOL, _checked, addloss, forward, plant_hotspots, sample_feasible
+from .lossmodel import (
+    DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, addloss, forward, plant_hotspots, sample_feasible
+)
 from .noiseless import closed_form
-from .noisy import MIN_L1, IntervalObservation, NoisySolution
+from .noisy import MIN_L1, IntervalObservation, NoisySolution, _check_paths
 from .topology import LogicalTree, measurement_matrix
 
 # Restricted solves accept a solution when the residual stays below
@@ -35,6 +38,7 @@ FEAS_TOL = 1e-7
 
 SIZE_LIMIT = 26
 _SCAN_LIMIT = 2_000_000  # supports per size level
+_GRID_CHUNK = 200_000  # grid observations scanned per batch
 
 
 @dataclass
@@ -42,10 +46,9 @@ class EnumerationResult:
     """All sparsest solutions of y = A x, x >= 0, found by exhaustive scan."""
 
     k_star: int | None
-    supports: list[tuple[int, ...]]
+    supports: list[tuple[int, ...]]  # canonical link labels
     solutions: list[np.ndarray]
     unique: bool
-    rank_deficient: list[tuple[int, ...]]
 
 
 @dataclass
@@ -93,14 +96,14 @@ class SupportScanner:
             self._levels[k] = (supports, stacks, pinv, masks)
         return self._levels[k]
 
-    def feasible_at(self, y: np.ndarray, k: int, tol: float = FEAS_TOL):
+    def feasible_at(self, y: np.ndarray, k: int):
         """Indices and solutions of feasible supports of size k for y."""
-        required = self.path_bits[y > tol].sum()
+        required = self.path_bits[y > FEAS_TOL].sum()
         supports, stacks, pinv, masks = self.level(k)
         idx = np.flatnonzero((masks & required) == required)
         if idx.size == 0:
             return supports[:0], np.zeros((0, k))
-        x, ok = _restricted_solve(pinv[idx], stacks[idx], y, tol)
+        x, ok = _restricted_solve(pinv[idx], stacks[idx], y)
         return supports[idx[ok]], x[ok]
 
 
@@ -108,70 +111,48 @@ def sparsest_enumerate(
     tree: LogicalTree,
     y,
     k_max: int | None = None,
-    tol: float = FEAS_TOL,
-    size_limit: int = SIZE_LIMIT,
     scanner: SupportScanner | None = None,
 ) -> EnumerationResult:
     """Scan supports by increasing size until some restricted system is feasible.
 
-    Returns every distinct solution at the first feasible size, the
-    minimal sparsity, and a uniqueness verdict.  Feasible rank-deficient
-    supports (a whole segment of solutions) are flagged and their segment
-    endpoints enumerated; they force unique=False.
+    Returns every distinct solution at the first feasible size k*, and
+    unique iff there is one.  Each feasible support S at k* has
+    independent columns, hence one solution: were they dependent, moving
+    x_S along a null direction of A_S until a component hits zero would
+    give a smaller feasible support (basic feasible solutions; Bertsimas
+    & Tsitsiklis, Introduction to Linear Optimization, 1997, 2.3).
     """
-    if tree.n > size_limit:
-        raise InstanceTooLarge(f"n={tree.n} exceeds the oracle limit {size_limit}")
+    if tree.n > SIZE_LIMIT:
+        raise InstanceTooLarge(f"n={tree.n} exceeds the oracle limit {SIZE_LIMIT}")
     y = _checked(y, tree.m, "paths")
     if scanner is None:
         scanner = SupportScanner(tree)
     elif scanner.tree is not tree:
         raise ParameterOutOfRange("the support scanner was built for another tree")
-    if k_max is None:
-        k_max = tree.m
-    k_max = min(k_max, tree.m)
+    k_max = tree.m if k_max is None else min(k_max, tree.m)
 
     for k in range(k_max + 1):
-        supports, xs = scanner.feasible_at(y, k, tol)
+        supports, xs = scanner.feasible_at(y, k)
         if len(supports) == 0:
             continue
-        solutions = []
-        sup_list = []
-        flagged = []
+        solutions, sup_list = [], []
         for sup, x_s in zip(supports, xs):
-            sup_t = tuple(int(s) + 1 for s in sup)  # report canonical labels
             full = np.zeros(tree.n)
             full[sup] = np.maximum(x_s, 0.0)
-            _append_distinct(solutions, sup_list, full, sup_t)
-            if k > 0:
-                a_s = scanner.dense[:, sup]
-                if np.linalg.matrix_rank(a_s) < k:
-                    flagged.append(sup_t)
-                    for endpoint in _segment_endpoints(a_s, x_s, tol):
-                        full_e = np.zeros(tree.n)
-                        full_e[sup] = np.maximum(endpoint, 0.0)
-                        _append_distinct(solutions, sup_list, full_e, sup_t)
+            _append_distinct(solutions, sup_list, full, tuple(int(s) + 1 for s in sup))
         return EnumerationResult(
-            k_star=k,
-            supports=sup_list,
-            solutions=solutions,
-            unique=len(solutions) == 1 and not flagged,
-            rank_deficient=flagged,
+            k_star=k, supports=sup_list, solutions=solutions, unique=len(solutions) == 1
         )
-    return EnumerationResult(
-        k_star=None, supports=[], solutions=[], unique=False, rank_deficient=[]
-    )
+    return EnumerationResult(k_star=None, supports=[], solutions=[], unique=False)
 
 
 def uniqueness_census(
     tree: LogicalTree,
     K: int,
-    loss_range: tuple[float, float] = (0.01, 0.10),
+    loss_range: tuple[float, float] = DEFAULT_LOSS_RANGE,
     trials: int = 200,
     seed: int = 0,
     placement: str = "random",
-    draws_per_placement: int = 1,
-    tol: float = DEFAULT_TOL,
-    size_limit: int = SIZE_LIMIT,
     scanner: SupportScanner | None = None,
 ) -> CensusResult:
     """Fraction of random K-hotspot instances with a unique sparsest solution.
@@ -181,7 +162,7 @@ def uniqueness_census(
     enumeration oracle for uniqueness; the second statistic is how often
     the minimum-l1 solution equals the planted truth.  Placements are
     random by default; ``placement="exhaustive"`` sweeps all (n choose K)
-    supports with ``draws_per_placement`` loss draws each.  Per-trial RNG
+    supports with one loss draw each.  Per-trial RNG
     substreams make results independent of execution order.  A ``scanner``
     built for ``tree`` may be shared across calls, so that each support
     size is pseudo-inverted once for all of them.
@@ -192,10 +173,9 @@ def uniqueness_census(
         scanner = SupportScanner(tree)
 
     if placement == "exhaustive":
-        supports = list(itertools.combinations(range(tree.n), K))
-        if len(supports) * draws_per_placement > _SCAN_LIMIT:
+        if math.comb(tree.n, K) > _SCAN_LIMIT:
             raise InstanceTooLarge("exhaustive placement sweep too large")
-        picks = [np.array(sup) for sup in supports for _ in range(draws_per_placement)]
+        picks = [np.array(sup) for sup in itertools.combinations(range(tree.n), K)]
     elif placement == "random":
         picks = [None] * trials
     else:
@@ -208,11 +188,8 @@ def uniqueness_census(
     for i, sup in enumerate(picks):
         x_true = addloss(plant_hotspots(tree, K, loss_range, seed, i, sup))
         y = forward(tree, x_true)
-        enum = sparsest_enumerate(
-            tree, y, k_max=K, size_limit=size_limit, scanner=scanner
-        )
-        n_unique += enum.unique
-        n_recovered += bool(np.abs(closed_form(tree, y) - x_true).max() <= tol)
+        n_unique += sparsest_enumerate(tree, y, k_max=K, scanner=scanner).unique
+        n_recovered += bool(np.abs(closed_form(tree, y) - x_true).max() <= DEFAULT_TOL)
     total = len(picks)
     return CensusResult(
         trials=total,
@@ -227,12 +204,12 @@ def l1_sampling_check(
     x_star,
     samples: int = 1000,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
 ) -> bool:
     """Whether x_star's l1 norm beats every sampled feasible solution.
 
     True iff no sample has a smaller norm, strictly smaller than every
-    sample that differs from x_star by more than tol in any component.
+    sample that differs from x_star by more than DEFAULT_TOL in any
+    component.
     All samples come from one batched draw.
     """
     x_star = _checked(x_star, tree.n, "links")
@@ -242,7 +219,7 @@ def l1_sampling_check(
     xs = sample_feasible(tree, y, rng, size=samples)
     l1_star = x_star.sum()
     l1 = xs.sum(axis=1)
-    far = np.abs(xs - x_star).max(axis=1) > tol
+    far = np.abs(xs - x_star).max(axis=1) > DEFAULT_TOL
     return not np.any((l1 < l1_star - 1e-12) | (far & ~(l1 > l1_star)))
 
 
@@ -252,21 +229,32 @@ def noisy_grid_check(
     candidate: NoisySolution,
     grid_steps: int = 9,
     tol: float = 1e-6,
-    chunk: int = 200_000,
 ) -> bool:
-    """Whether no gridded realizable observation beats the interval solution.
+    """Whether no realizable observation beats the interval solution.
 
-    Each path interval is discretized into ``grid_steps`` points (unbounded
-    ends are capped at the largest finite bound plus the largest lower
-    bound, beyond which norms cannot improve).  For a sparsity candidate,
-    every grid observation is scanned for feasible supports smaller than
-    the candidate's sparsity; for an l1 candidate, the minimum l1 at each
-    grid observation must not undercut the candidate's by more than tol.
+    An l1 candidate may exceed by at most tol the optimum of one linear
+    program, min sum(x) over lo <= A x <= hi (finite rows) and x >= 0.  A
+    sparsity candidate is checked on ``grid_steps`` points per interval
+    (unbounded ends capped at the largest finite bound plus the largest
+    lower bound, beyond which norms cannot improve): no grid observation
+    may admit a feasible support smaller than the candidate's sparsity.
     """
     if tree.n > 10:
         raise InstanceTooLarge(f"n={tree.n} exceeds the grid-check limit 10")
-    finite = intervals.hi[np.isfinite(intervals.hi)]
-    cap = (finite.max() if finite.size else 0.0) + intervals.lo.max()
+    _check_paths(tree, intervals)
+    scanner, finite = SupportScanner(tree), np.isfinite(intervals.hi)
+    if candidate.mode == MIN_L1:
+        from scipy.optimize import linprog  # imported here to keep scipy off the CLI import path
+
+        lp = linprog(  # x >= 0 is linprog's default bound
+            np.ones(tree.n),
+            A_ub=np.vstack((-scanner.dense, scanner.dense[finite])),
+            b_ub=np.concatenate((-intervals.lo, intervals.hi[finite])),
+        )
+        assert lp.status == 0, lp.message  # never infeasible: y = lo is realizable
+        return bool(lp.fun >= candidate.l1() - tol)
+
+    cap = intervals.hi[finite].max(initial=0.0) + intervals.lo.max()
     axes = [
         np.unique(np.linspace(lo, max(min(hi, cap), lo), grid_steps))
         for lo, hi in zip(intervals.lo, intervals.hi)
@@ -274,24 +262,13 @@ def noisy_grid_check(
     sizes = np.array([len(a) for a in axes])
     total = int(sizes.prod())
     strides = np.concatenate((np.cumprod(sizes[::-1])[-2::-1], [1]))
-
-    scanner = SupportScanner(tree)
-    check_l1 = candidate.mode == MIN_L1
-    cand_l0 = candidate.l0()
-    cand_l1 = candidate.l1()
-
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _GRID_CHUNK):
+        idx = np.arange(start, min(start + _GRID_CHUNK, total))
         ys = np.empty((idx.size, tree.m))
         for j in range(tree.m):
             ys[:, j] = axes[j][(idx // strides[j]) % sizes[j]]
-        if check_l1:
-            best = closed_form(tree, ys).sum(axis=1).min()
-            if best < cand_l1 - tol:
-                return False
-        else:
-            if _any_sparser(scanner, ys, cand_l0):
-                return False
+        if _any_sparser(scanner, ys, candidate.l0()):
+            return False
     return True
 
 
@@ -339,18 +316,18 @@ def _any_sparser(scanner: SupportScanner, ys: np.ndarray, k_below: int) -> bool:
     for k in range(k_below):
         supports, stacks, pinv, _ = scanner.level(k)
         for s in range(len(supports)):
-            if _restricted_solve(pinv[s], stacks[s], ys, FEAS_TOL)[1].any():
+            if _restricted_solve(pinv[s], stacks[s], ys)[1].any():
                 return True
     return False
 
 
-def _restricted_solve(pinv, stacks, y, tol):
-    """x = pinv @ y on supports of size k >= 0, and whether each is feasible: x >= -tol
-    (vacuous for k = 0, hence the initial 0) and every residual within tol.  Leading axes
+def _restricted_solve(pinv, stacks, y):
+    """x = pinv @ y on supports of size k >= 0, and whether each is feasible: x >= -FEAS_TOL
+    (vacuous for k = 0, hence the initial 0) and every residual within FEAS_TOL.  Leading axes
     of pinv (..., k, m), stacks (..., m, k) and y (..., m) broadcast to x (..., k), ok (...)."""
     x = np.einsum("...km,...m->...k", pinv, y)
     resid = np.einsum("...mk,...k->...m", stacks, x) - y
-    return x, (x.min(axis=-1, initial=0.0) >= -tol) & (np.abs(resid).max(axis=-1) <= tol)
+    return x, (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (np.abs(resid).max(axis=-1) <= FEAS_TOL)
 
 
 def _append_distinct(solutions, supports, x, sup, atol=1e-6):
@@ -360,21 +337,3 @@ def _append_distinct(solutions, supports, x, sup, atol=1e-6):
     solutions.append(x)
     supports.append(sup)
 
-
-def _segment_endpoints(a_s: np.ndarray, x_s: np.ndarray, tol: float):
-    """Endpoints of the feasible segment of a rank-deficient restricted system."""
-    _, sv, vt = np.linalg.svd(a_s)
-    rank = int((sv > 1e-10).sum())
-    null = vt[rank:]
-    if len(null) != 1:
-        return []  # higher-dimensional faces: flagged, not enumerated
-    h = null[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bounds = -x_s / h
-    t_lo = max(bounds[h > tol], default=-np.inf)
-    t_hi = min(bounds[h < -tol], default=np.inf)
-    out = []
-    for t in (t_lo, t_hi):
-        if np.isfinite(t):
-            out.append(x_s + t * h)
-    return out

@@ -30,13 +30,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
-from .lossmodel import DEFAULT_TOL, addloss, forward, inverse_addloss, plant_hotspots
+from .lossmodel import (
+    DEFAULT_LOSS_RANGE, DEFAULT_TOL, addloss, forward, inverse_addloss, plant_hotspots
+)
 from .noiseless import closed_form
 from .noisy import MODES, IntervalObservation, upsparse_plus
 from .topology import LogicalTree, tree_from_spec
 
 EPS_P = 1e-9  # probability-scale clamp below 1 so addloss stays finite
 POINT_MODE = "upsparse"
+INTERVAL_MODES = ("t-ci", "cover")
 
 
 @dataclass
@@ -75,7 +78,7 @@ class ExperimentConfig:
 
     tree: str
     k_values: list[int]
-    loss_range: tuple[float, float] = (0.01, 0.10)
+    loss_range: tuple[float, float] = DEFAULT_LOSS_RANGE
     probe_counts: list = field(default_factory=lambda: [1000, 10000])
     reps: int = 100
     level: float = 0.90
@@ -90,8 +93,8 @@ class ExperimentConfig:
             raise ConfigInvalid("loss_range must satisfy 0 < lo <= hi < 1")
         if self.mode not in (POINT_MODE,) + MODES:
             raise ConfigInvalid(f"mode must be one of {(POINT_MODE,) + MODES}")
-        if self.interval_mode not in ("t-ci", "cover"):
-            raise ConfigInvalid("interval_mode must be 't-ci' or 'cover'")
+        if self.interval_mode not in INTERVAL_MODES:
+            raise ConfigInvalid(f"interval_mode must be {' or '.join(map(repr, INTERVAL_MODES))}")
         if not self.k_values or min(self.k_values) < 1:
             raise ConfigInvalid("k_values must be a non-empty list of K >= 1")
         if self.reps < 1:
@@ -105,7 +108,7 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        data["loss_range"] = tuple(data.get("loss_range", (0.01, 0.10)))
+        data["loss_range"] = tuple(data.get("loss_range", DEFAULT_LOSS_RANGE))
         return cls(**data)
 
     def to_json(self, path) -> None:
@@ -191,7 +194,7 @@ def cover_intervals(
     return IntervalObservation(lo=addloss(lo_p), hi=addloss(hi_p))
 
 
-def metrics(b_true, b_hat, threshold: float = DEFAULT_TOL) -> Metrics:
+def metrics(b_true, b_hat) -> Metrics:
     """Location success rate e0 and relative l2 error e2.
 
     e0 counts links lossy in both vectors, normalized by the number of
@@ -201,10 +204,10 @@ def metrics(b_true, b_hat, threshold: float = DEFAULT_TOL) -> Metrics:
     """
     b_true = np.asarray(b_true, dtype=float)
     b_hat = np.asarray(b_hat, dtype=float)
-    true_lossy = b_true > threshold
-    common = int((true_lossy & (b_hat > threshold)).sum())
+    true_lossy = b_true > DEFAULT_TOL
+    common = int((true_lossy & (b_hat > DEFAULT_TOL)).sum())
     if true_lossy.sum() == 0:
-        e0 = 1.0 if (b_hat > threshold).sum() == 0 else 0.0
+        e0 = 1.0 if (b_hat > DEFAULT_TOL).sum() == 0 else 0.0
     else:
         e0 = common / int(true_lossy.sum())
     norm_true = float(np.linalg.norm(b_true))

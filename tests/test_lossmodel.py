@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from losstree import (
+    DEFAULT_TOL,
+    MIN_L0,
+    NoisySolution,
     addloss,
+    binarize,
+    classify_complexes,
     forward,
     general_solution,
     gen_regular_tree,
@@ -14,9 +19,12 @@ from losstree import (
     inverse_addloss,
     is_feasible,
     load_observations,
+    metrics,
     receiver_solution,
+    recovery_condition,
     sample_feasible,
     save_observations,
+    solution_report,
 )
 from losstree.errors import Infeasible, OutOfDomain, ParameterOutOfRange
 from losstree.lossmodel import plant_hotspots
@@ -116,7 +124,7 @@ class TestFeasibility:
         y = np.array([2.0, 3.0, 4.0])
         x = receiver_solution(fig_tree, y)
         x[4] = -1e-8
-        assert not is_feasible(fig_tree, x, y, tol=1e-9)
+        assert not is_feasible(fig_tree, x, y)
 
     def test_wrong_sums_infeasible(self, fig_tree):
         assert not is_feasible(fig_tree, [2, 3, 4, 0, 1], [2, 3, 4])
@@ -138,6 +146,20 @@ class TestFeasibility:
                 x[v - 1] = 0.5
             assert is_feasible(tree, x, y)
             assert (x > 0).sum() == (tree.depth == depth).sum()
+
+
+@pytest.mark.parametrize("value, lossy", [(DEFAULT_TOL, False), (2 * DEFAULT_TOL, True)])
+def test_every_verdict_uses_one_lossy_threshold(one_complex, value, lossy):
+    # Exactly DEFAULT_TOL is lossless and twice it lossy, in every public verdict.
+    x = np.array([value, value, value, 0.0])  # the branch node's three children carry value
+    assert solution_report(one_complex, x).l0 == 3 * lossy
+    assert NoisySolution(x=x, y=x[:3], z=x, mode=MIN_L0).l0() == 3 * lossy
+    (state,) = classify_complexes(one_complex, x)
+    assert (state.state, state.lossless_children) == (("down", 0) if lossy else ("up", 3))
+    assert recovery_condition(one_complex, x) is not lossy
+    assert binarize([value]).tolist() == [lossy]
+    assert metrics([0.1, 0.0], [value, 0.0]).e0 == float(lossy)
+    assert metrics([value, 0.0], [0.0, 0.0]).e0 == float(not lossy)
 
 
 class TestSampling:

@@ -126,6 +126,24 @@ class TestSparsestEnumerate:
             sparsest_enumerate(tree, np.zeros(tree.m), scanner=scanner)
         assert "dense" not in vars(scanner)  # rejected before any matrix is built
 
+    def test_supports_at_k_star_have_full_rank(self):
+        # Degenerate losses (integers in {0, 1, 2}, or 0.5 on every lossy link) give ties
+        # and many sparsest solutions, yet every support reported at k* has independent
+        # columns: a dependent one would leave a smaller feasible support.
+        rng = np.random.default_rng(8)
+        trees = [t for t in random_small_trees(60, seed=9, m_range=(2, 8)) if t.n <= 14]
+        non_unique = 0
+        for tree in trees:
+            dense = measurement_matrix(tree).dense()
+            scanner = SupportScanner(tree)
+            for x in (rng.integers(0, 3, tree.n), 0.5 * (rng.random(tree.n) < 0.5)):
+                enum = sparsest_enumerate(tree, forward(tree, x), scanner=scanner)
+                non_unique += not enum.unique
+                for sup in enum.supports:
+                    cols = dense[:, [v - 1 for v in sup]]
+                    assert np.linalg.matrix_rank(cols) == enum.k_star == len(sup)
+        assert len(trees) >= 30 and non_unique >= 20
+
     @pytest.mark.parametrize("y", [[2.0, 3.0], [2.0, 3.0, 4.0, 5.0], [2.0, math.nan, 4.0],
                                    [2.0, 3.0, INF], [[2.0, 3.0, 4.0]]])
     def test_bad_observations_rejected(self, fig_tree, y):
@@ -156,8 +174,7 @@ class TestUniquenessCensus:
         assert res.p_unique == 1.0
 
     @pytest.mark.parametrize("kwargs", [
-        dict(trials=0), dict(placement="exhaustive", draws_per_placement=0),
-        dict(K=-1), dict(K=5), dict(loss_range=(0.0, 0.1)),
+        dict(trials=0), dict(K=-1), dict(K=5), dict(loss_range=(0.0, 0.1)),
     ])
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ParameterOutOfRange):
@@ -285,6 +302,32 @@ class TestNoisyGridCheck:
             mode=MIN_L1,
         )
         assert not noisy_grid_check(one_complex, iv, bogus)
+
+    def test_rejects_l1_just_above_the_optimum(self, one_complex):
+        iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])  # minimum l1 5: x = (0, 0, 1, 4)
+        near = NoisySolution(
+            x=np.array([0.0, 0.0, 1.001, 4.0]), y=np.array([4.0, 4.0, 5.001]), z=np.zeros(4),
+            mode=MIN_L1,
+        )
+        assert not noisy_grid_check(one_complex, iv, near)
+        assert noisy_grid_check(one_complex, iv, near, tol=1e-2)
+
+    def test_l1_check_does_not_call_the_solver(self, one_complex, monkeypatch):
+        iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])
+        sol = upsparse_plus(one_complex, iv, MIN_L1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called closed_form")
+
+        monkeypatch.setattr("losstree.oracle.closed_form", refuse)
+        assert noisy_grid_check(one_complex, iv, sol)
+
+    @pytest.mark.parametrize("mode", [MIN_L0, MIN_L1])
+    def test_intervals_of_another_length_rejected(self, one_complex, mode):
+        sol = upsparse_plus(one_complex, IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6]), mode)
+        four = IntervalObservation(lo=[1, 3, 5, 1], hi=[4, 4, 6, 2])
+        with pytest.raises(OutOfDomain):
+            noisy_grid_check(one_complex, four, sol)
 
     def test_size_limit(self):
         tree = gen_regular_tree(3, 3)
