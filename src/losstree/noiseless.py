@@ -81,9 +81,7 @@ def put_in_upstate(tree: LogicalTree, i: int, x) -> np.ndarray:
     """
     if not tree.is_internal(i):
         raise NotInternal(f"node {i} is not an internal node")
-    x = np.array(x, dtype=float)
-    _pull_up(tree, i, x)
-    return x
+    return _pull_up(tree, x, [i])
 
 
 def upsparse(tree: LogicalTree, y, x0=None) -> SolutionReport:
@@ -98,12 +96,10 @@ def upsparse(tree: LogicalTree, y, x0=None) -> SolutionReport:
     if x0 is None:
         x = receiver_solution(tree, y)
     else:
-        x = _checked(x0, tree.n, "links in x0").copy()
+        x = _checked(x0, tree.n, "links in x0")
         if not is_feasible(tree, x, y):
             raise InfeasibleStart("x0 does not satisfy the observations")
-    for v in range(tree.n, tree.m, -1):
-        _pull_up(tree, v, x)
-    return solution_report(tree, x)
+    return solution_report(tree, _pull_up(tree, x, range(tree.n, tree.m, -1)))
 
 
 def closed_form(tree: LogicalTree, y) -> np.ndarray:
@@ -162,12 +158,20 @@ def solution_report(tree: LogicalTree, x) -> SolutionReport:
     )
 
 
-def _pull_up(tree: LogicalTree, i: int, x: np.ndarray) -> None:
-    """The up-move of ``put_in_upstate`` on internal node i, in place."""
-    kids = [c - 1 for c in tree.children[i]]
-    delta = x[kids].min()
-    x[kids] -= delta
-    x[i - 1] += delta
+def _pull_up(tree: LogicalTree, x, nodes) -> np.ndarray:
+    """The up-move of ``put_in_upstate`` on each internal node of ``nodes`` in turn, on a copy of x.
+
+    The moves run on Python floats indexed by link label, with -0.0 made 0.0
+    first: Python's ``min`` and numpy's can pick different zeros of a tie.
+    """
+    x = [0.0] + (np.asarray(x, dtype=float) + 0.0).tolist()
+    for i in nodes:
+        kids = tree.children[i]
+        delta = min(map(x.__getitem__, kids))
+        for k in kids:
+            x[k] -= delta
+        x[i] += delta
+    return np.array(x[1:])
 
 
 def _complex_summary(tree: LogicalTree, x: np.ndarray):

@@ -19,6 +19,7 @@ across concurrent tasks.
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -185,87 +186,80 @@ def build_tree(edges, root) -> LogicalTree:
             internal node has exactly one child, or the root's child is a
             leaf (which would leave no internal link).
     """
-    children: dict = {root: []}
-    parent: dict = {}
-    for child, par in edges:
-        if child == root:
-            raise CycleDetected(f"root {root!r} appears as a child")
-        if child in parent:
-            raise DisconnectedInput(f"node {child!r} has two parents")
-        parent[child] = par
-        children.setdefault(par, [])
-        children.setdefault(child, [])
-        children[par].append(child)
-    if not parent:
+    # Dense ids 0..N-1 in first-appearance order, the root first.
+    ids = {root: ROOT}
+    flat = [ids.setdefault(v, len(ids)) for v in chain.from_iterable(edges)]
+    if not flat:
         raise DegreeViolation("empty edge list")
+    names = list(ids)
+    father = [ROOT] + [-1] * (len(names) - 1)  # so the root as a child reads as a second father
+    kids: list[list[int]] = [[] for _ in names]
+    for c, p in zip(flat[::2], flat[1::2]):
+        if father[c] >= 0:
+            if c == ROOT:
+                raise CycleDetected(f"root {root!r} appears as a child")
+            raise DisconnectedInput(f"node {names[c]!r} has two parents")
+        father[c] = p
+        kids[p].append(c)
 
-    # Every node must reach the root through the father map.
-    resolved = {root}
-    for start in parent:
-        trail = []
-        v = start
-        while v not in resolved:
-            if v in trail:
-                raise CycleDetected(f"cycle through node {v!r}")
-            trail.append(v)
-            if v != root and v not in parent:
-                raise DisconnectedInput(f"node {v!r} has no path to the root")
-            v = parent.get(v)
-        resolved.update(trail)
-
-    if len(children[root]) != 1:
-        raise DegreeViolation(
-            f"root must have exactly one child, found {len(children[root])}"
-        )
-    for v, kids in children.items():
-        if v != root and len(kids) == 1:
-            raise DegreeViolation(f"internal node {v!r} has exactly one child")
-    top = children[root][0]
-    if not children[top]:
-        raise DegreeViolation("root's child must be internal (n >= m+1)")
-
-    # One DFS from the root's child yields leaf order and internal preorder.
-    leaf_order: list = []
-    internal_order: list = []
-    stack = [top]
+    # One DFS from the root yields leaf order and internal preorder.  With
+    # one father per node and none for the root, the nodes it reaches form
+    # a tree, so it visits every node exactly when all of them reach the root.
+    leaf_order, internal_order, stack = [], [], kids[ROOT][::-1]
     while stack:
         v = stack.pop()
-        if children[v]:
+        if kids[v]:
             internal_order.append(v)
-            stack.extend(reversed(children[v]))
+            stack += kids[v][::-1]
         else:
             leaf_order.append(v)
+    if len(leaf_order) + len(internal_order) + 1 < len(names):
+        _raise_unreachable(flat[::2], father, names)
+
+    if len(kids[ROOT]) != 1:
+        raise DegreeViolation(f"root must have exactly one child, found {len(kids[ROOT])}")
+    fanout = list(map(len, kids))
+    if 1 in fanout[1:]:
+        raise DegreeViolation(f"internal node {names[fanout.index(1, 1)]!r} has exactly one child")
+    if not internal_order:
+        raise DegreeViolation("root's child must be internal (n >= m+1)")
 
     m = len(leaf_order)
-    n = m + len(internal_order)
-    label = {orig: j + 1 for j, orig in enumerate(leaf_order)}
-    label.update({orig: m + 1 + i for i, orig in enumerate(internal_order)})
-
-    parent_arr = np.full(n + 1, -1, dtype=np.int64)
-    kids_canon: list[tuple[int, ...]] = [()] * (n + 1)
-    kids_canon[ROOT] = (label[top],)
-    parent_arr[label[top]] = ROOT
-    for orig, lab in label.items():
-        kids_canon[lab] = tuple(label[c] for c in children[orig])
-        if orig != top:
-            parent_arr[lab] = label[parent[orig]]
+    order = leaf_order + internal_order  # dense id of each label 1..n
+    label = [ROOT] * len(names)
+    for lab, v in enumerate(order, 1):
+        label[v] = lab
+    parent = [-1] + [label[father[v]] for v in order]
     # Internal labels are in preorder, so one pass in label order sees every
-    # father first; leaves have internal fathers and follow in one array step.
+    # father first; leaves have internal fathers and follow in one step.
     depth = [0] * (m + 1)
-    for p in parent_arr[m + 1 :].tolist():
+    for p in parent[m + 1 :]:
         depth.append(depth[p] + 1)
-    depth_arr = np.array(depth, dtype=np.int64)
-    depth_arr[1 : m + 1] = depth_arr[parent_arr[1 : m + 1]] + 1
-
-    alias = {lab: orig for orig, lab in label.items()}
+    depth[1 : m + 1] = [depth[p] + 1 for p in parent[1 : m + 1]]
+    children = [(m + 1,)] + [()] * m
+    children += [tuple(map(label.__getitem__, kids[v])) for v in internal_order]
     return LogicalTree(
-        n=n,
+        n=len(order),
         m=m,
-        parent=parent_arr,
-        children=tuple(kids_canon),
-        depth=depth_arr,
-        alias=alias,
+        parent=np.array(parent, dtype=np.int64),
+        children=tuple(children),
+        depth=np.array(depth, dtype=np.int64),
+        alias=dict(zip(range(1, len(order) + 1), map(names.__getitem__, order))),
     )
+
+
+def _raise_unreachable(starts, father, names) -> None:
+    """Raise for the first walk up from a child (in edge order) that meets a cycle or no father."""
+    mark = [ROOT] + [-1] * (len(father) - 1)
+    for start in starts:
+        v = start
+        while mark[v] < 0:
+            mark[v] = start
+            if father[v] < 0:
+                raise DisconnectedInput(f"node {names[v]!r} has no path to the root")
+            v = father[v]
+        if mark[v] == start:
+            raise CycleDetected(f"cycle through node {names[v]!r}")
 
 
 def measurement_matrix(tree: LogicalTree) -> MeasurementMatrix:
@@ -370,26 +364,27 @@ def save_topology(tree: LogicalTree, path) -> None:
 def load_topology(path) -> LogicalTree:
     """Read a topology file (``root <id>`` header, ``<child> <parent>`` lines)."""
     root = None
-    edges = []
+    tokens = []  # child and parent tokens of every edge line, in order
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
+            words = raw.split("#", 1)[0].split()
+            if len(words) == 2 and words[0] != "root":
+                tokens += words
+            elif len(words) == 2:
+                root = _node_id(words[1])
+            elif words:
+                line = raw.split("#", 1)[0].strip()
                 raise MalformedLine(f"line {lineno}: expected two tokens, got {line!r}")
-            if tokens[0] == "root":
-                root = _node_id(tokens[1])
-            else:
-                edges.append((_node_id(tokens[0]), _node_id(tokens[1])))
     if root is None:
         raise DisconnectedInput("topology file has no 'root <id>' line")
-    return build_tree(edges, root=root)
+    node = {t: _node_id(t) for t in set(tokens)}
+    ids = map(node.__getitem__, tokens)
+    return build_tree(zip(ids, ids), root=root)  # consecutive ids pair up
 
 
 def _node_id(token: str):
-    return int(token) if token.lstrip("-").isdigit() else token
+    """A decimal integer token becomes an int; any other token stays a string."""
+    return int(token) if token.removeprefix("-").isdecimal() else token
 
 
 def tree_from_spec(spec: str) -> LogicalTree:

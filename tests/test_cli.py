@@ -245,6 +245,17 @@ class TestScfs:
         assert code == 0
         assert stdout.strip().splitlines()[0] == "4"
 
+    def test_digit_like_tokens_are_string_ids(self, capsys, tmp_path):
+        # "²" is a digit to str.isdigit but not to int(); "--5" is no integer either.
+        tree = tmp_path / "odd.tree"
+        tree.write_text("root 0\n² 0\n1 ²\n--5 ²\n", encoding="utf-8")
+        obs = tmp_path / "y.json"
+        save_observations([0.2, 0.0], obs)
+        code, stdout, err = run_cli(capsys, "scfs", "--tree", str(tree), "--obs", str(obs))
+        assert code == 0, err
+        assert stdout == "1\n"
+        assert load_topology(tree).alias == {1: 1, 2: "--5", 3: "²"}
+
     def test_clean_network(self, capsys, tmp_path, fig_files):
         tree_path, _ = fig_files
         obs = tmp_path / "zero.json"

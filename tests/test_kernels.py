@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from losstree import (
@@ -38,10 +38,12 @@ from losstree import (
     z_stats,
 )
 from losstree.cli import main
+from losstree.errors import CycleDetected, DegreeViolation, DisconnectedInput
 from losstree.lossmodel import DEFAULT_TOL, plant_hotspots
 from losstree.noiseless import DOWN, MIXED, UP, ComplexState
 from losstree.noisy import MIN_L1, MIN_L1_AMONG_L0, MODES
 from losstree.simulation import path_loss_probabilities
+from losstree.topology import ROOT, LogicalTree
 
 DATA = Path(__file__).parent / "data"
 CATERPILLAR = str(DATA / "caterpillar40.tree")
@@ -213,6 +215,79 @@ def ref_upsparse(tree, x0):
     return x
 
 
+def ref_build_tree(edges, root):
+    """The per-node dict builder, with a walk up from every node to check reachability."""
+    children: dict = {root: []}
+    parent: dict = {}
+    for child, par in edges:
+        if child == root:
+            raise CycleDetected(f"root {root!r} appears as a child")
+        if child in parent:
+            raise DisconnectedInput(f"node {child!r} has two parents")
+        parent[child] = par
+        children.setdefault(par, [])
+        children.setdefault(child, [])
+        children[par].append(child)
+    if not parent:
+        raise DegreeViolation("empty edge list")
+
+    resolved = {root}
+    for start in parent:
+        trail = []
+        v = start
+        while v not in resolved:
+            if v in trail:
+                raise CycleDetected(f"cycle through node {v!r}")
+            trail.append(v)
+            if v != root and v not in parent:
+                raise DisconnectedInput(f"node {v!r} has no path to the root")
+            v = parent.get(v)
+        resolved.update(trail)
+
+    if len(children[root]) != 1:
+        raise DegreeViolation(f"root must have exactly one child, found {len(children[root])}")
+    for v, kids in children.items():
+        if v != root and len(kids) == 1:
+            raise DegreeViolation(f"internal node {v!r} has exactly one child")
+    top = children[root][0]
+    if not children[top]:
+        raise DegreeViolation("root's child must be internal (n >= m+1)")
+
+    leaf_order: list = []
+    internal_order: list = []
+    stack = [top]
+    while stack:
+        v = stack.pop()
+        if children[v]:
+            internal_order.append(v)
+            stack.extend(reversed(children[v]))
+        else:
+            leaf_order.append(v)
+
+    m = len(leaf_order)
+    n = m + len(internal_order)
+    label = {orig: j + 1 for j, orig in enumerate(leaf_order)}
+    label.update({orig: m + 1 + i for i, orig in enumerate(internal_order)})
+    parent_arr = np.full(n + 1, -1, dtype=np.int64)
+    kids_canon: list = [()] * (n + 1)
+    kids_canon[ROOT] = (label[top],)
+    parent_arr[label[top]] = ROOT
+    for orig, lab in label.items():
+        kids_canon[lab] = tuple(label[c] for c in children[orig])
+        if orig != top:
+            parent_arr[lab] = label[parent[orig]]
+    depth = np.zeros(n + 1, dtype=np.int64)
+    for lab in range(1, n + 1):
+        v = lab
+        while v != ROOT:
+            depth[lab] += 1
+            v = parent_arr[v]
+    alias = {lab: orig for orig, lab in label.items()}
+    return LogicalTree(
+        n=n, m=m, parent=parent_arr, children=tuple(kids_canon), depth=depth, alias=alias
+    )
+
+
 def interval_draw(rng, m):
     """Rounded bounds (ties are common), about 30% unbounded and 20% exact."""
     lo = np.round(rng.uniform(0.0, 1.0, m), 1)
@@ -331,10 +406,12 @@ class TestKernelsMatchPathLoops:
     def test_upsparse(self, tree, seed):
         rng = np.random.default_rng(seed)
         y = sparse_draw(rng, tree.m)
-        assert np.array_equal(upsparse(tree, y).x, ref_upsparse(tree, receiver_solution(tree, y)))
+        # Bytes, not values: the sign of every zero must match too.
+        ours = upsparse(tree, y).x
+        assert ours.tobytes() == ref_upsparse(tree, receiver_solution(tree, y)).tobytes()
         x0 = sparse_draw(rng, tree.n)
         ours = upsparse(tree, forward(tree, x0), x0=x0).x
-        assert np.array_equal(ours, ref_upsparse(tree, x0))
+        assert ours.tobytes() == ref_upsparse(tree, x0).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(tree=trees(st.integers(2, 60) | BLOCK_SIZES))
@@ -371,6 +448,86 @@ class TestKernelsMatchPathLoops:
             x, y, z = ref_upsparse_plus(tree, lo, hi, mode)
             assert np.array_equal(sol.x, x) and np.array_equal(sol.y, y)
             assert np.array_equal(sol.z, z)
+
+
+@st.composite
+def tree_edges(draw):
+    """(edges, root) of a random tree: mixed int and str ids, edges in shuffled order."""
+    tree = draw(trees(st.integers(2, 30)))
+    ident = draw(st.lists(st.booleans(), min_size=tree.n + 1, max_size=tree.n + 1))
+    names = [v * 7 - 3 if as_int else f"v{v}" for v, as_int in enumerate(ident)]
+    edges = [(names[v], names[tree.parent[v]]) for v in range(1, tree.n + 1)]
+    return draw(st.permutations(edges)), names[ROOT]
+
+
+def same_tree(a, b):
+    return (
+        (a.n, a.m) == (b.n, b.m)
+        and a.parent.dtype == b.parent.dtype == a.depth.dtype == b.depth.dtype
+        and np.array_equal(a.parent, b.parent)
+        and a.children == b.children
+        and np.array_equal(a.depth, b.depth)
+        and list(a.alias.items()) == list(b.alias.items())
+    )
+
+
+def raised(build, edges, root):
+    try:
+        build(edges, root)
+    except (CycleDetected, DegreeViolation, DisconnectedInput) as exc:
+        return type(exc)
+    return None
+
+
+class TestBuildTreeMatchesDictBuilder:
+    @settings(max_examples=80, deadline=None)
+    @given(case=tree_edges())
+    def test_same_tree_from_any_edge_order(self, case):
+        edges, root = case
+        assert same_tree(build_tree(edges, root), ref_build_tree(edges, root))
+
+    FAULTS = {
+        "cycle": CycleDetected,
+        "second parent": DisconnectedInput,
+        "orphan": DisconnectedInput,
+        "one child": DegreeViolation,
+        "two root children": DegreeViolation,
+        "leaf under root": DegreeViolation,
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tree_edges(), fault=st.sampled_from(sorted(FAULTS)), data=st.data())
+    def test_same_error_for_each_single_fault(self, case, fault, data):
+        edges, root = case
+        father = dict(edges)
+        kids = {}
+        for c, p in edges:
+            kids.setdefault(p, []).append(c)
+        top = kids[root][0]
+        internal = [v for v in kids if v not in (root, top)]
+        leaves = [v for v in father if v not in kids]
+        if fault == "cycle":
+            assume(internal)
+            # Hang a node below one of its own descendants.
+            u = data.draw(st.sampled_from(internal))
+            d = u
+            while d in kids:
+                d = kids[d][0]
+            edges = [(c, d if c == u else p) for c, p in edges]
+        elif fault == "second parent":
+            c, _ = data.draw(st.sampled_from(edges))
+            p = data.draw(st.sampled_from([v for v in kids if v != c]))
+            edges = edges + [(c, p)]
+        elif fault == "orphan":
+            edges = edges + [("new", "nowhere")]
+        elif fault == "one child":
+            edges = edges + [("new", data.draw(st.sampled_from(leaves)))]
+        elif fault == "two root children":
+            edges = edges + [("new", root)]
+        elif fault == "leaf under root":
+            edges = [(data.draw(st.sampled_from(leaves)), root)]
+        assert raised(ref_build_tree, edges, root) is self.FAULTS[fault]
+        assert raised(build_tree, edges, root) is self.FAULTS[fault]
 
 
 def test_interval_solver_on_a_long_caterpillar():

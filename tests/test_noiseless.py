@@ -85,6 +85,14 @@ class TestUpsparse:
     def test_zero_observations(self, fig_tree):
         assert upsparse(fig_tree, np.zeros(3)).l0 == 0
 
+    def test_negative_zero_comes_out_as_zero(self, fig_tree, one_complex):
+        # The up-move makes -0.0 into 0.0 before comparing, so no output carries a sign.
+        report = upsparse(fig_tree, [-0.0, 3.0, -0.0])
+        assert not np.signbit(report.x).any()
+        assert "-0.0" not in str(report.to_json())
+        moved = put_in_upstate(one_complex, 4, [-0.0, 1.0, 2.0, -0.0])
+        assert moved.tolist() == [0.0, 1.0, 2.0, 0.0] and not np.signbit(moved).any()
+
     def test_matches_closed_form_everywhere(self):
         rng = np.random.default_rng(2)
         for tree in random_small_trees(30, seed=3):

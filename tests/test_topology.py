@@ -1,6 +1,7 @@
 """Tree construction, labeling, generators, matrices, and the file format."""
 
 import hashlib
+import time
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,24 @@ class TestBuildTree:
     def test_root_as_child_rejected(self):
         with pytest.raises(CycleDetected):
             build_tree([(1, 0), (0, 1), (2, 1)], root=0)
+
+    def test_deep_spine_listed_deepest_first_builds_in_linear_time(self):
+        # Walking up from every node on its own costs spine**2 steps here.
+        spine = 20_000
+        blocks = [[(f"l{k}", f"s{k}"), (f"s{k + 1}", f"s{k}")] for k in range(1, spine)]
+        blocks.append([(f"l{spine}", f"s{spine}"), (f"l{spine + 1}", f"s{spine}")])
+        top_down = [("s1", "r")] + [e for block in blocks for e in block]
+        deepest_first = [e for block in blocks[::-1] for e in block] + [("s1", "r")]
+        start = time.perf_counter()
+        tree = build_tree(deepest_first, root="r")
+        elapsed = time.perf_counter() - start
+        expected = build_tree(top_down, root="r")
+        assert (tree.n, tree.m, tree.height) == (2 * spine + 1, spine + 1, spine + 1)
+        assert np.array_equal(tree.parent, expected.parent)
+        assert np.array_equal(tree.depth, expected.depth)
+        assert tree.children == expected.children
+        assert tree.alias == expected.alias
+        assert elapsed < 1.0
 
 
 class TestPreorderLabels:
