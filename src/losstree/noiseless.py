@@ -81,7 +81,7 @@ def put_in_upstate(tree: LogicalTree, i: int, x) -> np.ndarray:
     """
     if not tree.is_internal(i):
         raise NotInternal(f"node {i} is not an internal node")
-    return _pull_up(tree, x, [i])
+    return _pull_up(tree, _checked(x, tree.n, "links in x"), [i])
 
 
 def upsparse(tree: LogicalTree, y, x0=None) -> SolutionReport:

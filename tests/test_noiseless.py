@@ -54,6 +54,11 @@ class TestPutInUpstate:
         with pytest.raises(NotInternal):
             put_in_upstate(one_complex, 1, [0.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("x", [[np.nan, 1.0, 2.0, 0.0], [1.0, 2.0, 0.0]])
+    def test_rejects_non_finite_or_short_x(self, one_complex, x):
+        with pytest.raises(OutOfDomain):
+            put_in_upstate(one_complex, 4, x)
+
     def test_pulling_a_shared_level_up_drops_sparsity(self):
         # Uniform loss spread over a whole middle level collapses onto the
         # top link after one round of up moves: three lossy links become one.
