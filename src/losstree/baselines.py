@@ -8,6 +8,8 @@ ancestor: every path through the child is bad, but so is every path
 through the parent, and the parent alone explains them all.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InconsistentObservation, OutOfDomain, ParameterOutOfRange
@@ -18,8 +20,8 @@ from .topology import LogicalTree
 
 def binarize(y, threshold: float = DEFAULT_TOL) -> np.ndarray:
     """Per-path bad flags: bad_j iff y_j exceeds the threshold."""
-    if not threshold >= 0:
-        raise OutOfDomain(f"threshold must be non-negative, got {threshold}")
+    if not 0 <= threshold < math.inf:
+        raise OutOfDomain(f"threshold must be finite and non-negative, got {threshold}")
     return np.asarray(y, dtype=float) > threshold
 
 

@@ -9,10 +9,12 @@ when --out is given, so any result can be reproduced exactly.  Exit codes:
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -296,14 +298,68 @@ def _int(token: str) -> int:
 
 
 def _write_json(data: dict, out_path) -> None:
+    """Write a report to ``out_path`` (if given), then print it."""
     try:
-        text = json.dumps(data, indent=2, allow_nan=False)
+        text = _report_json(data)
     except ValueError:
         raise OutOfDomain("the result overflows to a non-finite number; inputs too large") from None
-    print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
+
+
+# With an indent, json always takes its pure-Python encoder.  A report has a
+# fixed layout, so each list is encoded in one call of the C encoder, whose
+# item separator already carries the newline and indent of the list's items.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_encode_items = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": ")).encode
+_encode_rows = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": ")).encode
+
+
+def _report_json(data: dict) -> str:
+    """The text of ``json.dumps(data, indent=2, allow_nan=False)``, byte for byte.
+
+    ``data`` must be a dict with string keys whose values are scalars,
+    flat lists of scalars, or lists of dicts with scalar values; any other
+    layout fails an invariant (exit code 2).  A non-finite float raises
+    ``ValueError``, as ``json.dumps`` does.
+    """
+    if type(data) is not dict or set(map(type, data)) - {str}:
+        raise AssertionError("a report is a dict with string keys")
+    if not data:
+        return "{}"
+    parts = []
+    for key, value in data.items():
+        if type(value) is not list:
+            if type(value) not in _SCALAR_TYPES:
+                raise AssertionError(f"report field {key!r} is not a scalar or a list")
+            text = _encode_items(value)
+        elif not value:
+            text = "[]"
+        elif set(map(type, value)) <= _SCALAR_TYPES:
+            text = "[\n    " + _encode_items(value)[1:-1] + "\n  ]"
+        else:
+            text = _rows_json(key, value)
+        parts.append(encode_basestring_ascii(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(parts) + "\n}"
+
+
+def _rows_json(key: str, rows: list) -> str:
+    """A non-empty list of flat dicts, in the layout of ``indent=2`` at depth 1.
+
+    The whole list is one encoder call.  The encoder escapes every newline
+    inside a string, so the only "},\\n      {" left in its output are the
+    joints between rows, where the rows are split apart and re-indented.
+    """
+    if set(map(type, rows)) != {dict} or (
+        set(map(type, itertools.chain.from_iterable(map(dict.values, rows)))) - _SCALAR_TYPES
+    ):
+        raise AssertionError(f"report field {key!r} is not a list of scalars or of flat dicts")
+    bodies = _encode_rows(rows)[2:-2].split("},\n      {")
+    return "[\n    " + ",\n    ".join(
+        "{\n      " + body + "\n    }" if body else "{}" for body in bodies
+    ) + "\n  ]"
 
 
 def _write_census_csv(path, rows: list[dict]) -> None:

@@ -24,7 +24,8 @@ import csv
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -88,27 +89,56 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        lo, hi = self.loss_range
-        if not (0 < lo <= hi < 1):
+        if not isinstance(self.tree, str):
+            raise ConfigInvalid("tree must be a tree file path or spec string")
+        if not (
+            isinstance(self.loss_range, (tuple, list))
+            and len(self.loss_range) == 2
+            and all(map(_is_real, self.loss_range))
+            and 0 < self.loss_range[0] <= self.loss_range[1] < 1
+        ):
             raise ConfigInvalid("loss_range must satisfy 0 < lo <= hi < 1")
         if self.mode not in (POINT_MODE,) + MODES:
             raise ConfigInvalid(f"mode must be one of {(POINT_MODE,) + MODES}")
         if self.interval_mode not in INTERVAL_MODES:
             raise ConfigInvalid(f"interval_mode must be {' or '.join(map(repr, INTERVAL_MODES))}")
-        if not self.k_values or min(self.k_values) < 1:
-            raise ConfigInvalid("k_values must be a non-empty list of K >= 1")
-        if self.reps < 1:
-            raise ConfigInvalid("reps must be at least 1")
-        if not (0 < self.level < 1):
+        if not (
+            isinstance(self.k_values, (tuple, list))
+            and self.k_values
+            and all(_is_int(k) and k >= 1 for k in self.k_values)
+        ):
+            raise ConfigInvalid("k_values must be a non-empty list of integers K >= 1")
+        if not (_is_int(self.reps) and self.reps >= 1):
+            raise ConfigInvalid("reps must be an integer of at least 1")
+        if not (_is_real(self.level) and 0 < self.level < 1):
             raise ConfigInvalid("level must lie in (0, 1)")
-        if any(n is not None and n < 1 for n in self.probe_counts):
-            raise ConfigInvalid("probe counts must be >= 1 (or null for exact)")
+        if not (
+            isinstance(self.probe_counts, (tuple, list))
+            and all(n is None or (_is_int(n) and n >= 1) for n in self.probe_counts)
+        ):
+            raise ConfigInvalid("probe counts must be integers >= 1 (or null for exact)")
+        if not (
+            _is_real(self.cover_halfwidth)
+            and math.isfinite(self.cover_halfwidth)
+            and self.cover_halfwidth >= 0
+        ):
+            raise ConfigInvalid("cover_halfwidth must be a finite number >= 0")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigInvalid("seed must be an integer >= 0")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        data["loss_range"] = tuple(data.get("loss_range", DEFAULT_LOSS_RANGE))
+        if not isinstance(data, dict):
+            raise ConfigInvalid("an experiment config file must hold one JSON object")
+        names = {f.name for f in fields(cls)}
+        if data.keys() - names:
+            raise ConfigInvalid(f"unknown config keys {sorted(data.keys() - names)}")
+        if not {"tree", "k_values"} <= data.keys():
+            raise ConfigInvalid("an experiment config needs tree and k_values")
+        if isinstance(data.get("loss_range"), list):
+            data["loss_range"] = tuple(data["loss_range"])
         return cls(**data)
 
     def to_json(self, path) -> None:
@@ -117,6 +147,14 @@ class ExperimentConfig:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def path_loss_probabilities(tree: LogicalTree, b) -> np.ndarray:

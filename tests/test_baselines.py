@@ -34,7 +34,7 @@ class TestBinarize:
         with pytest.raises(ValueError):
             binarize([1.0], threshold=-1.0)
 
-    @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan"), float("inf")])
     def test_bad_threshold_is_out_of_domain(self, threshold):
         with pytest.raises(OutOfDomain):
             binarize([1.0], threshold=threshold)

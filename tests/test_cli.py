@@ -10,10 +10,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from losstree import (
@@ -23,7 +24,7 @@ from losstree import (
     save_observations,
     tree_from_spec,
 )
-from losstree.cli import main
+from losstree.cli import _report_json, main
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +34,7 @@ def run_cli(capsys, *argv):
 
 
 CLI_TIMEOUT_S = 60
+DATA = Path(__file__).parent / "data"
 
 
 def _gen_tree_argv(out):
@@ -265,6 +267,143 @@ class TestScfs:
         assert "no bad links" in stdout
 
 
+# Report goldens: the stdout that json.dumps(report, indent=2) gave for these runs.
+REPORT_RUNS = {
+    "report_solve_caterpillar40.json": [
+        "solve", "--tree", str(DATA / "caterpillar40.tree"),
+        "--obs", str(DATA / "report_caterpillar40.obs.json"),
+    ],
+    "report_solve_ternary13.json": [
+        "solve", "--tree", "ternary:13", "--obs", str(DATA / "report_ternary13.obs.json"),
+    ],
+    **{
+        f"report_solve-noisy_caterpillar40_{mode}.json": [
+            "solve-noisy", "--tree", str(DATA / "caterpillar40.tree"),
+            "--intervals", str(DATA / "report_caterpillar40.intervals.json"), "--mode", mode,
+        ]
+        for mode in ("min-l0", "min-l1", "min-l1-among-l0")
+    },
+}
+
+REPORT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1]),
+)
+REPORT_INTS = st.one_of(st.integers(), st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63)))
+REPORT_STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.text(st.sampled_from('{}"\n\\,: aé '), max_size=12),
+    st.sampled_from(["},\n      {", '"},\n      {"', "}, {"]),
+)
+REPORT_SCALARS = st.one_of(
+    REPORT_FLOATS, REPORT_INTS, REPORT_STRINGS, st.booleans(), st.none()
+)
+REPORT_ROWS = st.lists(
+    st.dictionaries(st.sampled_from(["node", "state", "delta", "}", "{\n", ""]) | REPORT_STRINGS,
+                    REPORT_SCALARS, max_size=4),
+    max_size=5,
+)
+REPORTS = st.dictionaries(
+    REPORT_STRINGS,
+    REPORT_SCALARS | st.lists(REPORT_SCALARS, max_size=6) | REPORT_ROWS,
+    max_size=6,
+)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class _FixedReport:
+    """Stands in for a solver result, so the CLI writes a chosen report."""
+
+    def __init__(self, report):
+        self.report = report
+
+    def to_json(self):
+        return self.report
+
+
+def _solve_with_report(report, tmp_path):
+    """Run ``solve`` whose solver returns ``report``; (exit code, stdout, stderr)."""
+    obs = tmp_path / "y.json"
+    save_observations([0.1, 0.2, 0.3], obs)
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch("losstree.cli.upsparse", lambda tree, y: _FixedReport(report)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(["solve", "--tree", "regular:3:2", "--obs", str(obs)])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestReportJson:
+    """Solution reports: the bytes of ``json.dumps(indent=2)`` from the C encoder."""
+
+    @pytest.mark.parametrize("golden", sorted(REPORT_RUNS))
+    def test_stdout_and_out_file_match_golden(self, capsys, tmp_path, golden):
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(capsys, *REPORT_RUNS[golden], "--out", str(out))
+        assert code == 0, err
+        expected = (DATA / golden).read_bytes()
+        assert stdout.encode() == expected
+        assert out.read_bytes() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=REPORTS)
+    @example(report={})
+    @example(report={"x": [], "states": [], "l1": -0.0, "y": [-0.0, 5e-324, 1e308, 2**64]})
+    @example(report={"states": [{}, {"a": "},\n      {"}, {}, {"b": 1, "c": None}]})
+    def test_matches_indented_dumps(self, report):
+        assert _report_json(report) == json.dumps(report, indent=2, allow_nan=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(report=REPORTS, bad=NON_FINITE, where=st.sampled_from(["scalar", "list", "row"]),
+           data=st.data())
+    def test_non_finite_gives_one_error_line(self, tmp_path_factory, report, bad, where, data):
+        key = data.draw(REPORT_STRINGS)
+        if where == "scalar":
+            report[key] = bad
+        elif where == "list":
+            items = data.draw(st.lists(REPORT_SCALARS, max_size=4))
+            items.insert(data.draw(st.integers(0, len(items))), bad)
+            report[key] = items
+        else:
+            rows = data.draw(REPORT_ROWS.filter(bool))
+            rows[data.draw(st.integers(0, len(rows) - 1))][data.draw(REPORT_STRINGS)] = bad
+            report[key] = rows
+        with pytest.raises(ValueError):
+            json.dumps(report, indent=2, allow_nan=False)
+        code, stdout, err = _solve_with_report(report, tmp_path_factory.mktemp("nonfinite"))
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == [
+            "error: the result overflows to a non-finite number; inputs too large"
+        ]
+
+    @pytest.mark.parametrize("report", [
+        {"x": {"a": 1.0}},
+        {"x": [[1.0]]},
+        {"x": [1.0, {"a": 1.0}]},
+        {"states": [{"a": [1.0]}]},
+        {"states": [{"a": {}}]},
+        {1: 1.0},
+        {"x": (1.0, 2.0)},
+    ], ids=["dict-value", "nested-list", "mixed-list", "row-list", "row-dict", "int-key", "tuple"])
+    def test_other_layouts_are_an_invariant_failure(self, tmp_path, report):
+        with pytest.raises(AssertionError):
+            _report_json(report)
+        code, stdout, err = _solve_with_report(report, tmp_path)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("internal invariant failure: ")
+
+    def test_unwritable_out_leaves_stdout_empty(self, capsys, tmp_path):
+        argv = REPORT_RUNS["report_solve_ternary13.json"]
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / "no" / "x.json"))
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestBadInput:
     """Malformed input exits 1 with one ``error:`` line and no JSON output."""
 
@@ -421,6 +560,26 @@ class TestBadInput:
         save_observations([0.1, 0.0, 0.2, 0.0], obs)
         self.run_bad(capsys, "scfs", "--tree", tree4, "--obs", str(obs), "--threshold", "-1",
                      expect="non-negative")
+
+    @pytest.mark.parametrize("argv", [
+        ["scfs", "--tree", "regular:2:3", "--obs", "{obs}", "--threshold", "{v}"],
+        ["experiment", "--tree", "ternary:13", "--probes", "100", "--trials", "2",
+         "--mode", "min-l0", "--interval-mode", "cover", "--cover-halfwidth", "{v}"],
+        ["experiment", "--tree", "ternary:13", "--probes", "100", "--trials", "2", "--level", "{v}"],
+        ["census", "--tree", "ternary:13", "--K", "1", "--trials", "3", "--loss-range", "0.1", "{v}"],
+    ], ids=["scfs-threshold", "experiment-cover-halfwidth", "experiment-level", "census-loss-range"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0.5"])
+    def test_float_flags_keep_the_manifest_valid_json(self, capsys, tmp_path, argv, value):
+        obs = tmp_path / "y.json"
+        save_observations([0.1, 0.0, 0.2, 0.0], obs)
+        code, _, err = run_cli(capsys, *(a.format(obs=obs, v=value) for a in argv))
+        if value != "0.5":
+            assert code == 1
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            assert code == 0, err
+            manifest = json.loads(err.splitlines()[-1], parse_constant=_reject_constant)
+            assert manifest["command"] == argv[0]
 
 
 def _reject_constant(token):

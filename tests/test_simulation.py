@@ -1,5 +1,6 @@
 """Probe simulation, interval construction, metrics, and the experiment driver."""
 
+import json
 import math
 
 import numpy as np
@@ -201,6 +202,37 @@ class TestExperimentConfig:
             ExperimentConfig(tree="ternary:13", k_values=[1], mode="bogus")
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(tree="ternary:13", k_values=[1], loss_range=(0.5, 0.1))
+
+    @pytest.mark.parametrize("config, expect", [
+        ({"level": "0.9"}, "level"),
+        ({"cover_halfwidth": "x"}, "cover_halfwidth"),
+        ({"probes": [100]}, r"unknown config keys \['probes'\]"),
+        ({"k_values": [1.5]}, "k_values"),
+        ({"reps": 2.5}, "reps"),
+        ([1], "one JSON object"),
+        ({"tree": 5}, "tree"),
+        ({"loss_range": 0.5}, "loss_range"),
+        ({"probe_counts": [100.5]}, "probe counts"),
+        ({"k_values": None}, "k_values"),
+    ], ids=["level-string", "halfwidth-string", "unknown-key", "k-float", "reps-float",
+            "not-an-object", "tree-number", "loss-range-number", "probes-float", "k-null"])
+    def test_bad_config_file(self, tmp_path, config, expect):
+        if isinstance(config, dict):
+            config = {"tree": "ternary:13", "k_values": [1], **config}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ConfigInvalid, match=expect):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("cover_halfwidth", math.inf),
+        ("cover_halfwidth", math.nan),
+        ("cover_halfwidth", -0.5),
+        ("seed", -1),
+    ])
+    def test_bad_field(self, field, value):
+        with pytest.raises(ConfigInvalid, match=field):
+            ExperimentConfig(tree="ternary:13", k_values=[1], **{field: value})
 
     def test_json_round_trip(self, tmp_path):
         cfg = ExperimentConfig(tree="ternary:13", k_values=[1, 2], seed=3)
