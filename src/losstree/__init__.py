@@ -53,7 +53,7 @@ from .oracle import (
     EnumerationResult,
     l1_sampling_check,
     lemma1_construct,
-    noisy_grid_check,
+    noisy_exact_check,
     sparsest_enumerate,
     uniqueness_census,
 )

@@ -45,6 +45,8 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     started = time.perf_counter()
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's seeding would raise a bare ValueError
+            raise ParameterOutOfRange("seed must be an integer >= 0")
         # Huge inputs may overflow a sum to inf; _write_json reports that as
         # an input error, so numpy's overflow warning would only repeat it.
         with np.errstate(over="ignore"):

@@ -3,9 +3,10 @@
 Each path j carries an interval [lo_j, hi_j] deemed to contain the true
 observation; hi_j may be infinite (math.inf is the explicit unbounded
 marker, with the usual total comparisons).  The solution space is the
-union of the families for every realizable observation vector, which
-makes both norms minimizable by pushing loss up while realizing each
-observation at the smallest value consistent with the choices above it.
+union of the families for every realizable observation vector.  Pushing
+loss up, realizing each observation at the smallest value consistent
+with the choices above it, minimizes the l1 norm; for sparsity it is a
+greedy rule (see ``upsparse_plus``).
 
 For a single complex the family reduces to one parameter x (the father
 link loss): the children take [lo_j - x]^+ and realize max(x, lo_j).
@@ -269,12 +270,13 @@ def upsparse_plus(
     """Interval solver: assign path losses top down against z thresholds.
 
     Every node i receives path loss z_i = max(z_father, threshold_i) and
-    link loss x_i = z_i - z_father, where the threshold is the subtree's
-    max_lower_within (sparsest), min(max_lower, min_upper) (smallest l1),
-    or max_lower_within with a bump to min_upper on lossy links whose
-    subtree cannot realize max_lower (smallest l1 among the sparsest).
-    Realized observations are the leaf z values and always respect the
-    intervals.
+    link loss x_i = z_i - z_father.  MIN_L1's threshold min(max_lower,
+    min_upper) gives the smallest l1.  MIN_L0's, max_lower_within, is a
+    greedy rule and not always sparsest: parent [-1, 4, 5, 5, 0, 4] with
+    lo = (0, 0.4648, 0.369), hi = (0.4459, 1.302, 1.1321) gets two lossy
+    links where one suffices.  MIN_L1_AMONG_L0 bumps it to min_upper on
+    lossy links whose subtree cannot realize max_lower.  Realized
+    observations are the leaf z values and always respect the intervals.
     """
     if mode not in MODES:
         raise OutOfDomain(f"mode must be one of {MODES}, got {mode!r}")

@@ -2,12 +2,12 @@
 
 Nothing here reuses the solvers' reasoning: sparsest solutions come from
 exhaustive support enumeration (least-squares on every column subset),
-l1 minimality is checked against feasible-polytope samples, interval
-sparsity against a grid of realizable observations and interval l1 by one
-linear program over the interval box.  The sparsest solution is unique
-when one support is feasible at the smallest feasible size k*; the census
-measures how often that holds, and how often the minimum-l1 solution
-equals the planted truth, under random hotspot placements.
+l1 minimality is checked against feasible-polytope samples, and both
+interval norms by one exact (mixed-integer) program over the interval box.
+The sparsest solution is unique when one support is feasible at the
+smallest feasible size k*; the census measures how often that holds, and
+how often the minimum-l1 solution equals the planted truth, under random
+hotspot placements.
 
 Enumeration solves each restricted system in a batch: per support size k
 the (n choose k) column subsets are stacked and pseudo-inverted once per
@@ -28,7 +28,7 @@ from .lossmodel import (
     DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, addloss, forward, plant_hotspots, sample_feasible
 )
 from .noiseless import closed_form
-from .noisy import MIN_L1, IntervalObservation, NoisySolution, _check_paths
+from .noisy import MIN_L0, MIN_L1, IntervalObservation, NoisySolution, _check_paths
 from .topology import LogicalTree, measurement_matrix
 
 # Restricted solves accept a solution when the residual stays below
@@ -38,7 +38,6 @@ FEAS_TOL = 1e-7
 
 SIZE_LIMIT = 26
 _SCAN_LIMIT = 2_000_000  # supports per size level
-_GRID_CHUNK = 200_000  # grid observations scanned per batch
 
 
 @dataclass
@@ -103,7 +102,10 @@ class SupportScanner:
         idx = np.flatnonzero((masks & required) == required)
         if idx.size == 0:
             return supports[:0], np.zeros((0, k))
-        x, ok = _restricted_solve(pinv[idx], stacks[idx], y)
+        x = np.einsum("...km,...m->...k", pinv[idx], y)
+        resid = np.einsum("...mk,...k->...m", stacks[idx], x) - y
+        # x >= -FEAS_TOL (vacuous for k = 0, hence the initial 0), residuals within FEAS_TOL
+        ok = (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (np.abs(resid).max(axis=-1) <= FEAS_TOL)
         return supports[idx[ok]], x[ok]
 
 
@@ -223,53 +225,22 @@ def l1_sampling_check(
     return not np.any((l1 < l1_star - 1e-12) | (far & ~(l1 > l1_star)))
 
 
-def noisy_grid_check(
-    tree: LogicalTree,
-    intervals: IntervalObservation,
-    candidate: NoisySolution,
-    grid_steps: int = 9,
-    tol: float = 1e-6,
+def noisy_exact_check(
+    tree: LogicalTree, intervals: IntervalObservation, candidate: NoisySolution, tol: float = 1e-6
 ) -> bool:
-    """Whether no realizable observation beats the interval solution.
+    """Whether the interval solution is feasible and no feasible x beats it.
 
-    An l1 candidate may exceed by at most tol the optimum of one linear
-    program, min sum(x) over lo <= A x <= hi (finite rows) and x >= 0.  A
-    sparsity candidate is checked on ``grid_steps`` points per interval
-    (unbounded ends capped at the largest finite bound plus the largest
-    lower bound, beyond which norms cannot improve): no grid observation
-    may admit a feasible support smaller than the candidate's sparsity.
+    The candidate needs x >= -FEAS_TOL and A x within the intervals widened
+    by tol.  An l1 candidate may then exceed the smallest l1 norm by at most
+    tol, and a sparsity candidate may count no more lossy links than k*.
     """
-    if tree.n > 10:
-        raise InstanceTooLarge(f"n={tree.n} exceeds the grid-check limit 10")
     _check_paths(tree, intervals)
-    scanner, finite = SupportScanner(tree), np.isfinite(intervals.hi)
+    x = _checked(candidate.x, tree.n, "links")
+    if x.min() < -FEAS_TOL or not intervals.contains(forward(tree, x), tol):
+        return False
     if candidate.mode == MIN_L1:
-        from scipy.optimize import linprog  # imported here to keep scipy off the CLI import path
-
-        lp = linprog(  # x >= 0 is linprog's default bound
-            np.ones(tree.n),
-            A_ub=np.vstack((-scanner.dense, scanner.dense[finite])),
-            b_ub=np.concatenate((-intervals.lo, intervals.hi[finite])),
-        )
-        assert lp.status == 0, lp.message  # never infeasible: y = lo is realizable
-        return bool(lp.fun >= candidate.l1() - tol)
-
-    cap = intervals.hi[finite].max(initial=0.0) + intervals.lo.max()
-    axes = [
-        np.unique(np.linspace(lo, max(min(hi, cap), lo), grid_steps))
-        for lo, hi in zip(intervals.lo, intervals.hi)
-    ]
-    sizes = np.array([len(a) for a in axes])
-    total = int(sizes.prod())
-    strides = np.concatenate((np.cumprod(sizes[::-1])[-2::-1], [1]))
-    for start in range(0, total, _GRID_CHUNK):
-        idx = np.arange(start, min(start + _GRID_CHUNK, total))
-        ys = np.empty((idx.size, tree.m))
-        for j in range(tree.m):
-            ys[:, j] = axes[j][(idx // strides[j]) % sizes[j]]
-        if _any_sparser(scanner, ys, candidate.l0()):
-            return False
-    return True
+        return bool(_interval_optimum(tree, intervals, MIN_L1) >= candidate.l1() - tol)
+    return candidate.l0() <= _interval_optimum(tree, intervals, MIN_L0)
 
 
 def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
@@ -311,23 +282,47 @@ def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
     return w * u.astype(float), w * v.astype(float)
 
 
-def _any_sparser(scanner: SupportScanner, ys: np.ndarray, k_below: int) -> bool:
-    """True if any observation row admits a feasible support of size < k_below."""
-    for k in range(k_below):
-        supports, stacks, pinv, _ = scanner.level(k)
-        for s in range(len(supports)):
-            if _restricted_solve(pinv[s], stacks[s], ys)[1].any():
-                return True
-    return False
+def _interval_optimum(tree: LogicalTree, intervals: IntervalObservation, mode: str):
+    """Smallest sum(x) (mode MIN_L1) or fewest lossy links k* over the interval box.
 
+    One ``scipy.optimize.milp`` call on lo <= A x <= hi (an infinite upper
+    end leaves its row open) and 0 <= x <= M z, M the largest lower bound:
+    lowering a larger link loss to M keeps every path through it within
+    bounds and grows neither norm.  k* minimises sum(z) over binary z; its
+    support is certified by recomputing A x on it within FEAS_TOL.
+    """
+    # imported here to keep scipy off the CLI import path
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
 
-def _restricted_solve(pinv, stacks, y):
-    """x = pinv @ y on supports of size k >= 0, and whether each is feasible: x >= -FEAS_TOL
-    (vacuous for k = 0, hence the initial 0) and every residual within FEAS_TOL.  Leading axes
-    of pinv (..., k, m), stacks (..., m, k) and y (..., m) broadcast to x (..., k), ok (...)."""
-    x = np.einsum("...km,...m->...k", pinv, y)
-    resid = np.einsum("...mk,...k->...m", stacks, x) - y
-    return x, (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (np.abs(resid).max(axis=-1) <= FEAS_TOL)
+    n, m, lo = tree.n, tree.m, intervals.lo
+    first, end = tree.leaf_span[1:].T - 1  # link v covers paths first..end-1 (0-based)
+    count, link = end - first, np.arange(n)
+    paths = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    rows = np.concatenate((paths, m + link, m + link))  # rows m + v: x_v - M z_v <= 0
+    cols = np.concatenate((np.repeat(link, count), link, n + link))
+    vals = np.concatenate((np.ones(paths.size + n), np.full(n, -lo.max())))
+    l1 = mode == MIN_L1
+    res = milp(
+        np.repeat([1.0, 0.0] if l1 else [0.0, 1.0], n),
+        integrality=np.repeat([0, 0 if l1 else 1], n),
+        bounds=Bounds(0.0, np.repeat([np.inf, 1.0], n)),
+        constraints=LinearConstraint(
+            csr_array((vals, (rows, cols)), shape=(m + n, 2 * n)),
+            np.concatenate((lo, np.full(n, -np.inf))),
+            np.concatenate((intervals.hi, np.zeros(n))),
+        ),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message  # never infeasible: y = lo is realizable
+    if l1:
+        return res.fun
+    support = res.x[n:] > 0.5
+    x = np.where(support, res.x[:n], 0.0)
+    assert x.min() >= -FEAS_TOL and intervals.contains(forward(tree, x), FEAS_TOL), (
+        "the program's sparsest support is not feasible"
+    )
+    return int(support.sum())
 
 
 def _append_distinct(solutions, supports, x, sup, atol=1e-6):

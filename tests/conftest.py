@@ -16,6 +16,20 @@ def one_complex():
     return build_tree([(4, 0), (1, 4), (2, 4), (3, 4)], root=0)
 
 
+def caterpillar(m):
+    """Spine of m-1 internal nodes, each with one leaf; the last has two."""
+    edges = [("s1", "r")]
+    for k in range(1, m - 1):
+        edges += [(f"l{k}", f"s{k}"), (f"s{k + 1}", f"s{k}")]
+    edges += [(f"l{m - 1}", f"s{m - 1}"), (f"l{m}", f"s{m - 1}")]
+    return build_tree(edges, root="r")
+
+
+def star(m):
+    """One internal link above m leaves: the smallest top-down pass."""
+    return build_tree([("s", "r")] + [(f"l{j}", "s") for j in range(1, m + 1)], root="r")
+
+
 def random_small_trees(count, seed, m_range=(2, 8), max_branching=4):
     """Deterministic stream of random trees for property tests."""
     rng = np.random.default_rng(seed)

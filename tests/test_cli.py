@@ -527,6 +527,19 @@ class TestBadInput:
     def test_bad_flag_values(self, capsys, argv, expect):
         self.run_bad(capsys, *argv, expect=expect)
 
+    @pytest.mark.parametrize("argv", [
+        ["census", "--tree", "ternary:13", "--K", "1"],
+        ["verify", "--tree", "ternary:13"],
+        ["gen-tree", "--random", "5", "3", "--out", "{out}"],
+        ["experiment", "--tree", "ternary:13"],
+    ], ids=["census", "verify", "gen-tree", "experiment"])
+    def test_negative_seed(self, capsys, tmp_path, argv):
+        out = tmp_path / "t.tree"
+        code, stdout, err = run_cli(capsys, *(a.format(out=out) for a in argv), "--seed", "-1")
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["error: seed must be an integer >= 0"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, command", [("--obs", "solve"), ("--intervals", "solve-noisy")])
     def test_file_not_utf8(self, capsys, tmp_path, tree4, flag, command):
         capsys.readouterr()
@@ -727,7 +740,10 @@ _SCIPY_PROBE = """
 import json, sys
 import losstree, losstree.cli
 code = losstree.cli.main(sys.argv[1:])
-loaded = [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]
+loaded = [
+    m for m in ("scipy.stats", "scipy.special", "scipy.optimize", "scipy.sparse")
+    if m in sys.modules
+]
 print(json.dumps([code, loaded]))
 """
 
@@ -757,8 +773,11 @@ class TestStartup:
               "--mode", "min-l0", "--interval-mode", "t-ci"], ["scipy.special"]),
             (["experiment", "--tree", "ternary:13", "--probes", "100", "--trials", "2",
               "--mode", "min-l0", "--interval-mode", "cover"], []),
+            # Both import the oracle module, which must leave scipy to the interval check.
+            (["verify", "--tree", "random:6:3:1", "--trials", "2"], []),
+            (["census", "--tree", "ternary:13", "--K", "1", "--trials", "2"], []),
         ],
-        ids=["solve", "t-ci-experiment", "cover-experiment"],
+        ids=["solve", "t-ci-experiment", "cover-experiment", "verify", "census"],
     )
     def test_scipy_loaded_only_for_t_intervals(self, tmp_path, obs, argv, expect_loaded):
         proc = subprocess.run(

@@ -45,17 +45,10 @@ from losstree.noisy import MIN_L1, MIN_L1_AMONG_L0, MODES
 from losstree.simulation import path_loss_probabilities
 from losstree.topology import ROOT, LogicalTree
 
+from conftest import caterpillar, star
+
 DATA = Path(__file__).parent / "data"
 CATERPILLAR = str(DATA / "caterpillar40.tree")
-
-
-def caterpillar(m):
-    """Spine of m-1 internal nodes, each with one leaf; the last has two."""
-    edges = [("s1", "r")]
-    for k in range(1, m - 1):
-        edges += [(f"l{k}", f"s{k}"), (f"s{k + 1}", f"s{k}")]
-    edges += [(f"l{m - 1}", f"s{m - 1}"), (f"l{m}", f"s{m - 1}")]
-    return build_tree(edges, root="r")
 
 
 def path_links(tree, j):
@@ -305,11 +298,6 @@ def sparse_draw(rng, size):
 
 # Leaf counts at and next to powers of two put span ends on every block boundary.
 BLOCK_SIZES = st.sampled_from([2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
-
-
-def star(m):
-    """One internal link above m leaves: the smallest top-down pass."""
-    return build_tree([("s", "r")] + [(f"l{j}", "s") for j in range(1, m + 1)], root="r")
 
 
 @st.composite

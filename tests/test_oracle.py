@@ -1,22 +1,26 @@
-"""Brute-force enumeration, census, sampling and grid checks, null constructions."""
+"""Brute-force enumeration, census, sampling and exact interval checks, null constructions."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losstree import (
     IntervalObservation,
     MIN_L0,
     MIN_L1,
+    build_tree,
     closed_form,
     forward,
+    gen_random_tree,
     gen_regular_tree,
     l1_sampling_check,
     lemma1_construct,
     measurement_matrix,
-    noisy_grid_check,
+    noisy_exact_check,
     receiver_solution,
     sparsest_enumerate,
     uniqueness_census,
@@ -33,9 +37,10 @@ from losstree.errors import (
     ParameterOutOfRange,
 )
 from losstree.noisy import NoisySolution
-from losstree.oracle import SupportScanner
+from losstree.oracle import SupportScanner, _interval_optimum
+from losstree.topology import ROOT
 
-from conftest import random_small_trees, random_sparse_x
+from conftest import caterpillar, random_small_trees, random_sparse_x, star
 
 INF = math.inf
 
@@ -55,6 +60,52 @@ def brute_force_k_star(tree, y, tol=1e-7):
             if x.min() >= -tol and np.abs(cols @ x - y).max() <= tol:
                 return k
     return None
+
+
+def ref_min_lossy_links(tree, lo, hi):
+    """Fewest lossy links with lo <= A x <= hi and x >= 0, by a plain DP.
+
+    Some optimum takes every node's path loss from S = {0} and the lower
+    bounds: lowering each group of nodes joined by lossless links, top down,
+    to the larger of its father's value and its largest lower bound keeps
+    every bound and adds no lossy link.  f(v)[i] is the fewest lossy links at
+    and under v when v's father has path loss S[i]: a leaf costs 1 below its
+    interval, 0 in it and infinity above it; an internal node either keeps
+    its father's value (g, the sum over its children) or takes a larger one
+    at the cost of one lossy link.
+    """
+    s = np.unique(np.concatenate(([0.0], lo)))
+
+    def f(v):
+        if not tree.is_internal(v):
+            return np.where(s > hi[v - 1], INF, (s < lo[v - 1]).astype(float))
+        g = sum(f(c) for c in tree.children[v])
+        larger = np.append(np.minimum.accumulate(g[::-1])[::-1][1:], INF)  # min over S[i'] > S[i]
+        return np.minimum(g, 1 + larger)
+
+    return int(sum(f(c) for c in tree.children[ROOT])[0])
+
+
+# Bounds on a coarse grid, so that sibling paths often share values and
+# sparser answers need exactly those ties.
+BOUND_GRID = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def grid_intervals(rng, m):
+    """Intervals with both ends on BOUND_GRID; about one upper end in five is infinite."""
+    ends = np.sort(rng.choice(BOUND_GRID, (m, 2)), axis=1)
+    return IntervalObservation(lo=ends[:, 0], hi=np.where(rng.random(m) < 0.2, INF, ends[:, 1]))
+
+
+@st.composite
+def interval_instances(draw):
+    m = draw(st.integers(2, 9))
+    shape = draw(st.sampled_from(["random", "caterpillar", "star"]))
+    if shape == "random":
+        tree = gen_random_tree(m, draw(st.integers(2, 4)), draw(st.integers(0, 2**31 - 1)))
+    else:
+        tree = caterpillar(m) if shape == "caterpillar" else star(m)
+    return tree, grid_intervals(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), tree.m)
 
 
 class TestSparsestEnumerate:
@@ -255,22 +306,24 @@ def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
 
 
 class TestNoisyGridCheck:
+    """``noisy_exact_check``; the class keeps the name of the grid check that it replaced."""
+
     def test_single_complex_sparsity_candidate(self, one_complex):
         iv = IntervalObservation(lo=[0, 3, 5], hi=[2, INF, INF])
         sol = upsparse_plus(one_complex, iv, MIN_L0)
         assert sol.l0() == 2
-        assert noisy_grid_check(one_complex, iv, sol)
+        assert noisy_exact_check(one_complex, iv, sol)
 
     def test_single_complex_l1_candidate(self, one_complex):
         iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])
         sol = upsparse_plus(one_complex, iv, MIN_L1)
         assert sol.l1() == pytest.approx(5.0)
-        assert noisy_grid_check(one_complex, iv, sol)
+        assert noisy_exact_check(one_complex, iv, sol)
 
     def test_degenerate_intervals(self, fig_tree):
         iv = IntervalObservation.exact([2.0, 3.0, 4.0])
         sol = upsparse_plus(fig_tree, iv, MIN_L0)
-        assert noisy_grid_check(fig_tree, iv, sol)
+        assert noisy_exact_check(fig_tree, iv, sol)
 
     def test_rejects_inflated_sparsity(self, one_complex):
         iv = IntervalObservation(lo=[0, 3, 5], hi=[2, INF, INF])
@@ -281,7 +334,7 @@ class TestNoisyGridCheck:
             mode=MIN_L0,
         )
         assert bogus.l0() == 4
-        assert not noisy_grid_check(one_complex, iv, bogus)
+        assert not noisy_exact_check(one_complex, iv, bogus)
 
     def test_rejects_lossy_candidate_when_zero_is_realizable(self, one_complex):
         # Every interval reaches 0, where the empty support is feasible.
@@ -290,8 +343,8 @@ class TestNoisyGridCheck:
             x=np.array([0.0, 0.0, 0.0, 0.5]), y=np.full(3, 0.5), z=np.zeros(4), mode=MIN_L0
         )
         assert lossy.l0() == 1
-        assert not noisy_grid_check(one_complex, iv, lossy)
-        assert noisy_grid_check(one_complex, iv, upsparse_plus(one_complex, iv, MIN_L0))
+        assert not noisy_exact_check(one_complex, iv, lossy)
+        assert noisy_exact_check(one_complex, iv, upsparse_plus(one_complex, iv, MIN_L0))
 
     def test_rejects_inflated_l1(self, one_complex):
         iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])
@@ -301,7 +354,7 @@ class TestNoisyGridCheck:
             z=np.zeros(4),
             mode=MIN_L1,
         )
-        assert not noisy_grid_check(one_complex, iv, bogus)
+        assert not noisy_exact_check(one_complex, iv, bogus)
 
     def test_rejects_l1_just_above_the_optimum(self, one_complex):
         iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])  # minimum l1 5: x = (0, 0, 1, 4)
@@ -309,8 +362,8 @@ class TestNoisyGridCheck:
             x=np.array([0.0, 0.0, 1.001, 4.0]), y=np.array([4.0, 4.0, 5.001]), z=np.zeros(4),
             mode=MIN_L1,
         )
-        assert not noisy_grid_check(one_complex, iv, near)
-        assert noisy_grid_check(one_complex, iv, near, tol=1e-2)
+        assert not noisy_exact_check(one_complex, iv, near)
+        assert noisy_exact_check(one_complex, iv, near, tol=1e-2)
 
     def test_l1_check_does_not_call_the_solver(self, one_complex, monkeypatch):
         iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])
@@ -320,21 +373,64 @@ class TestNoisyGridCheck:
             raise AssertionError("the oracle called closed_form")
 
         monkeypatch.setattr("losstree.oracle.closed_form", refuse)
-        assert noisy_grid_check(one_complex, iv, sol)
+        assert noisy_exact_check(one_complex, iv, sol)
 
     @pytest.mark.parametrize("mode", [MIN_L0, MIN_L1])
     def test_intervals_of_another_length_rejected(self, one_complex, mode):
         sol = upsparse_plus(one_complex, IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6]), mode)
         four = IntervalObservation(lo=[1, 3, 5, 1], hi=[4, 4, 6, 2])
         with pytest.raises(OutOfDomain):
-            noisy_grid_check(one_complex, four, sol)
+            noisy_exact_check(one_complex, four, sol)
 
-    def test_size_limit(self):
-        tree = gen_regular_tree(3, 3)
-        iv = IntervalObservation.exact(np.zeros(tree.m))
+    @pytest.mark.parametrize("mode", [MIN_L0, MIN_L1])
+    def test_rejects_a_candidate_outside_the_intervals(self, one_complex, mode):
+        iv = IntervalObservation(lo=[1, 2, 3], hi=[2, 3, 4])
+        zero = NoisySolution(x=np.zeros(4), y=np.zeros(3), z=np.zeros(4), mode=mode)
+        assert not noisy_exact_check(one_complex, iv, zero)
+
+    @pytest.mark.parametrize("mode", [MIN_L0, MIN_L1])
+    def test_rejects_a_negative_link_loss(self, one_complex, mode):
+        iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])
+        x = np.array([-1.0, 1.0, 3.0, 2.0])  # A x = (1, 3, 5), l1 = 5, the optimum
+        negative = NoisySolution(x=x, y=np.array([1.0, 3.0, 5.0]), z=np.zeros(4), mode=mode)
+        assert not noisy_exact_check(one_complex, iv, negative)
+
+    @pytest.mark.parametrize("mode", [MIN_L0, MIN_L1])
+    def test_candidate_of_another_tree_rejected(self, one_complex, fig_tree, mode):
+        iv = IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6])  # three paths in both trees
+        with pytest.raises(OutOfDomain):
+            noisy_exact_check(one_complex, iv, upsparse_plus(fig_tree, iv, mode))
+
+    def test_sparser_answer_on_sibling_paths(self):
+        # Link 4 above leaf 1 and link 5, link 5 above leaves 2 and 3.  The
+        # solver puts 0.369 on link 4 and 0.0958 on link 5; 0.4648 on link 5
+        # alone meets every interval.
+        tree = build_tree([(1, 4), (2, 5), (3, 5), (4, 0), (5, 4)], 0)
+        assert tree.parent.tolist() == [-1, 4, 5, 5, 0, 4]
+        iv = IntervalObservation(lo=[0, 0.4648, 0.369], hi=[0.4459, 1.302, 1.1321])
+        greedy = upsparse_plus(tree, iv, MIN_L0)
+        assert greedy.l0() == 2
+        assert not noisy_exact_check(tree, iv, greedy)
+        x = np.array([0.0, 0.0, 0.0, 0.0, 0.4648])
+        one = NoisySolution(x=x, y=np.array([0.0, 0.4648, 0.4648]), z=np.zeros(5), mode=MIN_L0)
+        assert noisy_exact_check(tree, iv, one)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=interval_instances())
+    def test_k_star_matches_the_dp(self, case):
+        tree, iv = case
+        k_star = ref_min_lossy_links(tree, iv.lo, iv.hi)
+        assert _interval_optimum(tree, iv, MIN_L0) == k_star
         sol = upsparse_plus(tree, iv, MIN_L0)
-        with pytest.raises(InstanceTooLarge):
-            noisy_grid_check(tree, iv, sol)
+        assert noisy_exact_check(tree, iv, sol) == (sol.l0() == k_star)
+
+    def test_k_star_matches_the_dp_on_regular_3_4(self):
+        tree = gen_regular_tree(3, 4)
+        assert tree.n == 40
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            iv = grid_intervals(rng, tree.m)
+            assert _interval_optimum(tree, iv, MIN_L0) == ref_min_lossy_links(tree, iv.lo, iv.hi)
 
 
 class TestLemma1Construct:
