@@ -9,11 +9,12 @@ smallest feasible size k*; the census measures how often that holds, and
 how often the minimum-l1 solution equals the planted truth, under random
 hotspot placements.
 
-Enumeration solves each restricted system in a batch: per support size k
-the (n choose k) column subsets are stacked and pseudo-inverted once per
-tree, then reused across observations.  A support is only solved when its
-columns can cover every lossy path (a necessary condition that prunes
-most of the scan).
+Enumeration solves each restricted system in a batch: per support size k the
+independent column subsets get their operators (A_SᵀA_S)⁻¹A_Sᵀ once per tree.
+A_S has consecutive ones in each column, so it is totally unimodular and
+det(A_SᵀA_S), by Cauchy-Binet its count of nonsingular k x k minors, tests
+rank exactly.  At k* every link of a feasible support carries loss, so only
+supports covering exactly the lossy paths are solved.
 """
 
 import functools
@@ -58,7 +59,7 @@ class CensusResult:
 
 
 class SupportScanner:
-    """Per-tree cache of support stacks and batched pseudo-inverses.
+    """Per-tree cache of support stacks and batched solve operators.
 
     Built empty and filled on first use, so one scanner can serve every
     oracle call of a command, and a tree over the size limit is rejected
@@ -79,34 +80,33 @@ class SupportScanner:
         return self.path_bits @ (self.dense > 0)  # the paths through each link
 
     def level(self, k: int):
-        """(supports, column stacks, pseudo-inverses, cover masks) for size k."""
+        """(supports, column stacks, solve operators, cover masks) of size k, by mask."""
         if k not in self._levels:
             count = math.comb(self.tree.n, k)
             if count > _SCAN_LIMIT:
-                raise InstanceTooLarge(
-                    f"{count} supports of size {k} on {self.tree.n} links"
-                )
-            supports = np.array(
-                list(itertools.combinations(range(self.tree.n), k)), dtype=np.int64
-            ).reshape(count, k)
-            stacks = self.dense[:, supports].transpose(1, 0, 2)  # (N, m, k)
-            pinv = np.linalg.pinv(stacks)  # (N, k, m)
+                raise InstanceTooLarge(f"{count} supports of size {k} on {self.tree.n} links")
+            combos = itertools.chain.from_iterable(itertools.combinations(range(self.tree.n), k))
+            supports = np.fromiter(combos, np.int64, count * k).reshape(count, k)
+            cols = self.dense.T[supports]  # (N, k, m): A_Sᵀ
+            gram = cols @ cols.transpose(0, 2, 1)  # A_SᵀA_S, integer entries
             masks = np.bitwise_or.reduce(self.link_masks[supports], axis=1)
-            self._levels[k] = (supports, stacks, pinv, masks)
+            keep = np.flatnonzero(np.linalg.det(gram) > 0.5)
+            keep = keep[np.argsort(masks[keep], kind="stable")]
+            cols = cols[keep]
+            solve = np.linalg.solve(gram[keep], cols)  # (N, k, m)
+            self._levels[k] = (supports[keep], cols.transpose(0, 2, 1), solve, masks[keep])
         return self._levels[k]
 
     def feasible_at(self, y: np.ndarray, k: int):
-        """Indices and solutions of feasible supports of size k for y."""
+        """Feasible size-k supports covering exactly y's lossy paths (all at k*), and their x."""
         required = self.path_bits[y > FEAS_TOL].sum()
-        supports, stacks, pinv, masks = self.level(k)
-        idx = np.flatnonzero((masks & required) == required)
-        if idx.size == 0:
-            return supports[:0], np.zeros((0, k))
-        x = np.einsum("...km,...m->...k", pinv[idx], y)
-        resid = np.einsum("...mk,...k->...m", stacks[idx], x) - y
+        supports, stacks, solve, masks = self.level(k)
+        cut = slice(*np.searchsorted(masks, [required, required + 1]))
+        x = np.einsum("...km,...m->...k", solve[cut], y)
+        resid = np.einsum("...mk,...k->...m", stacks[cut], x) - y
         # x >= -FEAS_TOL (vacuous for k = 0, hence the initial 0), residuals within FEAS_TOL
         ok = (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (np.abs(resid).max(axis=-1) <= FEAS_TOL)
-        return supports[idx[ok]], x[ok]
+        return supports[cut][ok], x[ok]
 
 
 def sparsest_enumerate(
@@ -167,7 +167,7 @@ def uniqueness_census(
     supports with one loss draw each.  Per-trial RNG
     substreams make results independent of execution order.  A ``scanner``
     built for ``tree`` may be shared across calls, so that each support
-    size is pseudo-inverted once for all of them.
+    size is solved once for all of them.
     """
     if not 0 <= K <= tree.m:
         raise ParameterOutOfRange(f"K={K} is outside 0..m={tree.m}, m the path count")

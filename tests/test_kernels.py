@@ -9,6 +9,7 @@ the ``verify`` and ``census`` goldens by the per-sample l1 check with one
 support scanner per call.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,13 @@ from losstree import (
     gen_random_tree,
     gen_ternary_tree,
     l1_sampling_check,
+    measurement_matrix,
     receiver_solution,
     recovery_condition,
     sample_feasible,
     scfs,
     solution_report,
+    sparsest_enumerate,
     unique_sparsest,
     upsparse,
     upsparse_plus,
@@ -42,10 +45,11 @@ from losstree.errors import CycleDetected, DegreeViolation, DisconnectedInput
 from losstree.lossmodel import DEFAULT_TOL, plant_hotspots
 from losstree.noiseless import DOWN, MIXED, UP, ComplexState
 from losstree.noisy import MIN_L1, MIN_L1_AMONG_L0, MODES
+from losstree.oracle import FEAS_TOL, SupportScanner
 from losstree.simulation import path_loss_probabilities
 from losstree.topology import ROOT, LogicalTree
 
-from conftest import caterpillar, star
+from conftest import caterpillar, random_sparse_x, star
 
 DATA = Path(__file__).parent / "data"
 CATERPILLAR = str(DATA / "caterpillar40.tree")
@@ -206,6 +210,37 @@ def ref_upsparse(tree, x0):
                 x[kids] -= delta
                 x[v - 1] += delta
     return x
+
+
+def ref_sparsest_enumerate(tree, y):
+    """(k*, supports, solutions, unique) from the scan before its prunes.
+
+    Every support of each size is pseudo-inverted, and every one whose
+    links cover at least the lossy paths is solved, dependent or not.
+    """
+    dense = measurement_matrix(tree).dense().astype(float)
+    bits = 1 << np.arange(tree.m, dtype=np.int64)
+    link_masks = bits @ (dense > 0)
+    required = bits[y > FEAS_TOL].sum()
+    for k in range(tree.m + 1):
+        combos = list(itertools.combinations(range(tree.n), k))
+        supports = np.array(combos, dtype=np.int64).reshape(len(combos), k)
+        stacks = dense[:, supports].transpose(1, 0, 2)
+        pinv = np.linalg.pinv(stacks)
+        masks = np.bitwise_or.reduce(link_masks[supports], axis=1)
+        solutions, found = [], []
+        for i in np.flatnonzero((masks & required) == required):
+            x = pinv[i] @ y
+            if x.min(initial=0.0) < -FEAS_TOL or np.abs(stacks[i] @ x - y).max() > FEAS_TOL:
+                continue
+            full = np.zeros(tree.n)
+            full[supports[i]] = np.maximum(x, 0.0)
+            if all(np.abs(other - full).max() > 1e-6 for other in solutions):
+                solutions.append(full)
+                found.append(tuple(int(v) + 1 for v in supports[i]))
+        if solutions:
+            return k, found, solutions, len(solutions) == 1
+    return None, [], [], False
 
 
 def ref_build_tree(edges, root):
@@ -437,6 +472,27 @@ class TestKernelsMatchPathLoops:
             assert np.array_equal(sol.x, x) and np.array_equal(sol.y, y)
             assert np.array_equal(sol.z, z)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tree=st.one_of(trees(st.integers(2, 8)), st.integers(2, 9).map(star)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_sparsest_enumerate(self, tree, seed):
+        rng = np.random.default_rng(seed)
+        density = rng.uniform(0.0, 0.5)
+        # ties and many sparsest solutions: integers in {0, 1, 2}, 0.5 on every lossy link
+        xs = [random_sparse_x(tree, rng, k=max(1, round(density * tree.n))),
+              rng.integers(0, 3, tree.n), 0.5 * (rng.random(tree.n) < 0.5)]
+        scanner = SupportScanner(tree)
+        for x in xs:
+            y = forward(tree, x)
+            enum = sparsest_enumerate(tree, y, scanner=scanner)
+            k_star, supports, solutions, unique = ref_sparsest_enumerate(tree, y)
+            assert (enum.k_star, enum.supports, enum.unique) == (k_star, supports, unique)
+            assert len(enum.solutions) == len(solutions)
+            for ours, ref in zip(enum.solutions, solutions):
+                assert np.abs(ours - ref).max() <= 1e-12
 
 @st.composite
 def tree_edges(draw):

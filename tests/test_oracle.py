@@ -38,7 +38,7 @@ from losstree.errors import (
 )
 from losstree.noisy import NoisySolution
 from losstree.oracle import SupportScanner, _interval_optimum
-from losstree.topology import ROOT
+from losstree.topology import ROOT, tree_from_spec
 
 from conftest import caterpillar, random_small_trees, random_sparse_x, star
 
@@ -290,19 +290,43 @@ class TestL1SamplingCheck:
     ["census", "--tree", "ternary:13", "--K", "1-3", "--trials", "20"],
 ])
 def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
-    """One scanner serves the whole command, so no size level is pseudo-inverted twice."""
-    sizes = []
-    pinv = np.linalg.pinv
+    """One scanner serves the whole command, so no size level's Gram system is solved twice."""
+    sizes, pinv_calls = [], []
+    solve = np.linalg.solve
 
-    def counting_pinv(a, *args, **kwargs):
+    def counting_solve(a, b):
         sizes.append(a.shape[-1])
-        return pinv(a, *args, **kwargs)
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kwargs: pinv_calls.append(args))
     assert main(argv) == 0
     capsys.readouterr()
-    assert sizes
+    assert sizes and not pinv_calls
     assert len(sizes) == len(set(sizes)), sorted(sizes)
+
+
+@pytest.mark.parametrize("tree", [
+    tree_from_spec("random:8:3:0"), tree_from_spec("regular:2:4"), caterpillar(7)
+], ids=["random:8:3:0", "regular:2:4", "caterpillar(7)"])
+def test_gram_determinant_is_an_exact_rank_test(tree):
+    """A_S has consecutive ones in each column, so det(A_SᵀA_S) counts its nonsingular minors."""
+    dense = measurement_matrix(tree).dense().astype(float)
+    scanner = SupportScanner(tree)
+    for k in range(1, tree.n + 1):
+        stacks = dense[:, list(itertools.combinations(range(tree.n), k))].transpose(1, 0, 2)
+        det = np.linalg.det(stacks.transpose(0, 2, 1) @ stacks)
+        assert np.abs(det - np.round(det)).max() <= 1e-6
+        assert np.array_equal(det >= 1 - 1e-6, np.linalg.matrix_rank(stacks) == k)
+    for i in tree.internal:
+        # father link minus all child links is a null vector of A
+        dependent = sorted([i - 1] + [c - 1 for c in tree.children[i]])
+        supports = scanner.level(len(dependent))[0].tolist()
+        assert dependent not in supports
+        assert len(supports) == sum(
+            np.linalg.matrix_rank(dense[:, list(sup)]) == len(dependent)
+            for sup in itertools.combinations(range(tree.n), len(dependent))
+        )
 
 
 class TestNoisyGridCheck:
