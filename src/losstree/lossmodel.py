@@ -27,7 +27,7 @@ DEFAULT_TOL = 1e-9
 def addloss(b) -> np.ndarray:
     """Map loss probabilities in [0, 1) to addloss units, elementwise."""
     b = np.asarray(b, dtype=float)
-    if np.any(b < 0) or np.any(b >= 1):
+    if not np.all((b >= 0) & (b < 1)):  # NaN fails both comparisons
         raise OutOfDomain("loss probabilities must lie in [0, 1)")
     return -np.log1p(-b)
 
@@ -35,7 +35,7 @@ def addloss(b) -> np.ndarray:
 def inverse_addloss(x) -> np.ndarray:
     """Map addloss values in [0, inf] back to loss probabilities."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):  # NaN fails; inf maps to 1
         raise OutOfDomain("addloss values must be non-negative")
     return -np.expm1(-x)
 
@@ -225,13 +225,17 @@ def _in_path_order(entries, what: str) -> list:
 
 
 def _checked(values, size: int, what: str, batch: bool = False) -> np.ndarray:
-    """``values`` as floats, shaped (size,) or with ``batch`` (B, size), all finite."""
+    """``values`` as floats, shaped (size,) or with ``batch`` (B, size), all finite.
+
+    A ``size`` of None accepts any length.
+    """
     try:
         values = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise OutOfDomain(f"values for {what} must be numbers") from None
-    if values.ndim not in ((1, 2) if batch else (1,)) or values.shape[-1] != size:
-        raise OutOfDomain(f"need values for {size} {what}, got shape {values.shape}")
+    if values.ndim not in ((1, 2) if batch else (1,)) or size not in (None, values.shape[-1]):
+        count = "" if size is None else f"{size} "
+        raise OutOfDomain(f"need values for {count}{what}, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise OutOfDomain(f"values for {what} must be finite")
     return values

@@ -107,7 +107,7 @@ def closed_form(tree: LogicalTree, y) -> np.ndarray:
     y = _checked(y, tree.m, "paths", batch=True)
     gamma = np.zeros(y.shape[:-1] + (tree.n + 1,))
     gamma[..., 1:] = tree.span_min(y)
-    return gamma[..., 1:] - gamma[..., tree.parent[1:]]
+    return gamma[..., 1:] - gamma.take(tree.parent[1:], axis=-1)
 
 
 def classify_complexes(tree: LogicalTree, x) -> list[ComplexState]:

@@ -39,7 +39,7 @@ MODES = (MIN_L0, MIN_L1, MIN_L1_AMONG_L0)
 
 @dataclass(eq=False)
 class IntervalObservation:
-    """Per-path observation intervals [lo_j, hi_j] in addloss units."""
+    """Per-path observation intervals [lo_j, hi_j] in addloss units, (m,) or (B, m)."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -62,7 +62,7 @@ class IntervalObservation:
 
     @property
     def m(self) -> int:
-        return len(self.lo)
+        return self.lo.shape[-1]
 
     def contains(self, y, tol: float = 0.0) -> bool:
         y = np.asarray(y, dtype=float)

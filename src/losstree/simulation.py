@@ -13,7 +13,9 @@ loss probabilities by hotspot-location success rate (e0) and relative
 l2 error (e2).  Repetition substreams are derived from (seed, K, rep),
 with probe noise further keyed by the probe count, so runs are
 order-independent and instances stay paired across probe counts and
-interval widths.
+interval widths.  Planting and probing run per repetition; each
+(K, probe count) cell then stacks its repetitions and solves and scores
+them in one batch.
 
 Probes are simulated independently per path; shared-link correlation
 between paths is not modeled (the solvers consume only the per-path
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
 from .lossmodel import (
-    DEFAULT_LOSS_RANGE, DEFAULT_TOL, addloss, forward, inverse_addloss, plant_hotspots
+    DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, addloss, forward, inverse_addloss, plant_hotspots
 )
 from .noiseless import closed_form
 from .noisy import MODES, IntervalObservation, upsparse_plus
@@ -45,7 +47,10 @@ INTERVAL_MODES = ("t-ci", "cover")
 
 @dataclass
 class ProbeRun:
-    """Per-path loss counts and estimates from one simulated probing round."""
+    """Per-path loss counts and estimates from one simulated probing round.
+
+    The arrays are (m,), or (B, m) for B rounds stacked by ``stack``.
+    """
 
     probes: int
     losses: np.ndarray
@@ -53,11 +58,23 @@ class ProbeRun:
     y_hat: np.ndarray
     seed: int | None = None
 
+    @classmethod
+    def stack(cls, runs: list["ProbeRun"]) -> "ProbeRun":
+        """B rounds of one probe count as one run with (B, m) arrays."""
+        return cls(
+            probes=runs[0].probes,
+            losses=np.array([r.losses for r in runs]),
+            p_hat=np.array([r.p_hat for r in runs]),
+            y_hat=np.array([r.y_hat for r in runs]),
+        )
+
 
 class Metrics(NamedTuple):
-    e0: float
-    e2: float
-    true_norm_zero: bool
+    """Scores of one estimate (floats), or per-row arrays for a batch."""
+
+    e0: float | np.ndarray
+    e2: float | np.ndarray
+    true_norm_zero: bool | np.ndarray
 
 
 @dataclass
@@ -176,8 +193,8 @@ def path_loss_probabilities(tree: LogicalTree, b) -> np.ndarray:
 
 def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:
     """Send ``probes`` probes per path and estimate the loss probabilities."""
-    if probes < 1:
-        raise ParameterOutOfRange("need at least one probe")
+    if not (_is_int(probes) and probes >= 1):
+        raise ParameterOutOfRange(f"need a whole number of probes of at least 1, got {probes!r}")
     rng = np.random.default_rng(seed)
     p = path_loss_probabilities(tree, b)
     losses = rng.binomial(probes, p)
@@ -196,11 +213,13 @@ def confidence_intervals(run: ProbeRun, level: float) -> IntervalObservation:
 
     Half-width t_{(1+level)/2, N-1} * sqrt(p_hat (1-p_hat) / N) on the
     probability scale; a zero count pins the lower end to 0, a full-loss
-    count leaves the upper end unbounded.
+    count leaves the upper end unbounded.  A stacked run gives (B, m) bounds.
     """
     if not (0 < level < 1):
         raise ParameterOutOfRange("confidence level must lie in (0, 1)")
     n = run.probes
+    if n < 2:  # t with n - 1 = 0 degrees of freedom has no quantile
+        raise ParameterOutOfRange(f"t intervals need at least 2 probes, got {n}")
     h = _t_quantile(level, n) * np.sqrt(run.p_hat * (1 - run.p_hat) / n)
     lo_p = np.clip(run.p_hat - h, 0.0, 1 - EPS_P)
     hi_p = np.clip(run.p_hat + h, 0.0, 1 - EPS_P)
@@ -225,8 +244,15 @@ def _t_quantile(level: float, n: int) -> float:
 def cover_intervals(
     tree: LogicalTree, b_true, halfwidth: float
 ) -> IntervalObservation:
-    """Intervals around the true path probabilities; always contain true y."""
-    p = path_loss_probabilities(tree, b_true)
+    """Intervals around the true path probabilities; always contain true y.
+
+    ``b_true`` is (n,), or (B, n) for (B, m) bounds.
+    """
+    b_true = np.asarray(b_true, dtype=float)
+    if b_true.ndim == 2:
+        p = np.array([path_loss_probabilities(tree, b) for b in b_true]).reshape(-1, tree.m)
+    else:
+        p = path_loss_probabilities(tree, b_true)
     lo_p = np.maximum(p - halfwidth, 0.0)
     hi_p = np.maximum(np.minimum(p + halfwidth, 1 - EPS_P), p)
     return IntervalObservation(lo=addloss(lo_p), hi=addloss(hi_p))
@@ -238,30 +264,36 @@ def metrics(b_true, b_hat) -> Metrics:
     e0 counts links lossy in both vectors, normalized by the number of
     truly lossy links; with nothing truly lossy it degenerates to 1 when
     the estimate is also clean, else 0, and e2 falls back to the raw
-    estimate norm (flagged by ``true_norm_zero``).
+    estimate norm (flagged by ``true_norm_zero``).  Vectors (n,) give
+    floats; batches (B, n) give one score per row.
     """
-    b_true = np.asarray(b_true, dtype=float)
-    b_hat = np.asarray(b_hat, dtype=float)
-    true_lossy = b_true > DEFAULT_TOL
-    common = int((true_lossy & (b_hat > DEFAULT_TOL)).sum())
-    if true_lossy.sum() == 0:
-        e0 = 1.0 if (b_hat > DEFAULT_TOL).sum() == 0 else 0.0
-    else:
-        e0 = common / int(true_lossy.sum())
-    norm_true = float(np.linalg.norm(b_true))
-    if norm_true == 0.0:
-        return Metrics(e0=e0, e2=float(np.linalg.norm(b_hat)), true_norm_zero=True)
-    e2 = float(np.linalg.norm(b_true - b_hat) / norm_true)
-    return Metrics(e0=e0, e2=e2, true_norm_zero=False)
+    b_true = _checked(b_true, None, "true links", batch=True)
+    b_hat = _checked(b_hat, None, "estimated links", batch=True)
+    if b_hat.shape != b_true.shape:
+        raise OutOfDomain(f"b_true has shape {b_true.shape} but b_hat has {b_hat.shape}")
+    rows_true, rows_hat = np.atleast_2d(b_true, b_hat)
+    true_lossy = rows_true > DEFAULT_TOL
+    hat_lossy = rows_hat > DEFAULT_TOL
+    n_true = true_lossy.sum(axis=1)
+    common = (true_lossy & hat_lossy).sum(axis=1)
+    e0 = np.where(n_true == 0, 1.0 * ~hat_lossy.any(axis=1), common / np.maximum(n_true, 1))
+    # One r @ r per row, as np.linalg.norm sums a vector; norm(axis=1) rounds differently.
+    norm_true = np.sqrt([r @ r for r in rows_true])
+    zero = norm_true == 0.0  # then b_true - b_hat is -b_hat, whose norm e2 reports
+    e2 = np.sqrt([r @ r for r in rows_true - rows_hat]) / np.where(zero, 1.0, norm_true)
+    if b_true.ndim == 1:
+        return Metrics(e0=float(e0[0]), e2=float(e2[0]), true_norm_zero=bool(zero[0]))
+    return Metrics(e0=e0, e2=e2, true_norm_zero=zero)
 
 
 def run_experiment(cfg: ExperimentConfig, tree: LogicalTree | None = None):
     """Sweep (K, probe count) cells and aggregate e0/e2 over repetitions.
 
     Per repetition: plant K hotspots with losses uniform in the configured
-    range, simulate probes (or take exact observations when the probe
-    count is null), solve per the configured mode, invert the addloss
-    transform, and score against the planted probabilities.
+    range, then simulate probes (or take exact observations when the probe
+    count is null).  Per cell, on the stacked repetitions: solve per the
+    configured mode, invert the addloss transform, and score against the
+    planted probabilities.
     """
     if tree is None:
         tree = tree_from_spec(cfg.tree)
@@ -269,35 +301,52 @@ def run_experiment(cfg: ExperimentConfig, tree: LogicalTree | None = None):
         raise ConfigInvalid(f"K up to {max(cfg.k_values)} exceeds n={tree.n}")
     rows = []
     for K in cfg.k_values:
-        instances = [
-            plant_hotspots(tree, K, cfg.loss_range, cfg.seed, rep)
-            for rep in range(cfg.reps)
-        ]
+        b_true = np.array(
+            [plant_hotspots(tree, K, cfg.loss_range, cfg.seed, rep) for rep in range(cfg.reps)]
+        )
         for probes in cfg.probe_counts:
-            e0s = np.empty(cfg.reps)
-            e2s = np.empty(cfg.reps)
-            for rep, b_true in enumerate(instances):
-                e0s[rep], e2s[rep] = _score_one(
-                    tree, b_true, K, probes, rep, cfg
-                )[:2]
-            rows.append(
-                ExperimentRow(
-                    K=K,
-                    probes=probes,
-                    mode=cfg.mode,
-                    reps=cfg.reps,
-                    e0_mean=float(e0s.mean()),
-                    e0_se=float(e0s.std(ddof=1) / np.sqrt(cfg.reps))
-                    if cfg.reps > 1
-                    else 0.0,
-                    e2_mean=float(e2s.mean()),
-                    e2_se=float(e2s.std(ddof=1) / np.sqrt(cfg.reps))
-                    if cfg.reps > 1
-                    else 0.0,
-                    seed=cfg.seed,
-                )
-            )
+            score = metrics(b_true, inverse_addloss(_solve_cell(tree, b_true, K, probes, cfg)))
+            e0_mean, e0_se = _mean_se(score.e0)
+            e2_mean, e2_se = _mean_se(score.e2)
+            rows.append(ExperimentRow(
+                K=K, probes=probes, mode=cfg.mode, reps=cfg.reps, e0_mean=e0_mean,
+                e0_se=e0_se, e2_mean=e2_mean, e2_se=e2_se, seed=cfg.seed,
+            ))
     return rows
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error over the repetitions (0 for a single one)."""
+    se = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
+    return float(values.mean()), float(se)
+
+
+def _solve_cell(tree, b_true, K, probes, cfg: ExperimentConfig) -> np.ndarray:
+    """(B, n) addloss estimates for the B planted rows of one (K, probes) cell.
+
+    Each row is probed from its own stream; the point solver and the interval
+    bounds run once on the stacked (B, m) arrays.  Cover intervals need no probes.
+    """
+    interval = cfg.mode != POINT_MODE
+    if interval and cfg.interval_mode == "cover":
+        intervals = cover_intervals(tree, b_true, cfg.cover_halfwidth)
+    elif probes is None:
+        y_hat = np.array([forward(tree, x) for x in addloss(b_true)])
+        intervals = IntervalObservation.exact(y_hat) if interval else None
+    else:
+        run = ProbeRun.stack([
+            simulate_probes(tree, b, probes, np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(K, rep, probes))))
+            for rep, b in enumerate(b_true)
+        ])
+        y_hat = run.y_hat
+        intervals = confidence_intervals(run, cfg.level) if interval else None
+    if not interval:
+        return closed_form(tree, y_hat)
+    return np.array([
+        upsparse_plus(tree, IntervalObservation(lo=lo, hi=hi), cfg.mode).x
+        for lo, hi in zip(intervals.lo, intervals.hi)
+    ])
 
 
 def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:
@@ -320,26 +369,3 @@ def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:
                     r.seed,
                 ]
             )
-
-
-def _score_one(tree, b_true, K, probes, rep, cfg: ExperimentConfig) -> Metrics:
-    if probes is None:
-        y_hat = forward(tree, addloss(b_true))
-        run = None
-    else:
-        probe_rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(K, rep, probes))
-        )
-        run = simulate_probes(tree, b_true, probes, probe_rng)
-        y_hat = run.y_hat
-    if cfg.mode == POINT_MODE:
-        x_hat = closed_form(tree, y_hat)
-    else:
-        if cfg.interval_mode == "cover":
-            intervals = cover_intervals(tree, b_true, cfg.cover_halfwidth)
-        elif run is None:
-            intervals = IntervalObservation.exact(y_hat)
-        else:
-            intervals = confidence_intervals(run, cfg.level)
-        x_hat = upsparse_plus(tree, intervals, cfg.mode).x
-    return metrics(b_true, inverse_addloss(x_hat))

@@ -140,11 +140,18 @@ class LogicalTree:
         (about log2 m array operations for all links at once).
         """
         rows, first, second = self.span_min_index
-        table = [y]  # table[k][..., i] = min(y[..., i : i + 2**k])
+        # Row k of the table, min(y[..., i : i + 2**k]) for i = 0..m - 2**k, is
+        # written in place after row k - 1, so a batch costs no concatenated copy.
+        flat = np.empty(y.shape[:-1] + (rows * (self.m + 1) - (1 << rows) + 1,), y.dtype)
+        flat[..., : self.m] = y
+        start, length = 0, self.m
         for k in range(rows - 1):
-            table.append(np.minimum(table[-1][..., : -(1 << k)], table[-1][..., 1 << k :]))
-        flat = np.concatenate(table, axis=-1)
-        return np.minimum(flat[..., first], flat[..., second])
+            end, half = start + length, 1 << k
+            np.minimum(flat[..., start : end - half], flat[..., start + half : end],
+                       out=flat[..., end : end + length - half])
+            start, length = end, length - half
+        # take gathers along the last axis several times faster than flat[..., first]
+        return np.minimum(flat.take(first, axis=-1), flat.take(second, axis=-1))
 
     def subtree_leaves(self, v: int) -> range:
         lo, hi = self.leaf_span[v]

@@ -540,6 +540,22 @@ class TestBadInput:
         assert err.splitlines() == ["error: seed must be an integer >= 0"]
         assert not out.exists()
 
+    def test_t_intervals_need_two_probes(self, capsys, tmp_path):
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run_cli(capsys, "experiment", "--tree", "ternary:13", "--K", "1",
+                                    "--probes", "1", "--mode", "min-l1-among-l0",
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["error: t intervals need at least 2 probes, got 1"]
+        assert not out.exists()
+
+    def test_point_mode_takes_one_probe(self, capsys, tmp_path):
+        out = tmp_path / "rows.csv"
+        code, _, _ = run_cli(capsys, "experiment", "--tree", "ternary:13", "--K", "1",
+                             "--probes", "1", "--out", str(out))
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("1,1,upsparse,")
+
     @pytest.mark.parametrize("flag, command", [("--obs", "solve"), ("--intervals", "solve-noisy")])
     def test_file_not_utf8(self, capsys, tmp_path, tree4, flag, command):
         capsys.readouterr()

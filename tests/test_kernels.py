@@ -2,8 +2,8 @@
 
 The reference implementations below either walk every root-to-leaf path
 link by link, the way the kernels' results are defined, or are the
-per-node and per-sample loops the kernels replaced; the kernels must
-match them exactly, not just within a tolerance.  The golden CSVs under
+per-node, per-sample and per-repetition loops the kernels replaced; the
+kernels must match them exactly, not just within a tolerance.  The golden CSVs under
 ``tests/data/`` were written by the per-node loop implementations, and
 the ``verify`` and ``census`` goldens by the per-sample l1 check with one
 support scanner per call.
@@ -18,21 +18,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from losstree import (
+    ExperimentConfig,
     IntervalObservation,
     addloss,
     build_tree,
     classify_complexes,
     closed_form,
+    confidence_intervals,
     cover_intervals,
     forward,
     gen_random_tree,
     gen_ternary_tree,
+    inverse_addloss,
     l1_sampling_check,
+    load_topology,
     measurement_matrix,
     receiver_solution,
     recovery_condition,
+    run_experiment,
     sample_feasible,
     scfs,
+    simulate_probes,
     solution_report,
     sparsest_enumerate,
     unique_sparsest,
@@ -46,7 +52,8 @@ from losstree.lossmodel import DEFAULT_TOL, plant_hotspots
 from losstree.noiseless import DOWN, MIXED, UP, ComplexState
 from losstree.noisy import MIN_L1, MIN_L1_AMONG_L0, MODES
 from losstree.oracle import FEAS_TOL, SupportScanner
-from losstree.simulation import path_loss_probabilities
+from losstree import simulation
+from losstree.simulation import POINT_MODE, ExperimentRow, Metrics, path_loss_probabilities
 from losstree.topology import ROOT, LogicalTree
 
 from conftest import caterpillar, random_sparse_x, star
@@ -241,6 +248,67 @@ def ref_sparsest_enumerate(tree, y):
         if solutions:
             return k, found, solutions, len(solutions) == 1
     return None, [], [], False
+
+
+def ref_metrics(b_true, b_hat):
+    true_lossy = b_true > DEFAULT_TOL
+    common = int((true_lossy & (b_hat > DEFAULT_TOL)).sum())
+    if true_lossy.sum() == 0:
+        e0 = 1.0 if (b_hat > DEFAULT_TOL).sum() == 0 else 0.0
+    else:
+        e0 = common / int(true_lossy.sum())
+    norm_true = float(np.linalg.norm(b_true))
+    if norm_true == 0.0:
+        return Metrics(e0=e0, e2=float(np.linalg.norm(b_hat)), true_norm_zero=True)
+    return Metrics(e0=e0, e2=float(np.linalg.norm(b_true - b_hat) / norm_true),
+                   true_norm_zero=False)
+
+
+def ref_score_one(tree, b_true, K, probes, rep, cfg):
+    """One repetition probed, solved and scored on its own."""
+    if probes is None:
+        y_hat = forward(tree, addloss(b_true))
+        run = None
+    else:
+        probe_rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(K, rep, probes))
+        )
+        run = simulate_probes(tree, b_true, probes, probe_rng)
+        y_hat = run.y_hat
+    if cfg.mode == POINT_MODE:
+        x_hat = ref_closed_form(tree, y_hat)
+    else:
+        if cfg.interval_mode == "cover":
+            intervals = cover_intervals(tree, b_true, cfg.cover_halfwidth)
+        elif run is None:
+            intervals = IntervalObservation.exact(y_hat)
+        else:
+            intervals = confidence_intervals(run, cfg.level)
+        x_hat = upsparse_plus(tree, intervals, cfg.mode).x
+    return ref_metrics(b_true, inverse_addloss(x_hat))
+
+
+def ref_experiment_rows(tree, cfg):
+    rows = []
+    for K in cfg.k_values:
+        instances = [
+            plant_hotspots(tree, K, cfg.loss_range, cfg.seed, rep) for rep in range(cfg.reps)
+        ]
+        for probes in cfg.probe_counts:
+            e0s = np.empty(cfg.reps)
+            e2s = np.empty(cfg.reps)
+            for rep, b_true in enumerate(instances):
+                e0s[rep], e2s[rep] = ref_score_one(tree, b_true, K, probes, rep, cfg)[:2]
+            sqrt_reps = np.sqrt(cfg.reps)
+            rows.append(ExperimentRow(
+                K=K, probes=probes, mode=cfg.mode, reps=cfg.reps,
+                e0_mean=float(e0s.mean()),
+                e0_se=float(e0s.std(ddof=1) / sqrt_reps) if cfg.reps > 1 else 0.0,
+                e2_mean=float(e2s.mean()),
+                e2_se=float(e2s.std(ddof=1) / sqrt_reps) if cfg.reps > 1 else 0.0,
+                seed=cfg.seed,
+            ))
+    return rows
 
 
 def ref_build_tree(edges, root):
@@ -626,6 +694,55 @@ def test_kernels_never_build_the_path_lists():
     sample_feasible(tree, y, rng)
     upsparse_plus(tree, IntervalObservation(lo=y, hi=y + 0.1))  # through z_stats
     assert "paths" not in tree.__dict__
+
+
+EXPERIMENT_TREES = {
+    "ternary13": lambda: gen_ternary_tree(13),
+    "random9": lambda: gen_random_tree(9, 4, 3),
+    "random14": lambda: gen_random_tree(14, 3, 11),
+    "caterpillar9": lambda: caterpillar(9),
+    "caterpillar40": lambda: load_topology(CATERPILLAR),
+}
+EXPERIMENT_MODES = [(POINT_MODE, "t-ci")] + [
+    (mode, interval_mode) for mode in MODES for interval_mode in ("t-ci", "cover")
+]
+
+
+@pytest.mark.parametrize("reps", [1, 2, 7])
+@pytest.mark.parametrize("mode, interval_mode", EXPERIMENT_MODES,
+                         ids=[f"{m}-{i}" for m, i in EXPERIMENT_MODES])
+@pytest.mark.parametrize("tree_name", sorted(EXPERIMENT_TREES))
+def test_experiment_rows_match_the_per_repetition_scorer(tree_name, mode, interval_mode, reps):
+    tree = EXPERIMENT_TREES[tree_name]()
+    probes = [1, 100, 1000, None] if mode == POINT_MODE else [100, 1000, None]
+    cfg = ExperimentConfig(
+        tree=tree_name, k_values=[1, 3], probe_counts=probes, reps=reps, mode=mode,
+        interval_mode=interval_mode, seed=5,
+    )
+    assert run_experiment(cfg, tree) == ref_experiment_rows(tree, cfg)
+
+
+@pytest.mark.parametrize("mode, solves, intervals", [(POINT_MODE, 6, 0), (MIN_L1_AMONG_L0, 0, 3)])
+def test_experiment_solves_and_scores_once_per_cell(monkeypatch, mode, solves, intervals):
+    """Six (K, N) cells of six repetitions: one batched call each, not one per row."""
+    calls = {"closed_form": 0, "metrics": 0, "confidence_intervals": 0}
+
+    def counted(name):
+        original = getattr(simulation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulation, name, counted(name))
+    cfg = ExperimentConfig(tree="ternary:13", k_values=[1, 2, 3], probe_counts=[100, None],
+                           reps=6, mode=mode)
+    assert len(run_experiment(cfg)) == 6
+    # N = inf takes exact intervals, so only the three N = 100 cells build t intervals
+    assert calls == {"closed_form": solves, "metrics": 6, "confidence_intervals": intervals}
 
 
 GOLDEN_RUNS = {

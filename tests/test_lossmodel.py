@@ -60,6 +60,16 @@ class TestAddloss:
         with pytest.raises(OutOfDomain):
             inverse_addloss([-1e-6])
 
+    @pytest.mark.parametrize("transform", [addloss, inverse_addloss])
+    @pytest.mark.parametrize("values", [[math.nan], [0.1, math.nan], math.nan, [[0.0], [math.nan]]])
+    def test_nan_is_out_of_domain(self, transform, values):
+        with pytest.raises(OutOfDomain):
+            transform(values)
+
+    def test_infinite_addloss_is_certain_loss(self):
+        assert inverse_addloss(math.inf) == 1.0
+        assert inverse_addloss([0.0, math.inf]).tolist() == [0.0, 1.0]
+
 
 class TestForward:
     def test_three_leaf_instance(self, fig_tree):

@@ -21,7 +21,7 @@ from losstree import (
     write_experiment_csv,
 )
 from losstree.errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
-from losstree.simulation import _t_quantile, path_loss_probabilities
+from losstree.simulation import ProbeRun, _t_quantile, path_loss_probabilities
 from losstree.topology import build_tree
 
 
@@ -95,6 +95,16 @@ class TestSimulateProbes:
         with pytest.raises(ParameterOutOfRange):
             simulate_probes(fig_tree, np.zeros(5), probes=0, seed=0)
 
+    @pytest.mark.parametrize("probes", [2.5, 1.0, True, "10"])
+    def test_probe_count_must_be_an_integer(self, fig_tree, probes):
+        with pytest.raises(ParameterOutOfRange, match="whole number of probes"):
+            simulate_probes(fig_tree, np.zeros(5), probes=probes, seed=0)
+
+    def test_numpy_integer_probe_count(self, fig_tree):
+        run = simulate_probes(fig_tree, np.full(5, 0.1), probes=np.int64(50), seed=0)
+        assert run.probes == 50
+        assert np.array_equal(run.losses, simulate_probes(fig_tree, np.full(5, 0.1), 50, 0).losses)
+
 
 class TestConfidenceIntervals:
     def test_half_width_formula(self, chain_free_tree):
@@ -130,6 +140,24 @@ class TestConfidenceIntervals:
             widths.append((iv.hi - iv.lo).max())
         assert widths[0] < widths[1] < widths[2]
 
+    def test_t_intervals_need_two_probes(self, chain_free_tree):
+        run = simulate_probes(chain_free_tree, [0.0, 0.0, 0.5], probes=1, seed=0)
+        with pytest.raises(ParameterOutOfRange, match="at least 2 probes, got 1"):
+            confidence_intervals(run, level=0.9)
+
+    def test_stacked_run_gives_each_rows_intervals(self, fig_tree):
+        runs = [simulate_probes(fig_tree, np.full(5, 0.04), 30, seed=s) for s in range(6)]
+        runs[0].losses[:] = 0  # a zero count and a full-loss count
+        runs[0].p_hat[:] = 0.0
+        runs[1].losses[0] = 30
+        runs[1].p_hat[0] = 1.0
+        stacked = confidence_intervals(ProbeRun.stack(runs), 0.9)
+        assert stacked.lo.shape == stacked.hi.shape == (6, 3)
+        for row, run in enumerate(runs):
+            single = confidence_intervals(run, 0.9)
+            assert np.array_equal(stacked.lo[row], single.lo)
+            assert np.array_equal(stacked.hi[row], single.hi)
+
     def test_level_domain(self, chain_free_tree):
         run = simulate_probes(chain_free_tree, np.zeros(3), probes=10, seed=7)
         with pytest.raises(ParameterOutOfRange):
@@ -157,6 +185,14 @@ class TestCoverIntervals:
             y_true = forward(fig_tree, addloss(b))
             for w in (0.0, 0.005, 0.05):
                 assert cover_intervals(fig_tree, b, w).contains(y_true, tol=1e-12)
+
+    def test_batch_gives_each_rows_intervals(self, fig_tree):
+        b = np.random.default_rng(9).uniform(0.0, 0.2, (4, 5))
+        stacked = cover_intervals(fig_tree, b, 0.01)
+        for row in range(4):
+            single = cover_intervals(fig_tree, b[row], 0.01)
+            assert np.array_equal(stacked.lo[row], single.lo)
+            assert np.array_equal(stacked.hi[row], single.hi)
 
     def test_wider_cover_is_a_superset(self, fig_tree):
         b = np.array([0.05, 0.0, 0.0, 0.02, 0.0])
@@ -192,6 +228,42 @@ class TestMetrics:
         assert m.true_norm_zero
         assert m.e2 == pytest.approx(0.1)
         assert m.e0 == 0.0
+
+    def test_vector_scores_are_python_scalars(self):
+        m = metrics([0.1, 0.0], [0.1, 0.0])
+        assert type(m.e0) is float and type(m.e2) is float
+        assert m.true_norm_zero is False
+
+    def test_batch_scores_each_row(self):
+        rng = np.random.default_rng(3)
+        b_true = np.where(rng.random((40, 13)) < 0.3, rng.uniform(0.01, 0.1, (40, 13)), 0.0)
+        b_hat = np.where(rng.random((40, 13)) < 0.3, rng.uniform(0.0, 0.1, (40, 13)), 0.0)
+        b_true[:3] = 0.0  # zero truth, with and without a clean estimate
+        b_hat[0] = 0.0
+        b_hat[5] = b_true[5]
+        batch = metrics(b_true, b_hat)
+        assert batch.e0.shape == batch.e2.shape == batch.true_norm_zero.shape == (40,)
+        for row in range(40):
+            assert metrics(b_true[row], b_hat[row]) == (
+                batch.e0[row], batch.e2[row], batch.true_norm_zero[row])
+
+    @pytest.mark.parametrize("b_true, b_hat", [
+        (np.zeros(13), np.zeros(12)),
+        (np.zeros((2, 5)), np.zeros(5)),
+        (np.zeros((2, 5)), np.zeros((3, 5))),
+        (0.1, 0.1),
+        (np.zeros((2, 2, 2)), np.zeros((2, 2, 2))),
+    ], ids=["lengths", "batch-vector", "batch-sizes", "scalars", "three-axes"])
+    def test_shapes_must_match(self, b_true, b_hat):
+        with pytest.raises(OutOfDomain):
+            metrics(b_true, b_hat)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input(self, bad):
+        with pytest.raises(OutOfDomain, match="finite"):
+            metrics([0.1, 0.0], [bad, 0.0])
+        with pytest.raises(OutOfDomain, match="finite"):
+            metrics([[0.1, bad]], [[0.1, 0.0]])
 
 
 class TestExperimentConfig:
