@@ -43,6 +43,10 @@ from .topology import LogicalTree, tree_from_spec
 EPS_P = 1e-9  # probability-scale clamp below 1 so addloss stays finite
 POINT_MODE = "upsparse"
 INTERVAL_MODES = ("t-ci", "cover")
+# An experiment cell is solved in blocks of repetitions holding at most this
+# many link values, so memory stays bounded however many repetitions a large
+# tree gets (the sparse table of closed_form is about log2 m times a block).
+BLOCK_LINKS = 2**16
 
 
 @dataclass
@@ -291,23 +295,28 @@ def run_experiment(cfg: ExperimentConfig, tree: LogicalTree | None = None):
 
     Per repetition: plant K hotspots with losses uniform in the configured
     range, then simulate probes (or take exact observations when the probe
-    count is null).  Per cell, on the stacked repetitions: solve per the
-    configured mode, invert the addloss transform, and score against the
-    planted probabilities.
+    count is null).  Per cell, on the stacked repetitions (in blocks of
+    ``BLOCK_LINKS`` link values): solve per the configured mode, invert the
+    addloss transform, and score against the planted probabilities.
     """
     if tree is None:
         tree = tree_from_spec(cfg.tree)
     if max(cfg.k_values) > tree.n:
         raise ConfigInvalid(f"K up to {max(cfg.k_values)} exceeds n={tree.n}")
+    block = max(1, BLOCK_LINKS // tree.n)
+    blocks = [range(cfg.reps)[start : start + block] for start in range(0, cfg.reps, block)]
     rows = []
     for K in cfg.k_values:
-        b_true = np.array(
-            [plant_hotspots(tree, K, cfg.loss_range, cfg.seed, rep) for rep in range(cfg.reps)]
-        )
+        b_true = np.empty((cfg.reps, tree.n))  # filled in place: no second copy of the rows
+        for rep in range(cfg.reps):
+            b_true[rep] = plant_hotspots(tree, K, cfg.loss_range, cfg.seed, rep)
         for probes in cfg.probe_counts:
-            score = metrics(b_true, inverse_addloss(_solve_cell(tree, b_true, K, probes, cfg)))
-            e0_mean, e0_se = _mean_se(score.e0)
-            e2_mean, e2_se = _mean_se(score.e2)
+            scores = [
+                _score_block(tree, b_true[reps.start : reps.stop], reps, K, probes, cfg)
+                for reps in blocks
+            ]
+            e0_mean, e0_se = _mean_se(np.concatenate([score.e0 for score in scores]))
+            e2_mean, e2_se = _mean_se(np.concatenate([score.e2 for score in scores]))
             rows.append(ExperimentRow(
                 K=K, probes=probes, mode=cfg.mode, reps=cfg.reps, e0_mean=e0_mean,
                 e0_se=e0_se, e2_mean=e2_mean, e2_se=e2_se, seed=cfg.seed,
@@ -321,8 +330,8 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(se)
 
 
-def _solve_cell(tree, b_true, K, probes, cfg: ExperimentConfig) -> np.ndarray:
-    """(B, n) addloss estimates for the B planted rows of one (K, probes) cell.
+def _score_block(tree, b_true, reps: range, K, probes, cfg: ExperimentConfig) -> Metrics:
+    """Per-row scores of the B planted rows ``reps`` of a (K, probes) cell.
 
     Each row is probed from its own stream; the point solver and the interval
     bounds run once on the stacked (B, m) arrays.  Cover intervals need no probes.
@@ -337,16 +346,18 @@ def _solve_cell(tree, b_true, K, probes, cfg: ExperimentConfig) -> np.ndarray:
         run = ProbeRun.stack([
             simulate_probes(tree, b, probes, np.random.default_rng(
                 np.random.SeedSequence(cfg.seed, spawn_key=(K, rep, probes))))
-            for rep, b in enumerate(b_true)
+            for rep, b in zip(reps, b_true)
         ])
         y_hat = run.y_hat
         intervals = confidence_intervals(run, cfg.level) if interval else None
-    if not interval:
-        return closed_form(tree, y_hat)
-    return np.array([
-        upsparse_plus(tree, IntervalObservation(lo=lo, hi=hi), cfg.mode).x
-        for lo, hi in zip(intervals.lo, intervals.hi)
-    ])
+    if interval:
+        x_hat = np.array([
+            upsparse_plus(tree, IntervalObservation(lo=lo, hi=hi), cfg.mode).x
+            for lo, hi in zip(intervals.lo, intervals.hi)
+        ])
+    else:
+        x_hat = closed_form(tree, y_hat)
+    return metrics(b_true, inverse_addloss(x_hat))
 
 
 def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:

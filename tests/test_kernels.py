@@ -722,6 +722,18 @@ def test_experiment_rows_match_the_per_repetition_scorer(tree_name, mode, interv
     assert run_experiment(cfg, tree) == ref_experiment_rows(tree, cfg)
 
 
+@pytest.mark.parametrize("mode, interval_mode", EXPERIMENT_MODES,
+                         ids=[f"{m}-{i}" for m, i in EXPERIMENT_MODES])
+def test_blocks_of_repetitions_keep_the_rows(monkeypatch, mode, interval_mode):
+    """Cells cut into blocks of 1, 2 or 3 repetitions give the same rows."""
+    tree = gen_ternary_tree(13)
+    cfg = ExperimentConfig(tree="ternary:13", k_values=[2], probe_counts=[100, None], reps=7,
+                           mode=mode, interval_mode=interval_mode, seed=5)
+    for block in (1, 2, 3):
+        monkeypatch.setattr(simulation, "BLOCK_LINKS", block * tree.n + tree.n - 1)
+        assert run_experiment(cfg, tree) == ref_experiment_rows(tree, cfg)
+
+
 @pytest.mark.parametrize("mode, solves, intervals", [(POINT_MODE, 6, 0), (MIN_L1_AMONG_L0, 0, 3)])
 def test_experiment_solves_and_scores_once_per_cell(monkeypatch, mode, solves, intervals):
     """Six (K, N) cells of six repetitions: one batched call each, not one per row."""
