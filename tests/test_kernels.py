@@ -3,10 +3,10 @@
 The reference implementations below either walk every root-to-leaf path
 link by link, the way the kernels' results are defined, or are the
 per-node, per-sample and per-repetition loops the kernels replaced; the
-kernels must match them exactly, not just within a tolerance.  The golden CSVs under
-``tests/data/`` were written by the per-node loop implementations, and
-the ``verify`` and ``census`` goldens by the per-sample l1 check with one
-support scanner per call.
+kernels must match them exactly, not just within a tolerance.  The
+golden CSVs under ``tests/data/`` were written by the per-node loop
+implementations, and the ``verify`` and ``census`` goldens by the
+per-sample l1 check with one support scanner per call.
 """
 
 import itertools
@@ -46,13 +46,13 @@ from losstree import (
     upsparse_plus,
     z_stats,
 )
+from losstree import simulation
 from losstree.cli import main
 from losstree.errors import CycleDetected, DegreeViolation, DisconnectedInput
 from losstree.lossmodel import DEFAULT_TOL, plant_hotspots
 from losstree.noiseless import DOWN, MIXED, UP, ComplexState
 from losstree.noisy import MIN_L1, MIN_L1_AMONG_L0, MODES
 from losstree.oracle import FEAS_TOL, SupportScanner
-from losstree import simulation
 from losstree.simulation import POINT_MODE, ExperimentRow, Metrics, path_loss_probabilities
 from losstree.topology import ROOT, LogicalTree
 
