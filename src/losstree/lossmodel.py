@@ -13,6 +13,7 @@ receiver solution, feasible for any observation.
 """
 
 import json
+import numbers
 
 import numpy as np
 
@@ -22,6 +23,11 @@ from .topology import LogicalTree
 # A value is classified lossy iff it exceeds DEFAULT_TOL; shared by the
 # l0 counting and feasibility checks across the package.
 DEFAULT_TOL = 1e-9
+
+# Experiment cells and census trials are solved in blocks of rows holding at
+# most this many link values, so memory stays bounded however many rows a
+# large tree gets (the sparse table of closed_form is about log2 m times a block).
+BLOCK_LINKS = 2**16
 
 
 def addloss(b) -> np.ndarray:
@@ -41,9 +47,15 @@ def inverse_addloss(x) -> np.ndarray:
 
 
 def forward(tree: LogicalTree, x) -> np.ndarray:
-    """Path observations y_j = sum of x over the links on path j."""
-    x = _checked(x, tree.n, "links")
-    return np.array([x[[k - 1 for k in path]].sum() for path in tree.paths])
+    """Path observations y_j = sum of x over the links on path j, for (n,) or (B, n) x.
+
+    A row of a batch sums like a single call on paths of under 8 links; on
+    longer ones numpy's row sums may round differently in the last bits.
+    """
+    x = _checked(x, tree.n, "links", batch=True)
+    if x.ndim == 1:
+        return np.array([x[[k - 1 for k in path]].sum() for path in tree.paths])
+    return np.stack([x[:, [k - 1 for k in path]].sum(axis=1) for path in tree.paths], axis=1)
 
 
 def receiver_solution(tree: LogicalTree, y) -> np.ndarray:
@@ -222,6 +234,10 @@ def _in_path_order(entries, what: str) -> list:
     if sorted(by_path) != list(range(1, len(by_path) + 1)):
         raise OutOfDomain(f"{what} must cover paths 1..m exactly once")
     return [by_path[j] for j in sorted(by_path)]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _checked(values, size: int, what: str, batch: bool = False) -> np.ndarray:

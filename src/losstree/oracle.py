@@ -1,20 +1,25 @@
 """Independent brute-force verification of the tree solvers.
 
 Nothing here reuses the solvers' reasoning: sparsest solutions come from
-exhaustive support enumeration (least-squares on every column subset),
-l1 minimality is checked against feasible-polytope samples, and both
-interval norms by one exact (mixed-integer) program over the interval box.
+exhaustive support enumeration (a restricted solve of every support that
+can be feasible), l1 minimality is checked against feasible-polytope
+samples, and both interval norms by one exact (mixed-integer) program over
+the interval box.
 The sparsest solution is unique when one support is feasible at the
 smallest feasible size k*; the census measures how often that holds, and
 how often the minimum-l1 solution equals the planted truth, under random
 hotspot placements.
 
-Enumeration solves each restricted system in a batch: per support size k the
-independent column subsets get their operators (A_SᵀA_S)⁻¹A_Sᵀ once per tree.
-A_S has consecutive ones in each column, so it is totally unimodular and
-det(A_SᵀA_S), by Cauchy-Binet its count of nonsingular k x k minors, tests
-rank exactly.  At k* every link of a feasible support carries loss, so only
-supports covering exactly the lossy paths are solved.
+Enumeration keeps, per support size k and once per tree, the supports
+with independent columns.  A_S has consecutive ones in each column, so it
+is totally unimodular and det(A_SᵀA_S), by Cauchy-Binet its count of
+nonsingular k x k minors, tests rank exactly.  At k* every link of a
+feasible support carries loss, so only supports covering exactly the lossy
+paths are candidates; of those, only supports whose leaf spans start or
+end at every step of y (a gap between adjacent paths) can be feasible,
+since paths that no link of S tells apart get equal A_S x.  The survivors
+of all observations are solved at once through their Gram systems
+A_SᵀA_S x = A_Sᵀy.
 """
 
 import functools
@@ -26,7 +31,8 @@ import numpy as np
 
 from .errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange
 from .lossmodel import (
-    DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, addloss, forward, plant_hotspots, sample_feasible
+    BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, addloss, forward,
+    plant_hotspots, sample_feasible
 )
 from .noiseless import closed_form
 from .noisy import MIN_L0, MIN_L1, IntervalObservation, NoisySolution, _check_paths
@@ -39,6 +45,7 @@ FEAS_TOL = 1e-7
 
 SIZE_LIMIT = 26
 _SCAN_LIMIT = 2_000_000  # supports per size level
+_CANDIDATES = 2**16  # exact-cover candidates pruned and solved at once, to bound memory
 
 
 @dataclass
@@ -59,7 +66,7 @@ class CensusResult:
 
 
 class SupportScanner:
-    """Per-tree cache of support stacks and batched solve operators.
+    """Per-tree cache of the support levels that the scan solves.
 
     Built empty and filled on first use, so one scanner can serve every
     oracle call of a command, and a tree over the size limit is rejected
@@ -76,37 +83,72 @@ class SupportScanner:
         return measurement_matrix(self.tree).dense().astype(float)
 
     @functools.cached_property
+    def gram(self) -> np.ndarray:
+        return self.dense.T @ self.dense  # A_SᵀA_S is gram[S][:, S]
+
+    @functools.cached_property
     def link_masks(self) -> np.ndarray:
         return self.path_bits @ (self.dense > 0)  # the paths through each link
 
+    @functools.cached_property
+    def step_masks(self) -> np.ndarray:
+        """Per link, bit j-1 set where its leaf span starts or ends between leaves j and j+1."""
+        return self.path_bits[:-1] @ (np.diff(self.dense, axis=0) != 0)
+
     def level(self, k: int):
-        """(supports, column stacks, solve operators, cover masks) of size k, by mask."""
+        """(supports, cover masks, step masks) of size k with independent columns, by cover mask."""
         if k not in self._levels:
             count = math.comb(self.tree.n, k)
             if count > _SCAN_LIMIT:
                 raise InstanceTooLarge(f"{count} supports of size {k} on {self.tree.n} links")
             combos = itertools.chain.from_iterable(itertools.combinations(range(self.tree.n), k))
             supports = np.fromiter(combos, np.int64, count * k).reshape(count, k)
-            cols = self.dense.T[supports]  # (N, k, m): A_Sᵀ
-            gram = cols @ cols.transpose(0, 2, 1)  # A_SᵀA_S, integer entries
+            gram = self.gram[supports[:, :, None], supports[:, None, :]]  # integer entries
+            supports = supports[np.linalg.det(gram) > 0.5]
             masks = np.bitwise_or.reduce(self.link_masks[supports], axis=1)
-            keep = np.flatnonzero(np.linalg.det(gram) > 0.5)
-            keep = keep[np.argsort(masks[keep], kind="stable")]
-            cols = cols[keep]
-            solve = np.linalg.solve(gram[keep], cols)  # (N, k, m)
-            self._levels[k] = (supports[keep], cols.transpose(0, 2, 1), solve, masks[keep])
+            order = np.argsort(masks, kind="stable")
+            supports, masks = supports[order], masks[order]
+            steps = np.bitwise_or.reduce(self.step_masks[supports], axis=1)
+            self._levels[k] = (supports, masks, steps)
         return self._levels[k]
 
-    def feasible_at(self, y: np.ndarray, k: int):
-        """Feasible size-k supports covering exactly y's lossy paths (all at k*), and their x."""
-        required = self.path_bits[y > FEAS_TOL].sum()
-        supports, stacks, solve, masks = self.level(k)
-        cut = slice(*np.searchsorted(masks, [required, required + 1]))
-        x = np.einsum("...km,...m->...k", solve[cut], y)
-        resid = np.einsum("...mk,...k->...m", stacks[cut], x) - y
+    def feasible_at(self, ys: np.ndarray, k: int):
+        """Feasible size-k supports of each row of ys (T, m), as (rows, supports, xs), by row.
+
+        Solves only the supports that cover exactly the row's lossy paths and
+        have a step wherever the row has one: where no link of S starts or
+        ends between leaves j and j+1, rows j and j+1 of A_S are equal, so a
+        feasible S has |y_j - y_j+1| <= 2 FEAS_TOL.
+        """
+        supports, masks, steps = self.level(k)
+        required = np.where(ys > FEAS_TOL, self.path_bits, 0).sum(axis=1)
+        jumps = np.abs(np.diff(ys, axis=1)) > 4 * FEAS_TOL  # twice the bound: rounding to spare
+        ysteps = np.where(jumps, self.path_bits[:-1], 0).sum(axis=1)
+        first = np.searchsorted(masks, required)
+        count = np.searchsorted(masks, required, side="right") - first
+        # a few rows at a time: at most _CANDIDATES candidates, or one row's
+        per_pass = max(1, _CANDIDATES // max(1, count.max(initial=0)))
+        found = [(np.zeros(0, np.int64), np.zeros((0, k), np.int64), np.zeros((0, k)))]
+        for lo in range(0, len(ys), per_pass):
+            c = count[lo : lo + per_pass]
+            rows = np.repeat(np.arange(lo, lo + c.size), c)
+            cand = np.arange(rows.size) + np.repeat(first[lo : lo + per_pass] - np.cumsum(c) + c, c)
+            keep = (steps[cand] & ysteps[rows]) == ysteps[rows]
+            rows, sup = rows[keep], supports[cand[keep]]
+            x, ok = self._solved(ys[rows], sup)
+            found.append((rows[ok], sup[ok], x[ok]))
+        return tuple(np.concatenate(parts) for parts in zip(*found))
+
+    def _solved(self, y: np.ndarray, sup: np.ndarray):
+        """x of each restricted system A_S x = y (one per row), and whether it is feasible."""
+        gram = self.gram[sup[:, :, None], sup[:, None, :]]
+        rhs = np.take_along_axis(y @ self.dense, sup, axis=1)  # A_Sᵀy
+        x = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        full = np.zeros((len(sup), self.tree.n))
+        np.put_along_axis(full, sup, x, axis=1)
+        resid = np.abs(full @ self.dense.T - y).max(axis=-1)
         # x >= -FEAS_TOL (vacuous for k = 0, hence the initial 0), residuals within FEAS_TOL
-        ok = (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (np.abs(resid).max(axis=-1) <= FEAS_TOL)
-        return supports[cut][ok], x[ok]
+        return x, (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (resid <= FEAS_TOL)
 
 
 def sparsest_enumerate(
@@ -124,28 +166,13 @@ def sparsest_enumerate(
     give a smaller feasible support (basic feasible solutions; Bertsimas
     & Tsitsiklis, Introduction to Linear Optimization, 1997, 2.3).
     """
-    if tree.n > SIZE_LIMIT:
-        raise InstanceTooLarge(f"n={tree.n} exceeds the oracle limit {SIZE_LIMIT}")
+    scanner = _scanner_for(tree, scanner)
     y = _checked(y, tree.m, "paths")
-    if scanner is None:
-        scanner = SupportScanner(tree)
-    elif scanner.tree is not tree:
-        raise ParameterOutOfRange("the support scanner was built for another tree")
-    k_max = tree.m if k_max is None else min(k_max, tree.m)
-
-    for k in range(k_max + 1):
-        supports, xs = scanner.feasible_at(y, k)
-        if len(supports) == 0:
-            continue
-        solutions, sup_list = [], []
-        for sup, x_s in zip(supports, xs):
-            full = np.zeros(tree.n)
-            full[sup] = np.maximum(x_s, 0.0)
-            _append_distinct(solutions, sup_list, full, tuple(int(s) + 1 for s in sup))
-        return EnumerationResult(
-            k_star=k, supports=sup_list, solutions=solutions, unique=len(solutions) == 1
-        )
-    return EnumerationResult(k_star=None, supports=[], solutions=[], unique=False)
+    if k_max is None:
+        k_max = tree.m
+    elif not (_is_int(k_max) and k_max >= 0):
+        raise ParameterOutOfRange(f"k_max must be a whole number of at least 0, got {k_max!r}")
+    return _scan(scanner, y[None], min(k_max, tree.m))[0]
 
 
 def uniqueness_census(
@@ -167,31 +194,36 @@ def uniqueness_census(
     supports with one loss draw each.  Per-trial RNG
     substreams make results independent of execution order.  A ``scanner``
     built for ``tree`` may be shared across calls, so that each support
-    size is solved once for all of them.
+    size is built once for all of them.  Trials are observed, scanned and
+    solved together, in blocks of at most ``BLOCK_LINKS`` link values.
     """
-    if not 0 <= K <= tree.m:
-        raise ParameterOutOfRange(f"K={K} is outside 0..m={tree.m}, m the path count")
-    if scanner is None:
-        scanner = SupportScanner(tree)
+    if not (_is_int(K) and 0 <= K <= tree.m):
+        raise ParameterOutOfRange(f"K={K!r} is outside 0..m={tree.m}, m the path count")
+    scanner = _scanner_for(tree, scanner)
 
     if placement == "exhaustive":
         if math.comb(tree.n, K) > _SCAN_LIMIT:
             raise InstanceTooLarge("exhaustive placement sweep too large")
-        picks = [np.array(sup) for sup in itertools.combinations(range(tree.n), K)]
+        picks = [np.array(sup, dtype=np.int64) for sup in itertools.combinations(range(tree.n), K)]
     elif placement == "random":
+        if not (_is_int(trials) and trials >= 1):
+            raise ParameterOutOfRange(f"the census needs at least one trial, got {trials!r}")
         picks = [None] * trials
     else:
         raise ParameterOutOfRange(f"unknown placement mode {placement!r}")
-    if not picks:
-        raise ParameterOutOfRange("the census needs at least one trial")
 
     n_unique = 0
     n_recovered = 0
-    for i, sup in enumerate(picks):
-        x_true = addloss(plant_hotspots(tree, K, loss_range, seed, i, sup))
+    block = max(1, BLOCK_LINKS // tree.n)
+    for start in range(0, len(picks), block):
+        x_true = np.array([
+            addloss(plant_hotspots(tree, K, loss_range, seed, i, picks[i]))
+            for i in range(start, min(start + block, len(picks)))
+        ])
         y = forward(tree, x_true)
-        n_unique += sparsest_enumerate(tree, y, k_max=K, scanner=scanner).unique
-        n_recovered += bool(np.abs(closed_form(tree, y) - x_true).max() <= DEFAULT_TOL)
+        n_unique += sum(res.unique for res in _scan(scanner, y, K))
+        gap = np.abs(closed_form(tree, y) - x_true).max(axis=1)
+        n_recovered += int(np.count_nonzero(gap <= DEFAULT_TOL))
     total = len(picks)
     return CensusResult(
         trials=total,
@@ -280,6 +312,39 @@ def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
     a = measurement_matrix(tree).dense()
     assert not np.any(a @ (u - v)), "null construction failed"
     return w * u.astype(float), w * v.astype(float)
+
+
+def _scanner_for(tree: LogicalTree, scanner: SupportScanner | None) -> SupportScanner:
+    """``scanner``, or a new one, after checking the tree's size and the scanner's tree."""
+    if tree.n > SIZE_LIMIT:
+        raise InstanceTooLarge(f"n={tree.n} exceeds the oracle limit {SIZE_LIMIT}")
+    if scanner is None:
+        return SupportScanner(tree)
+    if scanner.tree is not tree:
+        raise ParameterOutOfRange("the support scanner was built for another tree")
+    return scanner
+
+
+def _scan(scanner: SupportScanner, ys: np.ndarray, k_max: int) -> list[EnumerationResult]:
+    """``sparsest_enumerate`` of each row of ys (T, m), sizes up to k_max, all rows at once."""
+    results = [EnumerationResult(k_star=None, supports=[], solutions=[], unique=False) for _ in ys]
+    pending = np.arange(len(ys))  # rows with no feasible support yet
+    for k in range(k_max + 1):
+        if pending.size == 0:
+            break
+        rows, supports, xs = scanner.feasible_at(ys[pending], k)
+        found = {}
+        for row, sup, x_s in zip(rows.tolist(), supports, xs):
+            full = np.zeros(scanner.tree.n)
+            full[sup] = np.maximum(x_s, 0.0)
+            solutions, sup_list = found.setdefault(row, ([], []))
+            _append_distinct(solutions, sup_list, full, tuple(int(s) + 1 for s in sup))
+        for row, (solutions, sup_list) in found.items():
+            results[pending[row]] = EnumerationResult(
+                k_star=k, supports=sup_list, solutions=solutions, unique=len(solutions) == 1
+            )
+        pending = np.delete(pending, list(found))
+    return results
 
 
 def _interval_optimum(tree: LogicalTree, intervals: IntervalObservation, mode: str):

@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
 from .lossmodel import (
-    DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, addloss, forward, inverse_addloss, plant_hotspots
+    BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, addloss, forward,
+    inverse_addloss, plant_hotspots
 )
 from .noiseless import closed_form
 from .noisy import MODES, IntervalObservation, upsparse_plus
@@ -43,10 +44,6 @@ from .topology import LogicalTree, tree_from_spec
 EPS_P = 1e-9  # probability-scale clamp below 1 so addloss stays finite
 POINT_MODE = "upsparse"
 INTERVAL_MODES = ("t-ci", "cover")
-# An experiment cell is solved in blocks of repetitions holding at most this
-# many link values, so memory stays bounded however many repetitions a large
-# tree gets (the sparse table of closed_form is about log2 m times a block).
-BLOCK_LINKS = 2**16
 
 
 @dataclass
@@ -168,10 +165,6 @@ class ExperimentConfig:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:

@@ -42,17 +42,18 @@ from losstree import (
     solution_report,
     sparsest_enumerate,
     unique_sparsest,
+    uniqueness_census,
     upsparse,
     upsparse_plus,
     z_stats,
 )
-from losstree import simulation
+from losstree import oracle, simulation
 from losstree.cli import main
 from losstree.errors import CycleDetected, DegreeViolation, DisconnectedInput
-from losstree.lossmodel import DEFAULT_TOL, plant_hotspots
+from losstree.lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, plant_hotspots
 from losstree.noiseless import DOWN, MIXED, UP, ComplexState
 from losstree.noisy import MIN_L1, MIN_L1_AMONG_L0, MODES
-from losstree.oracle import FEAS_TOL, SupportScanner
+from losstree.oracle import FEAS_TOL, CensusResult, SupportScanner, _scan
 from losstree.simulation import POINT_MODE, ExperimentRow, Metrics, path_loss_probabilities
 from losstree.topology import ROOT, LogicalTree
 
@@ -250,6 +251,22 @@ def ref_sparsest_enumerate(tree, y):
     return None, [], [], False
 
 
+def ref_census(tree, K, loss_range, trials, seed, placement):
+    """The census one trial at a time, through the reference scan."""
+    if placement == "exhaustive":
+        picks = [np.array(sup, dtype=int) for sup in itertools.combinations(range(tree.n), K)]
+    else:
+        picks = [None] * trials
+    unique = recovered = 0
+    for i, sup in enumerate(picks):
+        x_true = addloss(plant_hotspots(tree, K, loss_range, seed, i, sup))
+        y = forward(tree, x_true)
+        unique += ref_sparsest_enumerate(tree, y)[3]
+        recovered += bool(np.abs(ref_closed_form(tree, y) - x_true).max() <= DEFAULT_TOL)
+    return CensusResult(trials=len(picks), p_unique=unique / len(picks),
+                        p_l1_recovers_true=recovered / len(picks))
+
+
 def ref_metrics(b_true, b_hat):
     true_lossy = b_true > DEFAULT_TOL
     common = int((true_lossy & (b_hat > DEFAULT_TOL)).sum())
@@ -411,6 +428,28 @@ def trees(draw, sizes=st.integers(2, 60)):
     return gen_random_tree(m, draw(st.integers(2, 6)), draw(st.integers(0, 2**31 - 1)))
 
 
+ORACLE_TREES = st.one_of(trees(st.integers(2, 8)), st.integers(2, 9).map(star))
+
+
+def oracle_observations(tree, rng):
+    """Observations of a sparse draw and of two tie-heavy ones.
+
+    Integers in {0, 1, 2}, and 0.5 on every lossy link, give many sparsest solutions.
+    """
+    density = rng.uniform(0.0, 0.5)
+    xs = [random_sparse_x(tree, rng, k=max(1, round(density * tree.n))),
+          rng.integers(0, 3, tree.n), 0.5 * (rng.random(tree.n) < 0.5)]
+    return np.array([forward(tree, x) for x in xs])
+
+
+def assert_same_enumeration(enum, expected):
+    k_star, supports, solutions, unique = expected
+    assert (enum.k_star, enum.supports, enum.unique) == (k_star, supports, unique)
+    assert len(enum.solutions) == len(solutions)
+    for ours, ref in zip(enum.solutions, solutions):
+        assert np.abs(ours - ref).max() <= 1e-12
+
+
 class TestKernelsMatchPathLoops:
     @settings(max_examples=60, deadline=None)
     @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
@@ -542,25 +581,64 @@ class TestKernelsMatchPathLoops:
 
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        tree=st.one_of(trees(st.integers(2, 8)), st.integers(2, 9).map(star)),
-        seed=st.integers(0, 2**31 - 1),
-    )
+    @given(tree=ORACLE_TREES, seed=st.integers(0, 2**31 - 1))
     def test_sparsest_enumerate(self, tree, seed):
-        rng = np.random.default_rng(seed)
-        density = rng.uniform(0.0, 0.5)
-        # ties and many sparsest solutions: integers in {0, 1, 2}, 0.5 on every lossy link
-        xs = [random_sparse_x(tree, rng, k=max(1, round(density * tree.n))),
-              rng.integers(0, 3, tree.n), 0.5 * (rng.random(tree.n) < 0.5)]
         scanner = SupportScanner(tree)
-        for x in xs:
-            y = forward(tree, x)
+        for y in oracle_observations(tree, np.random.default_rng(seed)):
             enum = sparsest_enumerate(tree, y, scanner=scanner)
-            k_star, supports, solutions, unique = ref_sparsest_enumerate(tree, y)
-            assert (enum.k_star, enum.supports, enum.unique) == (k_star, supports, unique)
-            assert len(enum.solutions) == len(solutions)
-            for ours, ref in zip(enum.solutions, solutions):
-                assert np.abs(ours - ref).max() <= 1e-12
+            assert_same_enumeration(enum, ref_sparsest_enumerate(tree, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=ORACLE_TREES, seed=st.integers(0, 2**31 - 1))
+    def test_feasible_supports_pass_the_step_prune(self, tree, seed):
+        """Rows that no link of a feasible support tells apart carry equal observations."""
+        on_path = np.array([[v in path_links(tree, j) for v in range(1, tree.n + 1)]
+                            for j in range(1, tree.m + 1)])
+        differs = on_path[:-1] != on_path[1:]  # (m - 1, n): link v starts or ends at step j
+        assert SupportScanner(tree).step_masks.tolist() == [
+            sum(1 << j for j in np.flatnonzero(column).tolist()) for column in differs.T
+        ]
+        for y in oracle_observations(tree, np.random.default_rng(seed)):
+            steps = np.flatnonzero(np.abs(np.diff(y)) > 4 * FEAS_TOL)
+            for sup in ref_sparsest_enumerate(tree, y)[1]:
+                assert differs[steps][:, [v - 1 for v in sup]].any(axis=1).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=ORACLE_TREES, seed=st.integers(0, 2**31 - 1), k_max=st.integers(0, 9),
+           candidates=st.sampled_from([1, 20, 2**16]))
+    def test_scan_of_a_stack_matches_each_row(self, tree, seed, k_max, candidates):
+        """All rows at once, also in passes of one row or of at most 20 candidates."""
+        rng = np.random.default_rng(seed)
+        ys = np.concatenate([oracle_observations(tree, rng) for _ in range(3)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_CANDIDATES", candidates)
+            results = _scan(SupportScanner(tree), ys, min(k_max, tree.m))
+        assert len(results) == len(ys)
+        for y, enum in zip(ys, results):
+            expected = ref_sparsest_enumerate(tree, y)
+            if expected[0] > k_max:
+                expected = None, [], [], False
+            assert_same_enumeration(enum, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tree=st.one_of(trees(st.integers(2, 6)), st.integers(2, 6).map(star)),
+        K=st.integers(0, 3),
+        seed=st.integers(0, 2**31 - 1),
+        trials=st.integers(1, 12),
+        exhaustive=st.booleans(),
+        tied=st.booleans(),
+        block=st.integers(1, 4),
+    )
+    def test_uniqueness_census(self, tree, K, seed, trials, exhaustive, tied, block):
+        """Trials in blocks of ``block``; equal losses on every lossy link make ties."""
+        K = min(K, tree.m, 2 if exhaustive else 3)
+        placement = "exhaustive" if exhaustive else "random"
+        loss_range = (0.05, 0.05) if tied else DEFAULT_LOSS_RANGE
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "BLOCK_LINKS", block * tree.n)
+            got = uniqueness_census(tree, K, loss_range, trials, seed, placement)
+        assert got == ref_census(tree, K, loss_range, trials, seed, placement)
 
 @st.composite
 def tree_edges(draw):

@@ -1,6 +1,7 @@
 """Addloss transform, forward model, formal solutions, feasibility, sampling."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from losstree import (
     binarize,
     classify_complexes,
     forward,
+    gen_random_tree,
     general_solution,
     gen_regular_tree,
     gen_ternary_tree,
     inverse_addloss,
     is_feasible,
     load_observations,
+    load_topology,
     metrics,
     receiver_solution,
     recovery_condition,
@@ -29,7 +32,7 @@ from losstree import (
 from losstree.errors import Infeasible, OutOfDomain, ParameterOutOfRange
 from losstree.lossmodel import plant_hotspots
 
-from conftest import random_small_trees
+from conftest import caterpillar, random_small_trees
 
 
 class TestAddloss:
@@ -85,6 +88,29 @@ class TestForward:
         top = next(v for v in range(1, tree.n + 1) if tree.parent[v] == 0)
         x[top - 1] = 0.7
         assert np.allclose(forward(tree, x), 0.7)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_ternary_tree(13), lambda: gen_random_tree(40, 3, 2), lambda: caterpillar(12),
+        lambda: load_topology(Path(__file__).parent / "data" / "caterpillar40.tree"),
+    ], ids=["ternary:13", "random:40:3:2", "caterpillar(12)", "caterpillar40"])
+    def test_batch_rows_match_single_calls(self, make):
+        """Exact on paths of under 8 links; numpy sums longer rows in another order."""
+        tree = make()
+        xs = np.random.default_rng(3).uniform(0.0, 1.0, (5, tree.n))
+        batch = forward(tree, xs)
+        assert batch.shape == (5, tree.m) and batch.flags.c_contiguous
+        short = np.array([len(path) < 8 for path in tree.paths])
+        for x, row in zip(xs, batch):
+            single = forward(tree, x)
+            assert np.array_equal(row[short], single[short])
+            assert np.abs(row - single).max() <= tree.n * np.finfo(float).eps * single.max()
+        assert np.array_equal(forward(tree, xs[:1])[0], forward(tree, xs[0]))
+
+    def test_batch_of_another_width_rejected(self, fig_tree):
+        with pytest.raises(OutOfDomain):
+            forward(fig_tree, np.zeros((2, 4)))
+        with pytest.raises(OutOfDomain):
+            forward(fig_tree, np.zeros((2, 2, 5)))
 
 
 class TestFormalSolutions:

@@ -36,6 +36,7 @@ from losstree.errors import (
     OutOfDomain,
     ParameterOutOfRange,
 )
+from losstree import oracle
 from losstree.noisy import NoisySolution
 from losstree.oracle import SupportScanner, _interval_optimum
 from losstree.topology import ROOT, tree_from_spec
@@ -201,6 +202,15 @@ class TestSparsestEnumerate:
         with pytest.raises(OutOfDomain):
             sparsest_enumerate(fig_tree, y)
 
+    @pytest.mark.parametrize("k_max", [-1, 2.5, True, "2"])
+    def test_bad_k_max_rejected(self, fig_tree, k_max):
+        with pytest.raises(ParameterOutOfRange):
+            sparsest_enumerate(fig_tree, [2.0, 3.0, 4.0], k_max=k_max)
+
+    def test_k_max_below_k_star_finds_nothing(self, fig_tree):
+        enum = sparsest_enumerate(fig_tree, [2.0, 3.0, 4.0], k_max=np.int64(2))
+        assert (enum.k_star, enum.supports, enum.unique) == (None, [], False)
+
 
 class TestUniquenessCensus:
     def test_one_hotspot_always_unique(self):
@@ -225,7 +235,8 @@ class TestUniquenessCensus:
         assert res.p_unique == 1.0
 
     @pytest.mark.parametrize("kwargs", [
-        dict(trials=0), dict(K=-1), dict(K=5), dict(loss_range=(0.0, 0.1)),
+        dict(trials=0), dict(trials=2.5), dict(K=-1), dict(K=5), dict(K=1.5), dict(K=True),
+        dict(loss_range=(0.0, 0.1)), dict(placement="grid"),
     ])
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ParameterOutOfRange):
@@ -242,6 +253,37 @@ class TestUniquenessCensus:
         tree = gen_regular_tree(3, 3)
         with pytest.raises(ParameterOutOfRange):
             uniqueness_census(tree, K=1, trials=5, scanner=SupportScanner(gen_regular_tree(3, 3)))
+
+    def test_size_limit_checked_before_planting(self, monkeypatch):
+        monkeypatch.setattr(oracle, "plant_hotspots", None)  # planting would raise TypeError
+        with pytest.raises(InstanceTooLarge):
+            uniqueness_census(gen_regular_tree(3, 4), K=1, trials=5)
+        tree = gen_regular_tree(3, 3)
+        with pytest.raises(ParameterOutOfRange):
+            uniqueness_census(tree, K=1, trials=5, scanner=SupportScanner(gen_regular_tree(3, 3)))
+
+    @pytest.mark.parametrize("block, calls", [(None, 1), (3, 10)])
+    def test_one_batched_call_per_block(self, monkeypatch, block, calls):
+        """30 trials observe, scan and solve in one block, or in ten of three trials."""
+        tree = gen_regular_tree(3, 3)
+        expected = uniqueness_census(tree, K=2, trials=30, seed=6)
+        counts = {"forward": 0, "_scan": 0, "closed_form": 0}
+
+        def counted(name):
+            original = getattr(oracle, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(oracle, name, counted(name))
+        if block is not None:
+            monkeypatch.setattr(oracle, "BLOCK_LINKS", block * tree.n)
+        assert uniqueness_census(tree, K=2, trials=30, seed=6) == expected
+        assert counts == {"forward": calls, "_scan": calls, "closed_form": calls}
 
     def test_recovery_needs_a_lossless_child(self):
         # On the two-leaf tree, two hotspots are never uniquely sparsest
@@ -290,15 +332,15 @@ class TestL1SamplingCheck:
     ["census", "--tree", "ternary:13", "--K", "1-3", "--trials", "20"],
 ])
 def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
-    """One scanner serves the whole command, so no size level's Gram system is solved twice."""
+    """One scanner serves the whole command, so no size level's rank test runs twice."""
     sizes, pinv_calls = [], []
-    solve = np.linalg.solve
+    det = np.linalg.det
 
-    def counting_solve(a, b):
+    def counting_det(a):
         sizes.append(a.shape[-1])
-        return solve(a, b)
+        return det(a)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
     monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kwargs: pinv_calls.append(args))
     assert main(argv) == 0
     capsys.readouterr()
