@@ -17,6 +17,7 @@ across concurrent tasks.
 """
 
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -42,16 +43,16 @@ class LogicalTree:
         n: number of links (equivalently, non-root nodes).
         m: number of leaves, which is also the number of measured paths.
         parent: parent[k] is the father of node k for k in 1..n; parent[0] = -1.
-        children: children[v] lists v's children in left-to-right order.
         depth: depth[k] counts links on the path from the root to node k.
+        leaf_span: leaf_span[v] = (lo, hi): leaves of v's subtree are lo..hi-1.
         alias: canonical label -> original node id from the input edge list.
     """
 
     n: int
     m: int
     parent: np.ndarray
-    children: tuple[tuple[int, ...], ...]
     depth: np.ndarray
+    leaf_span: np.ndarray
     alias: dict[int, object]
 
     @property
@@ -81,16 +82,13 @@ class LogicalTree:
         return tuple(out)
 
     @cached_property
-    def leaf_span(self) -> np.ndarray:
-        """leaf_span[v] = (lo, hi): leaves of v's subtree are lo..hi-1."""
-        lo, hi = list(range(self.n + 1)), list(range(1, self.n + 2))  # right for leaves
-        # Internal labels follow preorder, so descendants have larger labels:
-        # a reverse sweep sees every child before its father.
-        for v in range(self.n, self.m, -1):
-            kids = self.children[v]
-            lo[v], hi[v] = lo[kids[0]], hi[kids[-1]]
-        lo[ROOT], hi[ROOT] = 1, self.m + 1
-        return np.array([lo, hi], dtype=np.int64).T.copy()
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """children[v] lists v's children in left-to-right order."""
+        # Siblings go left to right by the first leaf under them; their labels
+        # do not, since a leaf sibling is labeled before an internal one.
+        kids = (np.lexsort((self.leaf_span[1:, 0], self.parent[1:])) + 1).tolist()
+        ends = np.bincount(self.parent[1:], minlength=self.n + 1).cumsum().tolist()
+        return tuple(tuple(kids[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
     def span_min_index(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -193,80 +191,158 @@ def build_tree(edges, root) -> LogicalTree:
             internal node has exactly one child, or the root's child is a
             leaf (which would leave no internal link).
     """
-    # Dense ids 0..N-1 in first-appearance order, the root first.
-    ids = {root: ROOT}
-    flat = [ids.setdefault(v, len(ids)) for v in chain.from_iterable(edges)]
+    flat = list(chain.from_iterable(edges))  # child, father, child, father, ...
     if not flat:
         raise DegreeViolation("empty edge list")
-    names = list(ids)
-    father = [ROOT] + [-1] * (len(names) - 1)  # so the root as a child reads as a second father
-    kids: list[list[int]] = [[] for _ in names]
-    for c, p in zip(flat[::2], flat[1::2]):
-        if father[c] >= 0:
-            if c == ROOT:
-                raise CycleDetected(f"root {root!r} appears as a child")
-            raise DisconnectedInput(f"node {names[c]!r} has two parents")
-        father[c] = p
-        kids[p].append(c)
+    names = list(dict.fromkeys(chain((root,), flat)))  # dense ids in first-appearance order
+    ids = dict(zip(names, range(len(names))))
+    if len(flat) < 2 * FEW_EDGES:
+        flat = list(map(ids.__getitem__, flat))
+        return _label_few(flat[0::2], flat[1::2], names)
+    flat = np.fromiter(map(ids.__getitem__, flat), np.int64, len(flat))
+    child, father = flat[0::2], flat[1::2]
+    N = len(names)  # nodes, the root (dense id 0) included
 
-    # One DFS from the root yields leaf order and internal preorder.  With
-    # one father per node and none for the root, the nodes it reaches form
-    # a tree, so it visits every node exactly when all of them reach the root.
-    leaf_order, internal_order, stack = [], [], kids[ROOT][::-1]
-    while stack:
-        v = stack.pop()
-        if kids[v]:
-            internal_order.append(v)
-            stack += kids[v][::-1]
-        else:
-            leaf_order.append(v)
-    if len(leaf_order) + len(internal_order) + 1 < len(names):
-        _raise_unreachable(flat[::2], father, names)
+    # Array checks only detect bad input; on failure _check_edges walks the
+    # edges in order, so each error keeps its message and its precedence.
+    parents = np.bincount(child, minlength=N)
+    if parents[ROOT] or np.count_nonzero(parents) < len(child):
+        _check_edges(child.tolist(), father.tolist(), names)
 
-    if len(kids[ROOT]) != 1:
-        raise DegreeViolation(f"root must have exactly one child, found {len(kids[ROOT])}")
-    fanout = list(map(len, kids))
-    if 1 in fanout[1:]:
-        raise DegreeViolation(f"internal node {names[fanout.index(1, 1)]!r} has exactly one child")
-    if not internal_order:
-        raise DegreeViolation("root's child must be internal (n >= m+1)")
+    # Euler tour: arc 2v enters node v and arc 2v+1 leaves it, so arc 0 starts
+    # at the root and arc 1 ends the tour.  One stable sort lists every node
+    # followed by its children in edge order, by the node's down arc and the
+    # children's up arcs.  The tour goes from each entry to the down arc of
+    # the next child, or from a group's last entry up from its node: that is
+    # the next entry's arc minus one either way, since 2v + 1 = 2(v + 1) - 1.
+    nodes = np.arange(N)
+    entry = np.concatenate((2 * nodes, 2 * child + 1))
+    entry = entry[np.concatenate((nodes, father)).argsort(kind="stable")]
+    succ = np.ones(2 * N, dtype=np.int64)  # arcs no entry links (the root's up arc) end the tour
+    succ[entry[:-1]] = entry[1:] - 1
+    succ[entry[-1]] = 2 * N - 1
+    # Pointer jumping: after k rounds each arc holds the sums over itself and
+    # the 2**k - 1 arcs after it, so the rounds below give every arc its sums
+    # to the end of the tour: of depth steps (+1 down, -1 up), of leaves
+    # entered and of internal nodes entered.
+    fanout = np.bincount(father, minlength=N)
+    leaf = fanout == 0
+    suffix = np.zeros((3, 2 * N), dtype=np.int64)
+    suffix[0, 0::2], suffix[0, 3::2] = 1, -1
+    suffix[1, 0::2] = leaf
+    suffix[2, 2::2] = ~leaf[1:]
+    for _ in range((2 * N).bit_length()):
+        suffix += suffix.take(succ, axis=1)
+        succ = succ.take(succ)
+    m = int(suffix[1, 0])
+    if m + int(suffix[2, 0]) < N - 1:  # the tour missed a node: no father, or off a cycle
+        _check_edges(child.tolist(), father.tolist(), names)
+    _check_degrees(fanout.tolist(), names)
 
-    m = len(leaf_order)
-    order = leaf_order + internal_order  # dense id of each label 1..n
-    label = [ROOT] * len(names)
-    for lab, v in enumerate(order, 1):
-        label[v] = lab
-    parent = [-1] + [label[father[v]] for v in order]
-    # Internal labels are in preorder, so one pass in label order sees every
-    # father first; leaves have internal fathers and follow in one step.
-    depth = [0] * (m + 1)
-    for p in parent[m + 1 :]:
-        depth.append(depth[p] + 1)
-    depth[1 : m + 1] = [depth[p] + 1 for p in parent[1 : m + 1]]
-    children = [(m + 1,)] + [()] * m
-    children += [tuple(map(label.__getitem__, kids[v])) for v in internal_order]
+    # Leaves are labeled in tour order, internal nodes in preorder after them.
+    label = np.where(leaf, m + 1 - suffix[1, 0::2], N - suffix[2, 0::2])
+    label[ROOT] = ROOT
+    order = np.empty(N, dtype=np.int64)  # dense id of each label
+    order[label] = nodes
+    parent = np.empty(N, dtype=np.int64)
+    parent[label[child]] = label[father]
+    parent[ROOT] = -1
+    at = suffix.reshape(3, N, 2).take(order, axis=1)  # suffix sums at each node's down and up arcs
     return LogicalTree(
-        n=len(order),
+        n=N - 1,
         m=m,
-        parent=np.array(parent, dtype=np.int64),
-        children=tuple(children),
-        depth=np.array(depth, dtype=np.int64),
-        alias=dict(zip(range(1, len(order) + 1), map(names.__getitem__, order))),
+        parent=parent,
+        depth=1 - at[0, :, 0],
+        leaf_span=m + 1 - at[1],
+        alias=dict(zip(range(1, N), map(names.__getitem__, order[1:].tolist()))),
     )
 
 
-def _raise_unreachable(starts, father, names) -> None:
-    """Raise for the first walk up from a child (in edge order) that meets a cycle or no father."""
-    mark = [ROOT] + [-1] * (len(father) - 1)
-    for start in starts:
+# Below this many edges build_tree labels by a DFS over Python lists: the
+# tour's fixed cost of about 50 numpy calls exceeds the DFS's up to about 45
+# edges in a warm loop, and is several times higher when a command runs it once.
+FEW_EDGES = 64
+
+
+def _label_few(child, father, names) -> LogicalTree:
+    """``build_tree`` on lists of dense ids: the same tree, by a DFS from the root."""
+    up = _check_edges(child, father, names)
+    kids = [[] for _ in names]
+    for c in child:
+        kids[up[c]].append(c)
+    _check_degrees(list(map(len, kids)), names)
+    leaves, internal, stack = [], [], kids[ROOT][::-1]
+    while stack:
+        v = stack.pop()
+        if kids[v]:
+            internal.append(v)
+            stack += kids[v][::-1]
+        else:
+            leaves.append(v)
+    order = [ROOT] + leaves + internal  # dense id of each label
+    n, m = len(order) - 1, len(leaves)
+    label = [ROOT] * (n + 1)
+    for lab, v in enumerate(order):
+        label[v] = lab
+    parent = [-1] + [label[up[v]] for v in order[1:]]
+    children = [(m + 1,)] + [()] * m + [tuple(map(label.__getitem__, kids[v])) for v in internal]
+    depth, lo, hi = [0] * (n + 1), list(range(n + 1)), list(range(1, n + 2))
+    for v in chain(range(m + 1, n + 1), range(1, m + 1)):  # fathers first: preorder
+        depth[v] = depth[parent[v]] + 1
+    for v in range(n, m, -1):  # children first
+        lo[v], hi[v] = lo[children[v][0]], hi[children[v][-1]]
+    lo[ROOT], hi[ROOT] = 1, m + 1
+    tree = LogicalTree(
+        n=n,
+        m=m,
+        parent=np.array(parent, dtype=np.int64),
+        depth=np.array(depth, dtype=np.int64),
+        leaf_span=np.array([lo, hi], dtype=np.int64).T.copy(),
+        alias=dict(zip(range(1, n + 1), map(names.__getitem__, order[1:]))),
+    )
+    tree.children = tuple(children)  # fills the cache of the derived property
+    return tree
+
+
+def _check_edges(child, father, names) -> list:
+    """Father of each dense id (-1 for the root), once every node hangs below the root.
+
+    Raises for the first edge whose child has a father already, else for the
+    first walk up from a child (in edge order) that meets a cycle or no father.
+    """
+    up = [ROOT] + [-1] * (len(names) - 1)  # so the root as a child reads as a second father
+    for c, p in zip(child, father):
+        if up[c] >= 0:
+            if c == ROOT:
+                raise CycleDetected(f"root {names[ROOT]!r} appears as a child")
+            raise DisconnectedInput(f"node {names[c]!r} has two parents")
+        up[c] = p
+    mark = [ROOT] + [-1] * (len(names) - 1)
+    for start in child:
         v = start
         while mark[v] < 0:
             mark[v] = start
-            if father[v] < 0:
+            if up[v] < 0:
                 raise DisconnectedInput(f"node {names[v]!r} has no path to the root")
-            v = father[v]
+            v = up[v]
         if mark[v] == start:
             raise CycleDetected(f"cycle through node {names[v]!r}")
+    up[ROOT] = -1
+    return up
+
+
+def _check_degrees(fanout, names) -> None:
+    """Raise unless the root has one child and every other node none or several.
+
+    Every node hangs below the root, so the root's child is a leaf exactly
+    when there are just two nodes.
+    """
+    if fanout[ROOT] != 1:
+        raise DegreeViolation(f"root must have exactly one child, found {fanout[ROOT]}")
+    if 1 in fanout[1:]:
+        raise DegreeViolation(f"internal node {names[fanout.index(1, 1)]!r} has exactly one child")
+    if len(fanout) == 2:
+        raise DegreeViolation("root's child must be internal (n >= m+1)")
 
 
 def measurement_matrix(tree: LogicalTree) -> MeasurementMatrix:
@@ -356,12 +432,8 @@ def save_topology(tree: LogicalTree, path) -> None:
     top-down order; the original-id alias map follows as comments.
     """
     lines = [f"root {ROOT}"]
-    stack = [ROOT]
-    while stack:
-        v = stack.pop()
-        for c in tree.children[v]:
-            lines.append(f"{c} {v}")
-        stack.extend(reversed(tree.children[v]))
+    for v in chain([ROOT], tree.internal):  # internal labels run in preorder
+        lines += [f"{c} {v}" for c in tree.children[v]]
     for v in range(1, tree.n + 1):
         lines.append(f"# alias {v} {tree.alias[v]}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -369,29 +441,60 @@ def save_topology(tree: LogicalTree, path) -> None:
 
 
 def load_topology(path) -> LogicalTree:
-    """Read a topology file (``root <id>`` header, ``<child> <parent>`` lines)."""
-    root = None
-    tokens = []  # child and parent tokens of every edge line, in order
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            words = raw.split("#", 1)[0].split()
-            if len(words) == 2 and words[0] != "root":
-                tokens += words
-            elif len(words) == 2:
-                root = _node_id(words[1])
-            elif words:
-                line = raw.split("#", 1)[0].strip()
-                raise MalformedLine(f"line {lineno}: expected two tokens, got {line!r}")
-    if root is None:
+    """Read a topology file (``root <id>`` header, ``<child> <parent>`` lines).
+
+    A ``#`` starts a comment that runs to the end of its line.  The file must
+    have exactly one header, on any line; a leading byte-order mark is skipped.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    tokens = text.split()
+    heads = tokens[0::2]  # first words of the lines, if every line has two
+    if _MALFORMED.search(text) or heads.count("root") > 1:
+        _raise_malformed(text)
+    if "root" not in heads:
         raise DisconnectedInput("topology file has no 'root <id>' line")
-    node = {t: _node_id(t) for t in set(tokens)}
-    ids = map(node.__getitem__, tokens)
-    return build_tree(zip(ids, ids), root=root)  # consecutive ids pair up
+    at = 2 * heads.index("root")
+    root = _node_id(tokens[at + 1])
+    del tokens[at : at + 2]
+    ids = _node_ids(tokens, text)
+    return build_tree(zip(ids[0::2], ids[1::2]), root=root)
+
+
+_COMMENT = re.compile(r"#.*")
+# A line that is neither blank nor two whitespace-separated tokens.
+_MALFORMED = re.compile(r"^(?![^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*)?$)", re.MULTILINE)
+
+
+def _raise_malformed(text) -> None:
+    """Raise for the first line of ``text`` (comments stripped) that breaks the format."""
+    header = None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        words = line.split()
+        if len(words) == 2 and words[0] == "root":
+            if header is not None:
+                raise MalformedLine(f"line {lineno}: second 'root' line (the first is line {header})")
+            header = lineno
+        elif len(words) not in (0, 2):
+            raise MalformedLine(f"line {lineno}: expected two tokens, got {line.strip()!r}")
 
 
 def _node_id(token: str):
     """A decimal integer token becomes an int; any other token stays a string."""
     return int(token) if token.removeprefix("-").isdecimal() else token
+
+
+def _node_ids(tokens, text) -> list:
+    """``_node_id`` of each token: one ``int`` pass if all are integers, else once per distinct token."""
+    if "+" not in text and "_" not in text:  # int() also reads these, _node_id does not
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # a token that is no integer
+            pass
+    node = {t: _node_id(t) for t in set(tokens)}
+    return list(map(node.__getitem__, tokens))
 
 
 def tree_from_spec(spec: str) -> LogicalTree:

@@ -16,13 +16,17 @@ def one_complex():
     return build_tree([(4, 0), (1, 4), (2, 4), (3, 4)], root=0)
 
 
-def caterpillar(m):
-    """Spine of m-1 internal nodes, each with one leaf; the last has two."""
+def caterpillar_edges(m):
+    """(edges, root) of a spine of m-1 internal nodes, each with one leaf; the last has two."""
     edges = [("s1", "r")]
     for k in range(1, m - 1):
         edges += [(f"l{k}", f"s{k}"), (f"s{k + 1}", f"s{k}")]
     edges += [(f"l{m - 1}", f"s{m - 1}"), (f"l{m}", f"s{m - 1}")]
-    return build_tree(edges, root="r")
+    return edges, "r"
+
+
+def caterpillar(m):
+    return build_tree(*caterpillar_edges(m))
 
 
 def star(m):

@@ -258,6 +258,24 @@ class TestScfs:
         assert stdout == "1\n"
         assert load_topology(tree).alias == {1: 1, 2: "--5", 3: "²"}
 
+    def test_byte_order_mark_and_crlf(self, capsys, tmp_path, fig_files):
+        # As some Windows editors save it: a UTF-8 byte-order mark and CRLF line ends.
+        tree_path, obs_path = fig_files
+        tree = tmp_path / "bom.tree"
+        text = Path(tree_path).read_text(encoding="utf-8")
+        tree.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+        code, stdout, err = run_cli(capsys, "scfs", "--tree", str(tree), "--obs", obs_path)
+        assert code == 0, err
+        assert stdout.strip().splitlines()[0] == "4"
+
+    def test_second_root_line_is_an_error(self, capsys, tmp_path, fig_files):
+        _, obs_path = fig_files
+        tree = tmp_path / "two_roots.tree"
+        tree.write_text("root 0\n4 0\n5 4\n3 4\n1 5\n2 5\nroot 5\n", encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "scfs", "--tree", str(tree), "--obs", obs_path)
+        assert code == 1 and stdout == ""
+        assert "error: line 7: second 'root' line (the first is line 1)" in err
+
     def test_clean_network(self, capsys, tmp_path, fig_files):
         tree_path, _ = fig_files
         obs = tmp_path / "zero.json"

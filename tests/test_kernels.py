@@ -58,6 +58,8 @@ from losstree.simulation import POINT_MODE, ExperimentRow, Metrics, path_loss_pr
 from losstree.topology import ROOT, LogicalTree
 
 from conftest import caterpillar, random_sparse_x, star
+from topology_reference import EDGE_FAULTS, inject_edge_fault, on_both_paths, same_tree
+from topology_reference import build_tree as loop_build_tree
 
 DATA = Path(__file__).parent / "data"
 CATERPILLAR = str(DATA / "caterpillar40.tree")
@@ -395,10 +397,16 @@ def ref_build_tree(edges, root):
         while v != ROOT:
             depth[lab] += 1
             v = parent_arr[v]
+    span = np.tile([m + 1, 0], (n + 1, 1))  # leaves lo..hi-1 under each node, by walking up
+    for j in range(1, m + 1):
+        v = j
+        while v != -1:
+            span[v] = min(span[v, 0], j), max(span[v, 1], j + 1)
+            v = parent_arr[v]
     alias = {lab: orig for orig, lab in label.items()}
-    return LogicalTree(
-        n=n, m=m, parent=parent_arr, children=tuple(kids_canon), depth=depth, alias=alias
-    )
+    tree = LogicalTree(n=n, m=m, parent=parent_arr, depth=depth, leaf_span=span, alias=alias)
+    tree.children = tuple(kids_canon)  # the builder's own lists, not the derived property
+    return tree
 
 
 def interval_draw(rng, m):
@@ -650,22 +658,12 @@ def tree_edges(draw):
     return draw(st.permutations(edges)), names[ROOT]
 
 
-def same_tree(a, b):
-    return (
-        (a.n, a.m) == (b.n, b.m)
-        and a.parent.dtype == b.parent.dtype == a.depth.dtype == b.depth.dtype
-        and np.array_equal(a.parent, b.parent)
-        and a.children == b.children
-        and np.array_equal(a.depth, b.depth)
-        and list(a.alias.items()) == list(b.alias.items())
-    )
-
-
 def raised(build, edges, root):
+    """(type, message) of the exception ``build`` raises, or None."""
     try:
         build(edges, root)
     except (CycleDetected, DegreeViolation, DisconnectedInput) as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return None
 
 
@@ -674,50 +672,19 @@ class TestBuildTreeMatchesDictBuilder:
     @given(case=tree_edges())
     def test_same_tree_from_any_edge_order(self, case):
         edges, root = case
-        assert same_tree(build_tree(edges, root), ref_build_tree(edges, root))
-
-    FAULTS = {
-        "cycle": CycleDetected,
-        "second parent": DisconnectedInput,
-        "orphan": DisconnectedInput,
-        "one child": DegreeViolation,
-        "two root children": DegreeViolation,
-        "leaf under root": DegreeViolation,
-    }
+        expected = ref_build_tree(edges, root)
+        for tree in on_both_paths(lambda: build_tree(edges, root)):
+            assert same_tree(tree, expected)
 
     @settings(max_examples=150, deadline=None)
-    @given(case=tree_edges(), fault=st.sampled_from(sorted(FAULTS)), data=st.data())
+    @given(case=tree_edges(), fault=st.sampled_from(sorted(EDGE_FAULTS)), data=st.data())
     def test_same_error_for_each_single_fault(self, case, fault, data):
         edges, root = case
-        father = dict(edges)
-        kids = {}
-        for c, p in edges:
-            kids.setdefault(p, []).append(c)
-        top = kids[root][0]
-        internal = [v for v in kids if v not in (root, top)]
-        leaves = [v for v in father if v not in kids]
-        if fault == "cycle":
-            assume(internal)
-            # Hang a node below one of its own descendants.
-            u = data.draw(st.sampled_from(internal))
-            d = u
-            while d in kids:
-                d = kids[d][0]
-            edges = [(c, d if c == u else p) for c, p in edges]
-        elif fault == "second parent":
-            c, _ = data.draw(st.sampled_from(edges))
-            p = data.draw(st.sampled_from([v for v in kids if v != c]))
-            edges = edges + [(c, p)]
-        elif fault == "orphan":
-            edges = edges + [("new", "nowhere")]
-        elif fault == "one child":
-            edges = edges + [("new", data.draw(st.sampled_from(leaves)))]
-        elif fault == "two root children":
-            edges = edges + [("new", root)]
-        elif fault == "leaf under root":
-            edges = [(data.draw(st.sampled_from(leaves)), root)]
-        assert raised(ref_build_tree, edges, root) is self.FAULTS[fault]
-        assert raised(build_tree, edges, root) is self.FAULTS[fault]
+        edges = inject_edge_fault(edges, root, fault, data.draw)
+        assert raised(ref_build_tree, edges, root)[0] is EDGE_FAULTS[fault]
+        for error in on_both_paths(lambda: raised(build_tree, edges, root)):
+            assert error[0] is EDGE_FAULTS[fault]
+            assert error == raised(loop_build_tree, edges, root)
 
 
 def test_interval_solver_on_a_long_caterpillar():

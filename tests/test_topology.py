@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losstree import (
     build_tree,
@@ -21,11 +23,15 @@ from losstree.errors import (
     CycleDetected,
     DegreeViolation,
     DisconnectedInput,
+    LossTreeError,
     MalformedLine,
     ParameterOutOfRange,
 )
 
-from conftest import random_small_trees
+from conftest import caterpillar, caterpillar_edges, random_small_trees
+from topology_reference import EDGE_FAULTS, inject_edge_fault, on_both_paths, same_tree
+from topology_reference import build_tree as loop_build_tree
+from topology_reference import load_topology as loop_load_topology
 
 CATERPILLAR = Path(__file__).parent / "data" / "caterpillar40.tree"
 
@@ -283,6 +289,19 @@ class TestTopologyFile:
         with pytest.raises(MalformedLine, match="line 3"):
             load_topology(path)
 
+    def test_second_root_line_names_its_number(self, tmp_path):
+        path = tmp_path / "two_roots.txt"
+        path.write_text("root 0\n1 0\n2 1\n3 1\nroot 2\n")
+        with pytest.raises(MalformedLine, match=r"^line 5: second 'root' line \(the first is line 1\)$"):
+            load_topology(path)
+
+    def test_header_on_any_line_with_crlf_and_byte_order_mark(self, tmp_path, fig_tree):
+        path = tmp_path / "bom.txt"
+        path.write_bytes("\ufeff4 0\r\n5 4\r\n# c\r\n3 4\r\nroot 0\r\n1 5\r\n2 5\r\n".encode())
+        tree = load_topology(path)
+        assert np.array_equal(tree.parent, fig_tree.parent)
+        assert tree.children == fig_tree.children
+
     def test_spec_shorthands(self, tmp_path, fig_tree):
         assert tree_from_spec("ternary:13").n == 13
         assert tree_from_spec("regular:2:3").n == 7
@@ -292,3 +311,108 @@ class TestTopologyFile:
         assert tree_from_spec(str(path)).n == 5
         with pytest.raises(ParameterOutOfRange):
             tree_from_spec("nope:1")
+
+
+SPACES = [" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\xa0", "\u3000"]
+COMMENTS = ["", "#", " # note", "#x", "\t# root 1", " # a b c"]
+FILE_FAULTS = {
+    "malformed line": MalformedLine,
+    "second root": MalformedLine,
+    "missing root": DisconnectedInput,
+}
+
+
+@st.composite
+def topology_files(draw):
+    """(text, fault): a topology file of a random tree, maybe with one fault.
+
+    Ids are ints (negative ones too, some spelled with a leading zero) or
+    strings, some with characters that ``int`` reads; lines come in shuffled
+    order, with mixed whitespace, comments, blank lines and line endings.
+    """
+    tree = draw(st.one_of(
+        st.integers(2, 12).map(caterpillar),
+        st.builds(gen_random_tree, st.integers(2, 12), st.integers(2, 4), st.integers(0, 999)),
+    ))
+    forms = [None, "v{}", "+{}", "n_{}", "{}e"]  # None: the int v * 7 - 3
+    value = [v * 7 - 3 if form is None else form.format(v)
+             for v, form in enumerate(draw(st.lists(st.sampled_from(forms),
+                                                    min_size=tree.n + 1, max_size=tree.n + 1)))]
+    edges = [(value[v], value[tree.parent[v]]) for v in range(1, tree.n + 1)]
+    fault = draw(st.none() | st.sampled_from(sorted(EDGE_FAULTS) + sorted(FILE_FAULTS)))
+    if fault in EDGE_FAULTS:
+        edges = inject_edge_fault(edges, value[0], fault, draw)
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+
+    def spell(x):
+        if isinstance(x, int) and draw(st.booleans()):
+            return f"-0{-x}" if x < 0 else f"0{x}"
+        return str(x)
+
+    def line(*words):
+        return pick(["", " ", "\t"]) + pick(SPACES).join(words) + pick(["", " "]) + pick(COMMENTS)
+
+    lines = [line(spell(c), spell(p)) for c, p in draw(st.permutations(edges))]
+    extra = [line("root", spell(value[0]))] if fault != "missing root" else []
+    if fault == "second root":
+        extra.append(line("root", spell(pick(value))))
+    if fault == "malformed line":
+        extra.append(line(*pick([["a"], ["a", "b", "c"], ["root"], ["root", "0", "1"]])))
+    extra += [pick(["", " ", "# only a comment"]) for _ in range(draw(st.integers(0, 3)))]
+    for other in extra:
+        lines.insert(draw(st.integers(0, len(lines))), other)
+    text = "".join(row + pick(["\n", "\r\n", "\r"]) for row in lines)
+    return ("\ufeff" if draw(st.booleans()) else "") + text, fault
+
+
+def loaded(load, path):
+    try:
+        return load(path)
+    except LossTreeError as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayLoaderMatchesLineLoop:
+    """The reader and both of build_tree's labellings against the loops they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=topology_files())
+    def test_same_tree_or_same_error(self, tmp_path_factory, case):
+        text, fault = case
+        path = tmp_path_factory.getbasetemp() / "drawn.tree"
+        path.write_bytes(text.encode("utf-8"))
+        expected = loaded(loop_load_topology, path)
+        for got in on_both_paths(lambda: loaded(load_topology, path)):
+            if fault is None:
+                assert same_tree(got, expected)
+            else:
+                assert got == expected
+                assert got[0] is {**EDGE_FAULTS, **FILE_FAULTS}[fault]
+
+    @pytest.mark.parametrize("edges", [
+        [(3, 2), (2, 1), (1, 0), (4, 3), (5, 3)],  # two one-child nodes
+        [(1, 0), (2, 1), (3, 1), (4, 9), (5, 6), (6, 5)],  # an orphan, then a cycle
+        [(1, 0), (2, 1), (3, 1), (5, 6), (6, 5), (4, 9)],  # a cycle, then an orphan
+        [(1, 0), (2, 1), (3, 1), (2, 3), (3, 2)],  # two second fathers
+        [(1, 0), (2, 1), (2, 0), (0, 2)],  # a second father, then the root as a child
+        [(1, 0), (2, 0), (3, 2), (4, 3), (5, 3)],  # two root children and a one-child node
+    ])
+    def test_first_of_several_faults(self, edges):
+        def error(build):
+            with pytest.raises(LossTreeError) as info:
+                build(edges, 0)
+            return type(info.value), str(info.value)
+
+        assert on_both_paths(lambda: error(build_tree)) == [error(loop_build_tree)] * 2
+
+    def test_deep_caterpillar(self):
+        """Height 20 000: the tour's pointer jumping needs all of its rounds."""
+        edges, root = caterpillar_edges(20_000)
+        expected = loop_build_tree(edges, root)
+        assert all(same_tree(tree, expected) for tree in on_both_paths(lambda: build_tree(edges, root)))
+
+    def test_wide_random_tree_round_trip(self, tmp_path):
+        path = tmp_path / "wide.tree"
+        save_topology(gen_random_tree(5000, 4, 0), path)
+        expected = loop_load_topology(path)
+        assert all(same_tree(tree, expected) for tree in on_both_paths(lambda: load_topology(path)))
