@@ -191,23 +191,23 @@ def build_tree(edges, root) -> LogicalTree:
             internal node has exactly one child, or the root's child is a
             leaf (which would leave no internal link).
     """
-    flat = list(chain.from_iterable(edges))  # child, father, child, father, ...
+    # Dense ids 0..N-1 in first-appearance order, the root first.
+    ids = {root: ROOT}
+    flat = [ids.setdefault(v, len(ids)) for v in chain.from_iterable(edges)]  # child, father, ...
     if not flat:
         raise DegreeViolation("empty edge list")
-    names = list(dict.fromkeys(chain((root,), flat)))  # dense ids in first-appearance order
-    ids = dict(zip(names, range(len(names))))
+    names = list(ids)
     if len(flat) < 2 * FEW_EDGES:
-        flat = list(map(ids.__getitem__, flat))
         return _label_few(flat[0::2], flat[1::2], names)
-    flat = np.fromiter(map(ids.__getitem__, flat), np.int64, len(flat))
+    flat = np.array(flat, dtype=np.int64)
     child, father = flat[0::2], flat[1::2]
     N = len(names)  # nodes, the root (dense id 0) included
 
-    # Array checks only detect bad input; on failure _check_edges walks the
-    # edges in order, so each error keeps its message and its precedence.
+    # Array checks only detect bad input; on failure the edge-order walks
+    # raise, so each error keeps its message and its precedence.
     parents = np.bincount(child, minlength=N)
     if parents[ROOT] or np.count_nonzero(parents) < len(child):
-        _check_edges(child.tolist(), father.tolist(), names)
+        _fathers(child.tolist(), father.tolist(), names)
 
     # Euler tour: arc 2v enters node v and arc 2v+1 leaves it, so arc 0 starts
     # at the root and arc 1 ends the tour.  One stable sort lists every node
@@ -236,7 +236,8 @@ def build_tree(edges, root) -> LogicalTree:
         succ = succ.take(succ)
     m = int(suffix[1, 0])
     if m + int(suffix[2, 0]) < N - 1:  # the tour missed a node: no father, or off a cycle
-        _check_edges(child.tolist(), father.tolist(), names)
+        child = child.tolist()
+        _raise_unreachable(child, _fathers(child, father.tolist(), names), names)
     _check_degrees(fanout.tolist(), names)
 
     # Leaves are labeled in tour order, internal nodes in preorder after them.
@@ -266,11 +267,12 @@ FEW_EDGES = 64
 
 def _label_few(child, father, names) -> LogicalTree:
     """``build_tree`` on lists of dense ids: the same tree, by a DFS from the root."""
-    up = _check_edges(child, father, names)
+    up = _fathers(child, father, names)
     kids = [[] for _ in names]
-    for c in child:
-        kids[up[c]].append(c)
-    _check_degrees(list(map(len, kids)), names)
+    for c, p in zip(child, father):
+        kids[p].append(c)
+    # With one father per node and none for the root, the nodes the DFS
+    # reaches form a tree, so it visits every node exactly when all reach the root.
     leaves, internal, stack = [], [], kids[ROOT][::-1]
     while stack:
         v = stack.pop()
@@ -279,6 +281,9 @@ def _label_few(child, father, names) -> LogicalTree:
             stack += kids[v][::-1]
         else:
             leaves.append(v)
+    if len(leaves) + len(internal) + 1 < len(names):
+        _raise_unreachable(child, up, names)
+    _check_degrees(list(map(len, kids)), names)
     order = [ROOT] + leaves + internal  # dense id of each label
     n, m = len(order) - 1, len(leaves)
     label = [ROOT] * (n + 1)
@@ -304,12 +309,8 @@ def _label_few(child, father, names) -> LogicalTree:
     return tree
 
 
-def _check_edges(child, father, names) -> list:
-    """Father of each dense id (-1 for the root), once every node hangs below the root.
-
-    Raises for the first edge whose child has a father already, else for the
-    first walk up from a child (in edge order) that meets a cycle or no father.
-    """
+def _fathers(child, father, names) -> list:
+    """Father of each dense id (-1 for the root); raises for the first edge whose child has one already."""
     up = [ROOT] + [-1] * (len(names) - 1)  # so the root as a child reads as a second father
     for c, p in zip(child, father):
         if up[c] >= 0:
@@ -317,8 +318,14 @@ def _check_edges(child, father, names) -> list:
                 raise CycleDetected(f"root {names[ROOT]!r} appears as a child")
             raise DisconnectedInput(f"node {names[c]!r} has two parents")
         up[c] = p
-    mark = [ROOT] + [-1] * (len(names) - 1)
-    for start in child:
+    up[ROOT] = -1
+    return up
+
+
+def _raise_unreachable(starts, up, names) -> None:
+    """Raise for the first walk up from a child (in edge order) that meets a cycle or no father."""
+    mark = [ROOT] + [-1] * (len(up) - 1)
+    for start in starts:
         v = start
         while mark[v] < 0:
             mark[v] = start
@@ -327,8 +334,6 @@ def _check_edges(child, father, names) -> list:
             v = up[v]
         if mark[v] == start:
             raise CycleDetected(f"cycle through node {names[v]!r}")
-    up[ROOT] = -1
-    return up
 
 
 def _check_degrees(fanout, names) -> None:
@@ -459,8 +464,9 @@ def load_topology(path) -> LogicalTree:
     at = 2 * heads.index("root")
     root = _node_id(tokens[at + 1])
     del tokens[at : at + 2]
-    ids = _node_ids(tokens, text)
-    return build_tree(zip(ids[0::2], ids[1::2]), root=root)
+    node = {t: _node_id(t) for t in set(tokens)}
+    ids = map(node.__getitem__, tokens)
+    return build_tree(zip(ids, ids), root=root)  # consecutive ids pair up
 
 
 _COMMENT = re.compile(r"#.*")
@@ -484,17 +490,6 @@ def _raise_malformed(text) -> None:
 def _node_id(token: str):
     """A decimal integer token becomes an int; any other token stays a string."""
     return int(token) if token.removeprefix("-").isdecimal() else token
-
-
-def _node_ids(tokens, text) -> list:
-    """``_node_id`` of each token: one ``int`` pass if all are integers, else once per distinct token."""
-    if "+" not in text and "_" not in text:  # int() also reads these, _node_id does not
-        try:
-            return list(map(int, tokens))
-        except ValueError:  # a token that is no integer
-            pass
-    node = {t: _node_id(t) for t in set(tokens)}
-    return list(map(node.__getitem__, tokens))
 
 
 def tree_from_spec(spec: str) -> LogicalTree:
