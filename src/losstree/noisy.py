@@ -15,6 +15,8 @@ On a full tree the same thresholds generalize to per-subtree statistics
 (``z_stats``: leaf-span range minima of the bounds, plus one offline
 range query over ranked lower bounds, O((n + m) log m) in all), and
 ``upsparse_plus`` applies them top down in one pass in label order.
+Both take intervals of (m,) or (B, m), an (m,) one being a single row;
+only a count per link and the top-down pass run row by row.
 
 A note on ties: when a whole set of x values is optimal, results report
 the set and single-value fields use the canonical minimizer; tie-breaks
@@ -91,7 +93,8 @@ class NoisySolution:
 
     ``z`` holds the root-to-node path loss for every link label, so the
     realized observation y equals z over the leaf labels and satisfies
-    lo <= y <= hi componentwise.
+    lo <= y <= hi componentwise.  A batch holds one solution per row of
+    (B, n) and (B, m) arrays, and its norms are (B,) arrays.
     """
 
     x: np.ndarray
@@ -99,11 +102,13 @@ class NoisySolution:
     z: np.ndarray
     mode: str
 
-    def l0(self) -> int:
-        return int((self.x > DEFAULT_TOL).sum())
+    def l0(self) -> int | np.ndarray:
+        l0 = (self.x > DEFAULT_TOL).sum(axis=-1)
+        return l0 if self.x.ndim == 2 else int(l0)
 
-    def l1(self) -> float:
-        return float(self.x.sum())
+    def l1(self) -> float | np.ndarray:
+        l1 = self.x.sum(axis=-1)
+        return l1 if self.x.ndim == 2 else float(l1)
 
     def to_json(self) -> dict:
         return {
@@ -231,36 +236,48 @@ def local_min_l1(y_lo, y_hi) -> LocalMinL1:
 
 
 def z_stats(tree: LogicalTree, intervals: IntervalObservation) -> ZStats:
-    """Subtree interval statistics for every link.
+    """Subtree interval statistics for every link: (n,), or (B, n) for (B, m) bounds.
 
-    min_upper and max_lower are leaf-span minima of hi and -lo
-    (``LogicalTree.span_min``).  max_lower_within is an offline range query:
-    with lo ranked once, it is the lower bound of largest rank in the span
-    among the ranks below the count of lower bounds <= min_upper.  Every
-    span is cut into aligned power-of-two blocks (``LogicalTree.span_blocks``);
-    one sort orders the ranks inside every block, one searchsorted finds each
-    block's best qualifying rank and one reduceat keeps the best block of
-    each link: O((n + m) log m) work in a fixed number of array operations.
+    min_upper and max_lower are leaf-span minima of hi and -lo, from one
+    ``LogicalTree.span_min`` over the stacked bounds.  max_lower_within is an
+    offline range query: with lo ranked once, it is the lower bound of
+    largest rank in the span among the ranks below the count of lower
+    bounds <= min_upper.  Every span is cut into aligned power-of-two blocks
+    (``LogicalTree.span_blocks``); one sort orders the ranks inside every
+    block, one searchsorted finds each block's best qualifying rank and one
+    reduceat keeps the best block of each link: O((n + m) log m) work per
+    row.  The rows of a batch share each of these calls; only the count of
+    lower bounds <= min_upper takes one searchsorted per row.
     """
     _check_paths(tree, intervals)
-    lo = intervals.lo
-    min_upper = tree.span_min(intervals.hi)
+    m = tree.m
+    lo = intervals.lo.reshape(-1, m)  # one row per observation
+    rows = len(lo)
+    bounds = tree.span_min(np.concatenate((intervals.hi.reshape(-1, m), -lo)))
     link, base, starts, leaf_base = tree.span_blocks
-    order = np.argsort(lo, kind="stable")
-    rank = np.empty(tree.m, dtype=np.int64)
-    rank[order] = np.arange(tree.m)
-    # One key per leaf per level, ordered by block and then by rank.  A block
-    # whose ranks all reach the count finds a key of an earlier block and
-    # yields a negative best; only leaf 1's own block has base 0, and its
-    # rank is always below its count.
-    keys = np.sort(leaf_base + rank, axis=None)
-    count = np.searchsorted(lo[order], min_upper, side="right")
-    best = keys[np.searchsorted(keys, base + count[link]) - 1] - base
-    # non-negative for every link: the path attaining min_upper qualifies
+    first = np.arange(0, lo.size, m)[:, None]  # flat offset of each row
+    at = (lo.argsort(kind="stable") + first).ravel()
+    ranked = lo.ravel()[at]  # each row's lower bounds in increasing order
+    rank = np.empty(lo.size, dtype=np.int64)
+    rank[at] = np.arange(lo.size)  # r * m plus the rank within row r
+    # One key per leaf per level and row, the block's base * rows plus r * m
+    # plus the rank: ordered by block, then row, then rank.  The query of row r
+    # in a block finds its best qualifying rank, or else a key of an earlier
+    # row or block, which yields a best below r * m.  Only leaf 1's own block
+    # has base 0, and its rank is always below its count.
+    keys = (leaf_base * rows + rank.reshape(-1, 1, m)).ravel()
+    keys.sort()
+    count = [r.searchsorted(u, "right") for r, u in zip(ranked.reshape(-1, m), bounds)]
+    count = np.array(count, dtype=np.int64).reshape(rows, tree.n)
+    base = base * rows
+    best = keys[keys.searchsorted(base + first + count.take(link, axis=1)) - 1] - base
+    # at least r * m for every link of row r: the path attaining min_upper qualifies
+    best = np.maximum.reduceat(best, starts, axis=1)
+    shape = intervals.lo.shape[:-1] + (tree.n,)
     return ZStats(
-        min_upper=min_upper,
-        max_lower=-tree.span_min(-lo),
-        max_lower_within=lo[order[np.maximum.reduceat(best, starts)]],
+        min_upper=bounds[:rows].reshape(shape),
+        max_lower=-bounds[rows:].reshape(shape),
+        max_lower_within=ranked[best].reshape(shape),
     )
 
 
@@ -277,6 +294,7 @@ def upsparse_plus(
     links where one suffices.  MIN_L1_AMONG_L0 bumps it to min_upper on
     lossy links whose subtree cannot realize max_lower.  Realized
     observations are the leaf z values and always respect the intervals.
+    Bounds (B, m) give a solution of B rows, each the solution of its row.
     """
     if mode not in MODES:
         raise OutOfDomain(f"mode must be one of {MODES}, got {mode!r}")
@@ -289,16 +307,23 @@ def upsparse_plus(
             value = np.where(stats.min_upper < stats.max_lower, stats.min_upper, test)
     # A link takes value when test exceeds its father's path loss.  Internal
     # labels are in preorder, so one pass in label order sees every father
-    # first; leaves have internal fathers and follow in one array step.
-    m, parent = tree.m, tree.parent
-    zs = [0.0] * (m + 1)
-    for p, t, val in zip(parent[m + 1 :].tolist(), test[m:].tolist(), value[m:].tolist()):
-        zf = zs[p]
-        zs.append(val if t > zf else zf)
-    z = np.array(zs)
-    zf = z[parent[1 : m + 1]]
-    z[1 : m + 1] = np.where(test[:m] > zf, test[:m], zf)  # no bump on a single path
-    return NoisySolution(x=z[1:] - z[parent[1:]], y=z[1 : m + 1].copy(), z=z[1:], mode=mode)
+    # first; the pass runs on Python floats, row by row.  Leaves have internal
+    # fathers and follow in one array step for all rows.
+    m, n, parent = tree.m, tree.n, tree.parent
+    fathers = parent[m + 1 :].tolist()
+    rows = []
+    for tests, values in zip(test[..., m:].reshape(-1, n - m).tolist(),
+                             value[..., m:].reshape(-1, n - m).tolist()):
+        zs = [0.0] * (m + 1)
+        for p, t, val in zip(fathers, tests, values):
+            zf = zs[p]
+            zs.append(val if t > zf else zf)
+        rows.append(zs)
+    z = np.array(rows).reshape(test.shape[:-1] + (n + 1,))
+    leaf, zf = test[..., :m], z.take(parent[1 : m + 1], axis=-1)
+    z[..., 1 : m + 1] = np.where(leaf > zf, leaf, zf)  # no bump on a single path
+    return NoisySolution(x=z[..., 1:] - z.take(parent[1:], axis=-1), y=z[..., 1 : m + 1].copy(),
+                         z=z[..., 1:], mode=mode)
 
 
 def save_intervals(intervals: IntervalObservation, path) -> None:
@@ -355,6 +380,8 @@ def _as_intervals(y_lo, y_hi):
 
 
 def _check_paths(tree: LogicalTree, intervals: IntervalObservation) -> None:
+    if intervals.lo.ndim not in (1, 2):
+        raise OutOfDomain(f"intervals must be (m,) or (B, m), got shape {intervals.lo.shape}")
     if intervals.m != tree.m:
         raise OutOfDomain(
             f"tree has {tree.m} paths but intervals cover {intervals.m}"

@@ -13,9 +13,13 @@ loss probabilities by hotspot-location success rate (e0) and relative
 l2 error (e2).  Repetition substreams are derived from (seed, K, rep),
 with probe noise further keyed by the probe count, so runs are
 order-independent and instances stay paired across probe counts and
-interval widths.  Planting and probing run per repetition; each
-(K, probe count) cell then stacks its repetitions and solves and scores
-them in one batch.
+interval widths.  What still runs per repetition is planting, the
+binomial draw of the probe counts on the repetition's own stream, and
+at a null probe count the exact observation (``forward``).  Each
+(K, probe count) cell stacks its repetitions, and every other step takes
+the (B, n) or (B, m) rows in one call: the path probabilities, the
+interval bounds, the solvers (``closed_form``, or ``upsparse_plus`` on
+(B, m) intervals) and the scores.
 
 Probes are simulated independently per path; shared-link correlation
 between paths is not modeled (the solvers consume only the per-path
@@ -50,7 +54,7 @@ INTERVAL_MODES = ("t-ci", "cover")
 class ProbeRun:
     """Per-path loss counts and estimates from one simulated probing round.
 
-    The arrays are (m,), or (B, m) for B rounds stacked by ``stack``.
+    The arrays are (m,), or (B, m) for B rounds of one probe count.
     """
 
     probes: int
@@ -58,16 +62,6 @@ class ProbeRun:
     p_hat: np.ndarray
     y_hat: np.ndarray
     seed: int | None = None
-
-    @classmethod
-    def stack(cls, runs: list["ProbeRun"]) -> "ProbeRun":
-        """B rounds of one probe count as one run with (B, m) arrays."""
-        return cls(
-            probes=runs[0].probes,
-            losses=np.array([r.losses for r in runs]),
-            p_hat=np.array([r.p_hat for r in runs]),
-            y_hat=np.array([r.y_hat for r in runs]),
-        )
 
 
 class Metrics(NamedTuple):
@@ -174,27 +168,45 @@ def _is_real(value) -> bool:
 def path_loss_probabilities(tree: LogicalTree, b) -> np.ndarray:
     """p_j = 1 - prod(1 - b_k) over path j, multiplied out top down.
 
-    One pass over the internal labels (preorder, so every father comes
-    first) gives each node's survival probability from the root; the
-    leaves, whose fathers are internal, follow in one array step.
+    ``b`` is (n,), or (B, n) for (B, m) probabilities.  One pass over the
+    internal labels (preorder, so every father comes first) gives each
+    node's survival probability from the root, on Python floats, row by
+    row; the leaves, whose fathers are internal, follow in one array step.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape != (tree.n,) or not np.all((b >= 0) & (b < 1)):
-        raise OutOfDomain(f"need {tree.n} link loss probabilities in [0, 1)")
+    if b.ndim not in (1, 2) or b.shape[-1] != tree.n or not np.all((b >= 0) & (b < 1)):
+        raise OutOfDomain(f"need {tree.n} link loss probabilities in [0, 1) per row")
     m, parent, survive = tree.m, tree.parent, 1.0 - b
-    q = [1.0] * (m + 1)  # survival from the root to each internal node; leaves below
-    for p, s in zip(parent[m + 1 :].tolist(), survive[m:].tolist()):
-        q.append(q[p] * s)
-    return 1.0 - np.array(q)[parent[1 : m + 1]] * survive[:m]
+    fathers = parent[m + 1 :].tolist()
+    rows = []
+    for row in survive[..., m:].reshape(-1, tree.n - m).tolist():
+        q = [1.0] * (m + 1)  # survival from the root to each internal node; leaves below
+        for p, s in zip(fathers, row):
+            q.append(q[p] * s)
+        rows.append(q)
+    q = np.array(rows).reshape(b.shape[:-1] + (tree.n + 1,))
+    return 1.0 - q.take(parent[1 : m + 1], axis=-1) * survive[..., :m]
 
 
 def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:
-    """Send ``probes`` probes per path and estimate the loss probabilities."""
+    """Send ``probes`` probes per path and estimate the loss probabilities.
+
+    ``b`` is (n,) with one seed, or (B, n) with a sequence of B seeds: row r
+    draws its counts from ``np.random.default_rng(seed[r])``, so it gets the
+    counts of a call on that row alone.
+    """
     if not (_is_int(probes) and probes >= 1):
         raise ParameterOutOfRange(f"need a whole number of probes of at least 1, got {probes!r}")
-    rng = np.random.default_rng(seed)
     p = path_loss_probabilities(tree, b)
-    losses = rng.binomial(probes, p)
+    if p.ndim == 1:
+        seeds = [seed]
+    elif isinstance(seed, (list, tuple, np.ndarray)) and len(seed) == len(p):
+        seeds = seed
+    else:
+        raise ParameterOutOfRange(f"need one seed for each of the {len(p)} rows of b")
+    rows = zip(seeds, p.reshape(-1, tree.m))
+    losses = [np.random.default_rng(s).binomial(probes, row) for s, row in rows]
+    losses = np.array(losses, dtype=np.int64).reshape(p.shape)
     p_hat = losses / probes
     return ProbeRun(
         probes=probes,
@@ -245,11 +257,7 @@ def cover_intervals(
 
     ``b_true`` is (n,), or (B, n) for (B, m) bounds.
     """
-    b_true = np.asarray(b_true, dtype=float)
-    if b_true.ndim == 2:
-        p = np.array([path_loss_probabilities(tree, b) for b in b_true]).reshape(-1, tree.m)
-    else:
-        p = path_loss_probabilities(tree, b_true)
+    p = path_loss_probabilities(tree, b_true)
     lo_p = np.maximum(p - halfwidth, 0.0)
     hi_p = np.maximum(np.minimum(p + halfwidth, 1 - EPS_P), p)
     return IntervalObservation(lo=addloss(lo_p), hi=addloss(hi_p))
@@ -287,10 +295,11 @@ def run_experiment(cfg: ExperimentConfig, tree: LogicalTree | None = None):
     """Sweep (K, probe count) cells and aggregate e0/e2 over repetitions.
 
     Per repetition: plant K hotspots with losses uniform in the configured
-    range, then simulate probes (or take exact observations when the probe
-    count is null).  Per cell, on the stacked repetitions (in blocks of
-    ``BLOCK_LINKS`` link values): solve per the configured mode, invert the
-    addloss transform, and score against the planted probabilities.
+    range.  Per cell, on the stacked repetitions (in blocks of
+    ``BLOCK_LINKS`` link values): simulate probes (or take exact
+    observations when the probe count is null), solve per the configured
+    mode, invert the addloss transform, and score against the planted
+    probabilities.
     """
     if tree is None:
         tree = tree_from_spec(cfg.tree)
@@ -326,8 +335,8 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 def _score_block(tree, b_true, reps: range, K, probes, cfg: ExperimentConfig) -> Metrics:
     """Per-row scores of the B planted rows ``reps`` of a (K, probes) cell.
 
-    Each row is probed from its own stream; the point solver and the interval
-    bounds run once on the stacked (B, m) arrays.  Cover intervals need no probes.
+    Each row is probed from its own stream; the probe pass, the interval bounds
+    and the solver run once on the stacked rows.  Cover intervals need no probes.
     """
     interval = cfg.mode != POINT_MODE
     if interval and cfg.interval_mode == "cover":
@@ -336,18 +345,13 @@ def _score_block(tree, b_true, reps: range, K, probes, cfg: ExperimentConfig) ->
         y_hat = np.array([forward(tree, x) for x in addloss(b_true)])
         intervals = IntervalObservation.exact(y_hat) if interval else None
     else:
-        run = ProbeRun.stack([
-            simulate_probes(tree, b, probes, np.random.default_rng(
-                np.random.SeedSequence(cfg.seed, spawn_key=(K, rep, probes))))
-            for rep, b in zip(reps, b_true)
+        run = simulate_probes(tree, b_true, probes, [
+            np.random.SeedSequence(cfg.seed, spawn_key=(K, rep, probes)) for rep in reps
         ])
         y_hat = run.y_hat
         intervals = confidence_intervals(run, cfg.level) if interval else None
     if interval:
-        x_hat = np.array([
-            upsparse_plus(tree, IntervalObservation(lo=lo, hi=hi), cfg.mode).x
-            for lo, hi in zip(intervals.lo, intervals.hi)
-        ])
+        x_hat = upsparse_plus(tree, intervals, cfg.mode).x
     else:
         x_hat = closed_form(tree, y_hat)
     return metrics(b_true, inverse_addloss(x_hat))

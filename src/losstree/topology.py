@@ -140,16 +140,18 @@ class LogicalTree:
         rows, first, second = self.span_min_index
         # Row k of the table, min(y[..., i : i + 2**k]) for i = 0..m - 2**k, is
         # written in place after row k - 1, so a batch costs no concatenated copy.
-        flat = np.empty(y.shape[:-1] + (rows * (self.m + 1) - (1 << rows) + 1,), y.dtype)
-        flat[..., : self.m] = y
+        # The table runs along the first axis (y.T), so every step of a batch
+        # works on one contiguous block.
+        y = y.T
+        flat = np.empty((rows * (self.m + 1) - (1 << rows) + 1,) + y.shape[1:], y.dtype)
+        flat[: self.m] = y
         start, length = 0, self.m
         for k in range(rows - 1):
             end, half = start + length, 1 << k
-            np.minimum(flat[..., start : end - half], flat[..., start + half : end],
-                       out=flat[..., end : end + length - half])
+            np.minimum(flat[start : end - half], flat[start + half : end],
+                       out=flat[end : end + length - half])
             start, length = end, length - half
-        # take gathers along the last axis several times faster than flat[..., first]
-        return np.minimum(flat.take(first, axis=-1), flat.take(second, axis=-1))
+        return np.minimum(flat.take(first, axis=0), flat.take(second, axis=0)).T
 
     def subtree_leaves(self, v: int) -> range:
         lo, hi = self.leaf_span[v]
@@ -489,7 +491,15 @@ def _raise_malformed(text) -> None:
 
 def _node_id(token: str):
     """A decimal integer token becomes an int; any other token stays a string."""
-    return int(token) if token.removeprefix("-").isdecimal() else token
+    if not token.removeprefix("-").isdecimal():
+        return token
+    try:
+        return int(token)
+    except ValueError:  # more digits than the interpreter converts (4300 by default)
+        digits = len(token.removeprefix("-"))
+        raise MalformedLine(
+            f"a node id of {digits} digits is too long to read as an integer"
+        ) from None
 
 
 def tree_from_spec(spec: str) -> LogicalTree:

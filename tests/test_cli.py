@@ -276,6 +276,20 @@ class TestScfs:
         assert code == 1 and stdout == ""
         assert "error: line 7: second 'root' line (the first is line 1)" in err
 
+    def test_node_id_past_the_integer_digit_limit(self, capsys, tmp_path, fig_files):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integer strings of any length")
+        _, obs_path = fig_files
+        big = "7" * (limit + 1)
+        tree = tmp_path / "big.tree"
+        tree.write_text(f"root 0\n4 0\n5 4\n{big} 4\n1 5\n2 5\n", encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "scfs", "--tree", str(tree), "--obs", obs_path)
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [
+            f"error: a node id of {limit + 1} digits is too long to read as an integer"
+        ]
+
     def test_clean_network(self, capsys, tmp_path, fig_files):
         tree_path, _ = fig_files
         obs = tmp_path / "zero.json"

@@ -648,6 +648,48 @@ class TestKernelsMatchPathLoops:
             got = uniqueness_census(tree, K, loss_range, trials, seed, placement)
         assert got == ref_census(tree, K, loss_range, trials, seed, placement)
 
+
+# Random trees and caterpillars, plus stars: the widest single complex.
+BATCH_TREES = st.one_of(trees(st.integers(2, 60) | BLOCK_SIZES), st.integers(2, 20).map(star))
+
+
+class TestBatchesMatchSingleRows:
+    """Each row of a (B, ·) call equals the call on that row alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=BATCH_TREES, seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 5))
+    def test_interval_solver(self, tree, seed, rows):
+        rng = np.random.default_rng(seed)
+        lo, hi = np.array([interval_draw(rng, tree.m) for _ in range(rows)]).transpose(1, 0, 2)
+        lo[0, 0], hi[-1, -1] = 0.0, np.inf  # a zero lower and an unbounded upper end
+        batch = IntervalObservation(lo=lo, hi=hi)
+        singles = [IntervalObservation(lo=l, hi=h) for l, h in zip(lo, hi)]
+        stats = z_stats(tree, batch)
+        for field in ("min_upper", "max_lower", "max_lower_within"):
+            got = getattr(stats, field)
+            assert got.shape == (rows, tree.n)
+            for row, single in zip(got, singles):
+                assert np.array_equal(row, getattr(z_stats(tree, single), field))
+        for mode in MODES:
+            sol = upsparse_plus(tree, batch, mode)
+            assert sol.x.shape == sol.z.shape == (rows, tree.n) and sol.y.shape == (rows, tree.m)
+            for r, single in enumerate(singles):
+                one = upsparse_plus(tree, single, mode)
+                assert np.array_equal(sol.x[r], one.x) and np.array_equal(sol.y[r], one.y)
+                assert np.array_equal(sol.z[r], one.z)
+                assert sol.l0()[r] == one.l0() and sol.l1()[r] == one.l1()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=BATCH_TREES, seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 5))
+    def test_path_loss_probabilities(self, tree, seed, rows):
+        rng = np.random.default_rng(seed)
+        b = np.where(rng.random((rows, tree.n)) < 0.5, rng.uniform(0.0, 0.3, (rows, tree.n)), 0.0)
+        p = path_loss_probabilities(tree, b)
+        assert p.shape == (rows, tree.m)
+        for row, b_row in zip(p, b):
+            assert np.array_equal(row, path_loss_probabilities(tree, b_row))
+
+
 @st.composite
 def tree_edges(draw):
     """(edges, root) of a random tree: mixed int and str ids, edges in shuffled order."""
@@ -779,10 +821,9 @@ def test_blocks_of_repetitions_keep_the_rows(monkeypatch, mode, interval_mode):
         assert run_experiment(cfg, tree) == ref_experiment_rows(tree, cfg)
 
 
-@pytest.mark.parametrize("mode, solves, intervals", [(POINT_MODE, 6, 0), (MIN_L1_AMONG_L0, 0, 3)])
-def test_experiment_solves_and_scores_once_per_cell(monkeypatch, mode, solves, intervals):
-    """Six (K, N) cells of six repetitions: one batched call each, not one per row."""
-    calls = {"closed_form": 0, "metrics": 0, "confidence_intervals": 0}
+def count_calls(monkeypatch, names) -> dict:
+    """Call counts of the ``simulation`` functions ``names``, as the experiment calls them."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(simulation, name)
@@ -793,13 +834,40 @@ def test_experiment_solves_and_scores_once_per_cell(monkeypatch, mode, solves, i
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(simulation, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("mode, solves, intervals", [(POINT_MODE, 6, 0), (MIN_L1_AMONG_L0, 0, 3)])
+def test_experiment_solves_and_scores_once_per_cell(monkeypatch, mode, solves, intervals):
+    """Six (K, N) cells of six repetitions: one batched call each, not one per row."""
+    calls = count_calls(monkeypatch, ["closed_form", "metrics", "confidence_intervals"])
     cfg = ExperimentConfig(tree="ternary:13", k_values=[1, 2, 3], probe_counts=[100, None],
                            reps=6, mode=mode)
     assert len(run_experiment(cfg)) == 6
     # N = inf takes exact intervals, so only the three N = 100 cells build t intervals
     assert calls == {"closed_form": solves, "metrics": 6, "confidence_intervals": intervals}
+
+
+@pytest.mark.parametrize("interval_mode, probe_runs, probability_passes",
+                         [("t-ci", 6, 6), ("cover", 0, 12)])
+def test_interval_experiment_solves_once_per_cell_block(
+    monkeypatch, interval_mode, probe_runs, probability_passes
+):
+    """Four (K, N) cells of seven repetitions in blocks of 3, 3 and 1: one call per block.
+
+    Only the N = 100 cells probe; cover intervals take the path probabilities directly.
+    """
+    tree = gen_ternary_tree(13)
+    cfg = ExperimentConfig(tree="ternary:13", k_values=[1, 2], probe_counts=[100, None], reps=7,
+                           mode=MIN_L1_AMONG_L0, interval_mode=interval_mode)
+    expected = ref_experiment_rows(tree, cfg)
+    monkeypatch.setattr(simulation, "BLOCK_LINKS", 3 * tree.n)
+    calls = count_calls(monkeypatch, ["upsparse_plus", "simulate_probes", "path_loss_probabilities"])
+    assert run_experiment(cfg, tree) == expected
+    assert calls == {"upsparse_plus": 12, "simulate_probes": probe_runs,
+                     "path_loss_probabilities": probability_passes}
 
 
 GOLDEN_RUNS = {

@@ -283,6 +283,33 @@ class TestUpsparsePlus:
                 last_gap = gap
             assert last_gap == 0.0
 
+    def test_batch_rows_must_cover_the_trees_paths(self, fig_tree):
+        iv = IntervalObservation(lo=np.zeros((2, 4)), hi=np.ones((2, 4)))
+        for solve in (z_stats, upsparse_plus):
+            with pytest.raises(OutOfDomain, match="tree has 3 paths but intervals cover 4"):
+                solve(fig_tree, iv)
+
+    def test_bounds_of_three_dimensions(self, fig_tree):
+        iv = IntervalObservation(lo=np.zeros((2, 2, 3)), hi=np.ones((2, 2, 3)))
+        for solve in (z_stats, upsparse_plus):
+            with pytest.raises(OutOfDomain, match=r"intervals must be \(m,\) or \(B, m\)"):
+                solve(fig_tree, iv)
+
+    def test_empty_batch(self, fig_tree):
+        iv = IntervalObservation(lo=np.zeros((0, 3)), hi=np.zeros((0, 3)))
+        assert z_stats(fig_tree, iv).max_lower_within.shape == (0, 5)
+        sol = upsparse_plus(fig_tree, iv, MIN_L1_AMONG_L0)
+        assert sol.x.shape == (0, 5) and sol.y.shape == (0, 3) and sol.l0().shape == (0,)
+
+    def test_batch_norms_are_per_row(self, one_complex):
+        iv = IntervalObservation(lo=[[0, 3, 5], [1, 1, 1]], hi=[[2, INF, INF], [1, 1, 1]])
+        sol = upsparse_plus(one_complex, iv, MIN_L0)
+        assert sol.l0().tolist() == [2, 1]
+        assert sol.l1().tolist() == [8.0, 1.0]
+        single = upsparse_plus(one_complex, IntervalObservation(lo=[1, 1, 1], hi=[1, 1, 1]))
+        assert (single.l0(), single.l1()) == (1, 1.0)
+        assert type(single.l0()) is int and type(single.l1()) is float
+
     def test_mode_validation(self, one_complex):
         iv = IntervalObservation.exact([1.0, 1.0, 1.0])
         with pytest.raises(OutOfDomain):

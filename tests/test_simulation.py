@@ -21,7 +21,7 @@ from losstree import (
     write_experiment_csv,
 )
 from losstree.errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
-from losstree.simulation import ProbeRun, _t_quantile, path_loss_probabilities
+from losstree.simulation import _t_quantile, path_loss_probabilities
 from losstree.topology import build_tree
 
 
@@ -91,6 +91,25 @@ class TestSimulateProbes:
         chi2 = ((observed - expected) ** 2 / expected).sum()
         assert chi2 < stats.chi2.ppf(0.99, len(observed) - 1)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 5), (2, 6), (2, 4)])
+    def test_batch_of_links_must_be_rows_of_n(self, fig_tree, shape):
+        b = np.zeros(shape)
+        with pytest.raises(OutOfDomain, match="need 5 link loss probabilities"):
+            path_loss_probabilities(fig_tree, b)
+        with pytest.raises(OutOfDomain, match="need 5 link loss probabilities"):
+            simulate_probes(fig_tree, b, 10, [0, 1])
+        with pytest.raises(OutOfDomain, match="need 5 link loss probabilities"):
+            cover_intervals(fig_tree, b, 0.01)
+
+    def test_empty_batch(self, fig_tree):
+        run = simulate_probes(fig_tree, np.zeros((0, 5)), 10, [])
+        assert run.losses.shape == (0, 3) and run.losses.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [[0], [0, 1, 2], 0, None])
+    def test_one_seed_per_row(self, fig_tree, seed):
+        with pytest.raises(ParameterOutOfRange, match="one seed for each of the 2 rows"):
+            simulate_probes(fig_tree, np.zeros((2, 5)), 10, seed)
+
     def test_needs_at_least_one_probe(self, fig_tree):
         with pytest.raises(ParameterOutOfRange):
             simulate_probes(fig_tree, np.zeros(5), probes=0, seed=0)
@@ -146,12 +165,17 @@ class TestConfidenceIntervals:
             confidence_intervals(run, level=0.9)
 
     def test_stacked_run_gives_each_rows_intervals(self, fig_tree):
-        runs = [simulate_probes(fig_tree, np.full(5, 0.04), 30, seed=s) for s in range(6)]
-        runs[0].losses[:] = 0  # a zero count and a full-loss count
-        runs[0].p_hat[:] = 0.0
-        runs[1].losses[0] = 30
-        runs[1].p_hat[0] = 1.0
-        stacked = confidence_intervals(ProbeRun.stack(runs), 0.9)
+        b = np.full((6, 5), 0.04)
+        run = simulate_probes(fig_tree, b, 30, seed=list(range(6)))
+        runs = [simulate_probes(fig_tree, row, 30, seed=s) for s, row in enumerate(b)]
+        assert np.array_equal(run.losses, [r.losses for r in runs])
+        for losses, p_hat in [(run.losses[0], run.p_hat[0]), (runs[0].losses, runs[0].p_hat)]:
+            losses[:] = 0  # a zero count
+            p_hat[:] = 0.0
+        for losses, p_hat in [(run.losses[1], run.p_hat[1]), (runs[1].losses, runs[1].p_hat)]:
+            losses[0] = 30  # a full-loss count
+            p_hat[0] = 1.0
+        stacked = confidence_intervals(run, 0.9)
         assert stacked.lo.shape == stacked.hi.shape == (6, 3)
         for row, run in enumerate(runs):
             single = confidence_intervals(run, 0.9)
