@@ -10,16 +10,16 @@ smallest feasible size k*; the census measures how often that holds, and
 how often the minimum-l1 solution equals the planted truth, under random
 hotspot placements.
 
-Enumeration keeps, per support size k and once per tree, the supports
-with independent columns.  A_S has consecutive ones in each column, so it
-is totally unimodular and det(A_SᵀA_S), by Cauchy-Binet its count of
-nonsingular k x k minors, tests rank exactly.  At k* every link of a
-feasible support carries loss, so only supports covering exactly the lossy
-paths are candidates; of those, only supports whose leaf spans start or
-end at every step of y (a gap between adjacent paths) can be feasible,
-since paths that no link of S tells apart get equal A_S x.  The survivors
-of all observations are solved at once through their Gram systems
-A_SᵀA_S x = A_Sᵀy.
+Enumeration lists every support of each size k once per tree, sorted by
+the paths it covers.  At k* every link of a feasible support carries loss,
+so only supports covering exactly the lossy paths are candidates; of
+those, only supports whose leaf spans start or end at every step of y (a
+gap between adjacent paths) can be feasible, since paths that no link of
+S tells apart get equal A_S x.  The survivors of all observations that
+have independent columns are solved at once through their Gram systems
+A_SᵀA_S x = A_Sᵀy.  A_S has consecutive ones in each column, so it is
+totally unimodular and det(A_SᵀA_S), by Cauchy-Binet its count of
+nonsingular k x k minors, tests rank exactly.
 """
 
 import functools
@@ -96,15 +96,13 @@ class SupportScanner:
         return self.path_bits[:-1] @ (np.diff(self.dense, axis=0) != 0)
 
     def level(self, k: int):
-        """(supports, cover masks, step masks) of size k with independent columns, by cover mask."""
+        """(supports, cover masks, step masks) of all supports of size k, by cover mask."""
         if k not in self._levels:
             count = math.comb(self.tree.n, k)
             if count > _SCAN_LIMIT:
                 raise InstanceTooLarge(f"{count} supports of size {k} on {self.tree.n} links")
             combos = itertools.chain.from_iterable(itertools.combinations(range(self.tree.n), k))
             supports = np.fromiter(combos, np.int64, count * k).reshape(count, k)
-            gram = self.gram[supports[:, :, None], supports[:, None, :]]  # integer entries
-            supports = supports[np.linalg.det(gram) > 0.5]
             masks = np.bitwise_or.reduce(self.link_masks[supports], axis=1)
             order = np.argsort(masks, kind="stable")
             supports, masks = supports[order], masks[order]
@@ -135,20 +133,27 @@ class SupportScanner:
             cand = np.arange(rows.size) + np.repeat(first[lo : lo + per_pass] - np.cumsum(c) + c, c)
             keep = (steps[cand] & ysteps[rows]) == ysteps[rows]
             rows, sup = rows[keep], supports[cand[keep]]
-            x, ok = self._solved(ys[rows], sup)
-            found.append((rows[ok], sup[ok], x[ok]))
+            i, x = self._solved(ys[rows], sup)
+            found.append((rows[i], sup[i], x))
         return tuple(np.concatenate(parts) for parts in zip(*found))
 
     def _solved(self, y: np.ndarray, sup: np.ndarray):
-        """x of each restricted system A_S x = y (one per row), and whether it is feasible."""
-        gram = self.gram[sup[:, :, None], sup[:, None, :]]
+        """(index, x) of each feasible restricted system A_S x = y, one per row.
+
+        Only supports with independent columns are solved: none is feasible
+        below k*, and no dependent one at k* (see ``sparsest_enumerate``).
+        """
+        gram = self.gram[sup[:, :, None], sup[:, None, :]]  # integer entries
+        index = np.flatnonzero(np.linalg.det(gram) > 0.5)
+        y, sup = y[index], sup[index]
         rhs = np.take_along_axis(y @ self.dense, sup, axis=1)  # A_Sᵀy
-        x = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        x = np.linalg.solve(gram[index], rhs[..., None])[..., 0]
         full = np.zeros((len(sup), self.tree.n))
         np.put_along_axis(full, sup, x, axis=1)
         resid = np.abs(full @ self.dense.T - y).max(axis=-1)
         # x >= -FEAS_TOL (vacuous for k = 0, hence the initial 0), residuals within FEAS_TOL
-        return x, (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (resid <= FEAS_TOL)
+        ok = (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (resid <= FEAS_TOL)
+        return index[ok], x[ok]
 
 
 def sparsest_enumerate(

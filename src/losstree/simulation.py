@@ -61,7 +61,6 @@ class ProbeRun:
     losses: np.ndarray
     p_hat: np.ndarray
     y_hat: np.ndarray
-    seed: int | None = None
 
 
 class Metrics(NamedTuple):
@@ -213,7 +212,6 @@ def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:
         losses=losses,
         p_hat=p_hat,
         y_hat=addloss(np.minimum(p_hat, 1 - EPS_P)),
-        seed=seed if isinstance(seed, int) else None,
     )
 
 

@@ -452,41 +452,36 @@ def load_topology(path) -> LogicalTree:
 
     A ``#`` starts a comment that runs to the end of its line.  The file must
     have exactly one header, on any line; a leading byte-order mark is skipped.
+    One pass over the lines checks and splits them.  Errors come in this
+    order: the first line that is neither blank nor two tokens, or is a
+    second header; a missing header; a bad root id; a bad edge id; then the
+    faults that ``build_tree`` finds.
     """
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if "#" in text:
         text = _COMMENT.sub("", text)
-    tokens = text.split()
-    heads = tokens[0::2]  # first words of the lines, if every line has two
-    if _MALFORMED.search(text) or heads.count("root") > 1:
-        _raise_malformed(text)
-    if "root" not in heads:
+    header, tokens = None, []  # tokens: child and parent of every edge line, in order
+    for lineno, line in enumerate(text.split("\n"), 1):
+        words = line.split()
+        if len(words) != 2:
+            if words:
+                raise MalformedLine(f"line {lineno}: expected two tokens, got {line.strip()!r}")
+        elif words[0] != "root":
+            tokens += words
+        elif header is None:
+            header, root = lineno, words[1]
+        else:
+            raise MalformedLine(f"line {lineno}: second 'root' line (the first is line {header})")
+    if header is None:
         raise DisconnectedInput("topology file has no 'root <id>' line")
-    at = 2 * heads.index("root")
-    root = _node_id(tokens[at + 1])
-    del tokens[at : at + 2]
+    root = _node_id(root)
     node = {t: _node_id(t) for t in set(tokens)}
     ids = map(node.__getitem__, tokens)
     return build_tree(zip(ids, ids), root=root)  # consecutive ids pair up
 
 
 _COMMENT = re.compile(r"#.*")
-# A line that is neither blank nor two whitespace-separated tokens.
-_MALFORMED = re.compile(r"^(?![^\S\n]*(?:\S+[^\S\n]+\S+[^\S\n]*)?$)", re.MULTILINE)
-
-
-def _raise_malformed(text) -> None:
-    """Raise for the first line of ``text`` (comments stripped) that breaks the format."""
-    header = None
-    for lineno, line in enumerate(text.split("\n"), 1):
-        words = line.split()
-        if len(words) == 2 and words[0] == "root":
-            if header is not None:
-                raise MalformedLine(f"line {lineno}: second 'root' line (the first is line {header})")
-            header = lineno
-        elif len(words) not in (0, 2):
-            raise MalformedLine(f"line {lineno}: expected two tokens, got {line.strip()!r}")
 
 
 def _node_id(token: str):

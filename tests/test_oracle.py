@@ -332,20 +332,38 @@ class TestL1SamplingCheck:
     ["census", "--tree", "ternary:13", "--K", "1-3", "--trials", "20"],
 ])
 def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
-    """One scanner serves the whole command, so no size level's rank test runs twice."""
-    sizes, pinv_calls = [], []
-    det = np.linalg.det
+    """One scanner serves the whole command, so each size level is listed once;
+    the rank test runs only on candidates that pass the cover and step prunes."""
+    listed, ranked, solved, pinv_calls = [], [], [], []
+    combinations, det, solve = itertools.combinations, np.linalg.det, SupportScanner._solved
+
+    def listing(pool, k):
+        listed.append(k)
+        return combinations(pool, k)
 
     def counting_det(a):
-        sizes.append(a.shape[-1])
+        ranked.append(len(a))
         return det(a)
 
+    def pruned_solve(self, y, sup):
+        # each candidate covers exactly its row's lossy paths and steps wherever the row does
+        cover = np.bitwise_or.reduce(self.link_masks[sup], axis=1)
+        assert np.array_equal(cover, (y > oracle.FEAS_TOL) @ self.path_bits)
+        steps = np.bitwise_or.reduce(self.step_masks[sup], axis=1)
+        ysteps = (np.abs(np.diff(y, axis=1)) > 4 * oracle.FEAS_TOL) @ self.path_bits[:-1]
+        assert np.array_equal(steps & ysteps, ysteps)
+        solved.append(len(sup))
+        return solve(self, y, sup)
+
+    monkeypatch.setattr(itertools, "combinations", listing)
     monkeypatch.setattr(np.linalg, "det", counting_det)
+    monkeypatch.setattr(SupportScanner, "_solved", pruned_solve)
     monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kwargs: pinv_calls.append(args))
     assert main(argv) == 0
     capsys.readouterr()
-    assert sizes and not pinv_calls
-    assert len(sizes) == len(set(sizes)), sorted(sizes)
+    assert listed and ranked and not pinv_calls
+    assert len(listed) == len(set(listed)), sorted(listed)
+    assert ranked == solved
 
 
 @pytest.mark.parametrize("tree", [
@@ -363,12 +381,13 @@ def test_gram_determinant_is_an_exact_rank_test(tree):
     for i in tree.internal:
         # father link minus all child links is a null vector of A
         dependent = sorted([i - 1] + [c - 1 for c in tree.children[i]])
-        supports = scanner.level(len(dependent))[0].tolist()
-        assert dependent not in supports
-        assert len(supports) == sum(
-            np.linalg.matrix_rank(dense[:, list(sup)]) == len(dependent)
-            for sup in itertools.combinations(range(tree.n), len(dependent))
-        )
+        supports = scanner.level(len(dependent))[0]
+        assert len(supports) == math.comb(tree.n, len(dependent))
+        # y = A_S 1 makes every restricted system consistent, so only the rank test rejects
+        stacks = dense[:, supports].transpose(1, 0, 2)
+        feasible = scanner._solved(stacks.sum(axis=2), supports)[0]
+        assert supports.tolist().index(dependent) not in feasible
+        assert np.array_equal(feasible, np.flatnonzero(np.linalg.matrix_rank(stacks) == len(dependent)))
 
 
 class TestNoisyGridCheck:

@@ -295,6 +295,24 @@ class TestTopologyFile:
         with pytest.raises(MalformedLine, match=r"^line 5: second 'root' line \(the first is line 1\)$"):
             load_topology(path)
 
+    @pytest.mark.parametrize("lines, message", [
+        (["root 0", "4 0", "root 4", "5 4 3"], r"^line 3: second 'root' line \(the first is line 1\)$"),
+        (["root 0", "5 4 3", "4 0", "root 4"], r"^line 2: expected two tokens, got '5 4 3'$"),
+        ([f"root {'9' * 4301}", "4 0", "5"], r"^line 3: expected two tokens, got '5'$"),
+    ], ids=["second root first", "malformed line first", "long root id then malformed line"])
+    def test_first_bad_line_wins(self, tmp_path, lines, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedLine, match=message):
+            load_topology(path)
+
+    def test_comment_right_after_a_token(self, tmp_path):
+        path = tmp_path / "tight.txt"
+        path.write_text("root 0\n2 0\n1 2#x\n3 2\n")
+        tree = load_topology(path)
+        assert tree.alias == {1: 1, 2: 3, 3: 2}
+        assert tree.parent.tolist() == [-1, 3, 3, 0]
+
     def test_header_on_any_line_with_crlf_and_byte_order_mark(self, tmp_path, fig_tree):
         path = tmp_path / "bom.txt"
         path.write_bytes("\ufeff4 0\r\n5 4\r\n# c\r\n3 4\r\nroot 0\r\n1 5\r\n2 5\r\n".encode())
