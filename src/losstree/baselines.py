@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InconsistentObservation, OutOfDomain, ParameterOutOfRange
+from .errors import InconsistentObservation, OutOfDomain, ParameterOutOfRange, _check_seed
 from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, addloss, forward, plant_hotspots
 from .noiseless import closed_form
 from .topology import LogicalTree
@@ -63,6 +63,7 @@ def compare_with_sparse_recovery(
     """
     if trials < 1:
         raise ParameterOutOfRange(f"need at least one trial, got {trials}")
+    _check_seed(seed, streams=False)
     n_scfs = 0
     n_sparse = 0
     for t in range(trials):

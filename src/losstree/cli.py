@@ -249,11 +249,10 @@ def _cmd_verify(args) -> int:
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(t,)))
             x = np.where(rng.random(tree.n) < 0.4, rng.uniform(0.01, 0.2, tree.n), 0.0)
             instances.append(forward(tree, x))
-    scanner = SupportScanner(tree)
+    reports = [upsparse(tree, y) for y in instances]
+    enums = sparsest_enumerate(tree, np.array(instances))  # one oracle scan of every instance
     failures = 0
-    for i, y in enumerate(instances):
-        report = upsparse(tree, y)
-        enum = sparsest_enumerate(tree, y, scanner=scanner)
+    for i, (y, report, enum) in enumerate(zip(instances, reports, enums)):
         l0_ok = enum.k_star == report.l0
         match_ok = True
         if enum.unique:

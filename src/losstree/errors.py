@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import numbers
+
+import numpy as np
 
 
 class LossTreeError(ValueError):
@@ -63,3 +67,19 @@ class InconsistentObservation(LossTreeError):
 
 class ConfigInvalid(LossTreeError):
     """An experiment configuration fails validation."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_seed(seed, streams: bool = True) -> None:
+    """Raise ParameterOutOfRange unless ``seed`` is a whole number of at least 0.
+
+    With ``streams``, a numpy ``SeedSequence`` or ``Generator`` passes too, as
+    ``np.random.default_rng`` takes them; a seed that substreams are spawned
+    from must be a number.
+    """
+    stream = isinstance(seed, (np.random.SeedSequence, np.random.Generator))
+    if not ((_is_int(seed) and seed >= 0) or (streams and stream)):
+        raise ParameterOutOfRange(f"seed must be a whole number of at least 0, got {seed!r}")

@@ -13,11 +13,10 @@ receiver solution, feasible for any observation.
 """
 
 import json
-import numbers
 
 import numpy as np
 
-from .errors import Infeasible, OutOfDomain, ParameterOutOfRange
+from .errors import Infeasible, OutOfDomain, ParameterOutOfRange, _is_int
 from .topology import LogicalTree
 
 # A value is classified lossy iff it exceeds DEFAULT_TOL; shared by the
@@ -110,8 +109,8 @@ def sample_feasible(
     all draws at once.
     """
     y = _checked(y, tree.m, "paths")
-    if size is not None and size < 0:
-        raise ParameterOutOfRange(f"size must be non-negative, got {size}")
+    if not (size is None or (_is_int(size) and size >= 0)):
+        raise ParameterOutOfRange(f"size must be a whole number of at least 0, got {size!r}")
     m, parent = tree.m, tree.parent
     gamma = tree.span_min(y)  # the tightest path below each link
     draws = 1 if size is None else size
@@ -138,9 +137,13 @@ def plant_hotspots(tree: LogicalTree, K: int, loss_range, seed, key, sup=None) -
     their losses, uniform in ``loss_range``.  Every instance stream of the
     census, the experiment and the baseline comparison comes from here.
     """
-    lo, hi = loss_range
-    if not (0 < lo <= hi < 1):
-        raise ParameterOutOfRange("loss range must satisfy 0 < lo <= hi < 1")
+    try:
+        lo, hi = loss_range
+        valid = 0 < lo <= hi < 1
+    except (TypeError, ValueError):  # not a pair, or not of numbers
+        valid = False
+    if not valid:
+        raise ParameterOutOfRange(f"loss range must satisfy 0 < lo <= hi < 1, got {loss_range!r}")
     if not 0 <= K <= tree.n:
         raise ParameterOutOfRange(f"K={K} is outside 0..n={tree.n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, key)))
@@ -234,10 +237,6 @@ def _in_path_order(entries, what: str) -> list:
     if sorted(by_path) != list(range(1, len(by_path) + 1)):
         raise OutOfDomain(f"{what} must cover paths 1..m exactly once")
     return [by_path[j] for j in sorted(by_path)]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _checked(values, size: int, what: str, batch: bool = False) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange
+from .errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange, _check_seed
 from .lossmodel import (
     BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, addloss, forward,
     plant_hotspots, sample_feasible
@@ -161,7 +161,7 @@ def sparsest_enumerate(
     y,
     k_max: int | None = None,
     scanner: SupportScanner | None = None,
-) -> EnumerationResult:
+) -> EnumerationResult | list[EnumerationResult]:
     """Scan supports by increasing size until some restricted system is feasible.
 
     Returns every distinct solution at the first feasible size k*, and
@@ -170,14 +170,18 @@ def sparsest_enumerate(
     x_S along a null direction of A_S until a component hits zero would
     give a smaller feasible support (basic feasible solutions; Bertsimas
     & Tsitsiklis, Introduction to Linear Optimization, 1997, 2.3).
+    ``y`` is (m,), for one result, or (T, m), for a list of T results whose
+    row r is the result for ``y[r]``; all rows are scanned together, each
+    size level once, and ``k_max`` bounds every row.
     """
     scanner = _scanner_for(tree, scanner)
-    y = _checked(y, tree.m, "paths")
+    y = _checked(y, tree.m, "paths", batch=True)
     if k_max is None:
         k_max = tree.m
     elif not (_is_int(k_max) and k_max >= 0):
         raise ParameterOutOfRange(f"k_max must be a whole number of at least 0, got {k_max!r}")
-    return _scan(scanner, y[None], min(k_max, tree.m))[0]
+    results = _scan(scanner, np.atleast_2d(y), min(k_max, tree.m))
+    return results if y.ndim == 2 else results[0]
 
 
 def uniqueness_census(
@@ -204,6 +208,7 @@ def uniqueness_census(
     """
     if not (_is_int(K) and 0 <= K <= tree.m):
         raise ParameterOutOfRange(f"K={K!r} is outside 0..m={tree.m}, m the path count")
+    _check_seed(seed, streams=False)
     scanner = _scanner_for(tree, scanner)
 
     if placement == "exhaustive":
@@ -252,9 +257,10 @@ def l1_sampling_check(
     All samples come from one batched draw.
     """
     x_star = _checked(x_star, tree.n, "links")
-    if samples < 1:
-        raise ParameterOutOfRange(f"the l1 check needs at least one sample, got {samples}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if not (_is_int(samples) and samples >= 1):
+        raise ParameterOutOfRange(f"the l1 check needs a whole number of samples, got {samples!r}")
+    _check_seed(seed)
+    rng = np.random.default_rng(seed)
     xs = sample_feasible(tree, y, rng, size=samples)
     l1_star = x_star.sum()
     l1 = xs.sum(axis=1)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange
+from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange, _check_seed
 from .lossmodel import (
     BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, addloss, forward,
     inverse_addloss, plant_hotspots
@@ -203,6 +203,8 @@ def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:
         seeds = seed
     else:
         raise ParameterOutOfRange(f"need one seed for each of the {len(p)} rows of b")
+    for s in seeds:
+        _check_seed(s)
     rows = zip(seeds, p.reshape(-1, tree.m))
     losses = [np.random.default_rng(s).binomial(probes, row) for s, row in rows]
     losses = np.array(losses, dtype=np.int64).reshape(p.shape)

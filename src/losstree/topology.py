@@ -30,6 +30,7 @@ from .errors import (
     DisconnectedInput,
     MalformedLine,
     ParameterOutOfRange,
+    _check_seed,
 )
 
 ROOT = 0  # canonical label of the root node
@@ -416,6 +417,7 @@ def gen_random_tree(m: int, max_branching: int, seed: int) -> LogicalTree:
         raise ParameterOutOfRange(f"need at least 2 leaves, got {m}")
     if max_branching < 2:
         raise ParameterOutOfRange(f"need max_branching >= 2, got {max_branching}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     edges = [(1, 0)]
     next_id = 2

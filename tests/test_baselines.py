@@ -110,6 +110,11 @@ class TestComparisonHarness:
         with pytest.raises(ParameterOutOfRange):
             compare_with_sparse_recovery(gen_regular_tree(3, 3), K=1, trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.random.SeedSequence(0)])
+    def test_seed_must_be_a_whole_number(self, seed):
+        with pytest.raises(ParameterOutOfRange, match="seed must be a whole number"):
+            compare_with_sparse_recovery(gen_regular_tree(3, 3), K=1, trials=5, seed=seed)
+
     def test_deterministic(self):
         tree = gen_regular_tree(3, 3)
         a = compare_with_sparse_recovery(tree, K=2, trials=30, seed=6)

@@ -208,6 +208,12 @@ class TestSampling:
         # Internal links do get strictly positive mass in many samples.
         assert (xs[:, tree.m :] > 0.05).mean() > 0.3
 
+    @pytest.mark.parametrize("size", [2.5, -1, np.float64(3), True, "3"])
+    def test_size_must_be_a_whole_number(self, size):
+        tree = gen_regular_tree(2, 3)
+        with pytest.raises(ParameterOutOfRange, match="size must be a whole number"):
+            sample_feasible(tree, np.ones(tree.m), np.random.default_rng(0), size=size)
+
 
 def bad_vector(kind, size):
     """A vector one short, one long, or of the right size with one NaN, inf or word."""
@@ -318,7 +324,8 @@ class TestPlantHotspots:
         assert np.all((b == 0) | ((b >= 0.02) & (b <= 0.05)))
 
     @pytest.mark.parametrize("K, loss_range", [(-1, (0.01, 0.1)), (14, (0.01, 0.1)),
-                                               (2, (0.0, 0.1)), (2, (0.2, 0.1)), (2, (0.1, 1.0))])
+                                               (2, (0.0, 0.1)), (2, (0.2, 0.1)), (2, (0.1, 1.0)),
+                                               (2, (0.1,)), (2, ("a", "b")), (2, 0.1)])
     def test_bad_parameters_rejected(self, K, loss_range):
         with pytest.raises(ParameterOutOfRange):
             plant_hotspots(gen_regular_tree(3, 3), K, loss_range, seed=0, key=0)

@@ -22,12 +22,14 @@ from losstree import (
     measurement_matrix,
     noisy_exact_check,
     receiver_solution,
+    save_observations,
     sparsest_enumerate,
     uniqueness_census,
     unique_sparsest,
     upsparse,
     upsparse_plus,
 )
+from losstree import cli
 from losstree.cli import main
 from losstree.errors import (
     InstanceTooLarge,
@@ -107,6 +109,34 @@ def interval_instances(draw):
     else:
         tree = caterpillar(m) if shape == "caterpillar" else star(m)
     return tree, grid_intervals(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), tree.m)
+
+
+@st.composite
+def planted_batches(draw):
+    """(tree, ys, kinds, k_max): T = 1-6 rows on a random tree, caterpillar or star.
+
+    A row is all zero (k* = 0), a sparse planted one, or a tied one: lemma 1's
+    pattern at a branch node, which has more than one sparsest solution.
+    """
+    m = draw(st.integers(2, 7))
+    shape = draw(st.sampled_from(["random", "caterpillar", "star"]))
+    if shape == "random":
+        tree = gen_random_tree(m, draw(st.integers(2, 4)), draw(st.integers(0, 2**31 - 1)))
+    else:
+        tree = caterpillar(m) if shape == "caterpillar" else star(m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["zero", "sparse", "tied"]), min_size=1, max_size=6))
+    rows = []
+    for kind in kinds:
+        if kind == "zero":
+            x = np.zeros(tree.n)
+        elif kind == "sparse":
+            x = random_sparse_x(tree, rng, k=int(rng.integers(1, 4)))
+        else:
+            i = int(rng.choice(tree.internal))
+            x = lemma1_construct(tree, i, len(tree.children[i]), rng.uniform(0.01, 0.2))[0]
+        rows.append(forward(tree, x))
+    return tree, np.array(rows), kinds, draw(st.integers(0, 4))
 
 
 class TestSparsestEnumerate:
@@ -197,7 +227,7 @@ class TestSparsestEnumerate:
         assert len(trees) >= 30 and non_unique >= 20
 
     @pytest.mark.parametrize("y", [[2.0, 3.0], [2.0, 3.0, 4.0, 5.0], [2.0, math.nan, 4.0],
-                                   [2.0, 3.0, INF], [[2.0, 3.0, 4.0]]])
+                                   [2.0, 3.0, INF], [[[2.0, 3.0, 4.0]]]])
     def test_bad_observations_rejected(self, fig_tree, y):
         with pytest.raises(OutOfDomain):
             sparsest_enumerate(fig_tree, y)
@@ -210,6 +240,39 @@ class TestSparsestEnumerate:
     def test_k_max_below_k_star_finds_nothing(self, fig_tree):
         enum = sparsest_enumerate(fig_tree, [2.0, 3.0, 4.0], k_max=np.int64(2))
         assert (enum.k_star, enum.supports, enum.unique) == (None, [], False)
+
+    @given(batch=planted_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_rows_match_single_calls(self, batch):
+        """Row r of a (T, m) call is the (m,) call on y[r]; k_max bounds every row."""
+        tree, ys, kinds, k_max = batch
+        scanner = SupportScanner(tree)
+        unbounded = sparsest_enumerate(tree, ys, scanner=scanner)
+        assert isinstance(unbounded, list) and len(unbounded) == len(ys)
+        for kind, res in zip(kinds, unbounded):
+            if kind == "zero":
+                assert res.k_star == 0 and res.unique
+            elif kind == "tied":
+                assert not res.unique
+        for bound in (None, k_max):
+            results = sparsest_enumerate(tree, ys, k_max=bound, scanner=scanner)
+            for y, full, res in zip(ys, unbounded, results):
+                single = sparsest_enumerate(tree, y, k_max=bound)
+                assert (res.k_star, res.supports, res.unique) == (
+                    single.k_star, single.supports, single.unique
+                )
+                assert len(res.solutions) == len(single.solutions)
+                for x, x_single in zip(res.solutions, single.solutions):
+                    assert np.abs(x - x_single).max() <= 1e-12
+                if bound is not None and bound < full.k_star:
+                    assert (res.k_star, res.supports, res.unique) == (None, [], False)
+                else:
+                    assert (res.k_star, res.supports) == (full.k_star, full.supports)
+        nan = ys.copy()
+        nan[-1, 0] = np.nan
+        for bad in (ys[:, :-1], np.pad(ys, ((0, 0), (0, 1))), ys[None], nan):
+            with pytest.raises(OutOfDomain):
+                sparsest_enumerate(tree, bad, scanner=scanner)
 
 
 class TestUniquenessCensus:
@@ -236,7 +299,8 @@ class TestUniquenessCensus:
 
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0), dict(trials=2.5), dict(K=-1), dict(K=5), dict(K=1.5), dict(K=True),
-        dict(loss_range=(0.0, 0.1)), dict(placement="grid"),
+        dict(loss_range=(0.0, 0.1)), dict(placement="grid"), dict(seed=-1), dict(seed=1.5),
+        dict(seed=np.random.SeedSequence(0)), dict(loss_range=(0.1,)),
     ])
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ParameterOutOfRange):
@@ -321,10 +385,15 @@ class TestL1SamplingCheck:
         with pytest.raises(OutOfDomain):
             l1_sampling_check(fig_tree, y, [0, 1, 2, 2, 0])
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, np.float64(3), True])
     def test_needs_a_sample(self, fig_tree, samples):
         with pytest.raises(ParameterOutOfRange):
             l1_sampling_check(fig_tree, [2.0, 3.0, 4.0], [0, 1, 2, 2, 0], samples=samples)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_whole_number(self, fig_tree, seed):
+        with pytest.raises(ParameterOutOfRange, match="seed must be a whole number"):
+            l1_sampling_check(fig_tree, [2.0, 3.0, 4.0], [0, 1, 2, 2, 0], seed=seed)
 
 
 @pytest.mark.parametrize("argv", [
@@ -364,6 +433,33 @@ def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
     assert listed and ranked and not pinv_calls
     assert len(listed) == len(set(listed)), sorted(listed)
     assert ranked == solved
+
+
+@pytest.mark.parametrize("obs", [False, True], ids=["random instances", "--obs"])
+def test_verify_scans_all_instances_in_one_call(obs, tmp_path, monkeypatch, capsys):
+    """verify calls the oracle once for all its instances, so each size level is solved once."""
+    argv = ["verify", "--tree", "random:8:3:0", "--trials", "10"]
+    if obs:
+        tree = tree_from_spec("random:8:3:0")
+        save_observations(forward(tree, np.linspace(0.0, 0.1, tree.n)), tmp_path / "y.json")
+        argv += ["--obs", str(tmp_path / "y.json")]
+    enumerated, levels = [], []
+    enumerate_, feasible_at = cli.sparsest_enumerate, SupportScanner.feasible_at
+
+    def counting_enumerate(tree, y, *args, **kwargs):
+        enumerated.append(np.shape(y))
+        return enumerate_(tree, y, *args, **kwargs)
+
+    def counting_feasible_at(self, ys, k):
+        levels.append(k)
+        return feasible_at(self, ys, k)
+
+    monkeypatch.setattr(cli, "sparsest_enumerate", counting_enumerate)
+    monkeypatch.setattr(SupportScanner, "feasible_at", counting_feasible_at)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("[ok]") == (1 if obs else 10)
+    assert enumerated == [(1, 8) if obs else (10, 8)]
+    assert levels == list(range(len(levels))), levels
 
 
 @pytest.mark.parametrize("tree", [

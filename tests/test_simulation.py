@@ -110,6 +110,13 @@ class TestSimulateProbes:
         with pytest.raises(ParameterOutOfRange, match="one seed for each of the 2 rows"):
             simulate_probes(fig_tree, np.zeros((2, 5)), 10, seed)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_seed_must_be_a_whole_number(self, fig_tree, seed):
+        with pytest.raises(ParameterOutOfRange, match="seed must be a whole number"):
+            simulate_probes(fig_tree, np.zeros(5), 10, seed=seed)
+        with pytest.raises(ParameterOutOfRange, match="seed must be a whole number"):
+            simulate_probes(fig_tree, np.zeros((2, 5)), 10, [0, seed])
+
     def test_needs_at_least_one_probe(self, fig_tree):
         with pytest.raises(ParameterOutOfRange):
             simulate_probes(fig_tree, np.zeros(5), probes=0, seed=0)

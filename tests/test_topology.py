@@ -259,6 +259,15 @@ class TestGenerators:
         with pytest.raises(ParameterOutOfRange):
             gen_random_tree(5, 1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_random_tree_seed_must_be_a_whole_number(self, seed):
+        with pytest.raises(ParameterOutOfRange, match="seed must be a whole number"):
+            gen_random_tree(8, 3, seed)
+
+    def test_random_tree_takes_a_seed_sequence(self):
+        a = gen_random_tree(8, 3, np.random.SeedSequence(4))
+        assert a.parent.tolist() == gen_random_tree(8, 3, 4).parent.tolist()
+
 
 class TestTopologyFile:
     def test_round_trip(self, tmp_path, fig_tree):
