@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InconsistentObservation, OutOfDomain, ParameterOutOfRange, _check_seed
+from .errors import OutOfDomain, ParameterOutOfRange, _check_seed, _is_int
 from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, addloss, forward, plant_hotspots
 from .noiseless import closed_form
 from .topology import LogicalTree
@@ -22,7 +22,10 @@ def binarize(y, threshold: float = DEFAULT_TOL) -> np.ndarray:
     """Per-path bad flags: bad_j iff y_j exceeds the threshold."""
     if not 0 <= threshold < math.inf:
         raise OutOfDomain(f"threshold must be finite and non-negative, got {threshold}")
-    return np.asarray(y, dtype=float) > threshold
+    y = np.asarray(y, dtype=float)
+    if np.isnan(y).any():  # NaN exceeds no threshold, so it would read as good
+        raise OutOfDomain("observations must not be NaN")
+    return y > threshold
 
 
 def scfs(tree: LogicalTree, bad: np.ndarray) -> set[int]:
@@ -38,10 +41,9 @@ def scfs(tree: LogicalTree, bad: np.ndarray) -> set[int]:
     all_bad = np.zeros(tree.n + 1, dtype=bool)  # the root (index 0) stays False
     all_bad[1:] = tree.span_min(bad)
     picked = np.flatnonzero(all_bad[1:] & ~all_bad[tree.parent[1:]])  # labels - 1
-    # Picked spans are all bad and disjoint: they cover the bad paths iff sizes add up.
+    # Topmost all-bad spans are disjoint and hold every bad leaf, so their sizes add up.
     lo, hi = tree.leaf_span[picked + 1].T
-    if (hi - lo).sum() != bad.sum():
-        raise InconsistentObservation("picked links do not cover the bad paths")
+    assert (hi - lo).sum() == bad.sum(), "picked links do not cover the bad paths"
     return set((picked + 1).tolist())
 
 
@@ -61,8 +63,8 @@ def compare_with_sparse_recovery(
 
     Returns (binary baseline rate, sparse recovery rate).
     """
-    if trials < 1:
-        raise ParameterOutOfRange(f"need at least one trial, got {trials}")
+    if not (_is_int(trials) and trials >= 1):
+        raise ParameterOutOfRange(f"need a whole number of trials of at least 1, got {trials!r}")
     _check_seed(seed, streams=False)
     n_scfs = 0
     n_sparse = 0

@@ -240,17 +240,17 @@ def _cmd_experiment(args) -> int:
 def _cmd_verify(args) -> int:
     tree = tree_from_spec(args.tree)
     if args.obs is not None:
-        instances = [load_observations(args.obs)]
+        instances = np.atleast_2d(load_observations(args.obs))
     elif args.trials < 1:
         raise ParameterOutOfRange(f"verify needs at least one trial, got --trials {args.trials}")
     else:
-        instances = []
+        xs = []
         for t in range(args.trials):
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(t,)))
-            x = np.where(rng.random(tree.n) < 0.4, rng.uniform(0.01, 0.2, tree.n), 0.0)
-            instances.append(forward(tree, x))
+            xs.append(np.where(rng.random(tree.n) < 0.4, rng.uniform(0.01, 0.2, tree.n), 0.0))
+        instances = forward(tree, np.array(xs))  # one observation call for all trials
     reports = [upsparse(tree, y) for y in instances]
-    enums = sparsest_enumerate(tree, np.array(instances))  # one oracle scan of every instance
+    enums = sparsest_enumerate(tree, instances)  # one oracle scan of every instance
     failures = 0
     for i, (y, report, enum) in enumerate(zip(instances, reports, enums)):
         l0_ok = enum.k_star == report.l0

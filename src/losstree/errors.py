@@ -61,10 +61,6 @@ class NotBranchNode(LossTreeError):
     """The node has fewer than two children."""
 
 
-class InconsistentObservation(LossTreeError):
-    """Binary path observations contradict the tree structure."""
-
-
 class ConfigInvalid(LossTreeError):
     """An experiment configuration fails validation."""
 

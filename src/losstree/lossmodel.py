@@ -48,13 +48,13 @@ def inverse_addloss(x) -> np.ndarray:
 def forward(tree: LogicalTree, x) -> np.ndarray:
     """Path observations y_j = sum of x over the links on path j, for (n,) or (B, n) x.
 
-    A row of a batch sums like a single call on paths of under 8 links; on
-    longer ones numpy's row sums may round differently in the last bits.
+    Each path's links form one C-contiguous (B, L) block summed along its rows, so every
+    row of a batch equals the call on that row alone, bit for bit (numpy's pairwise order).
     """
     x = _checked(x, tree.n, "links", batch=True)
-    if x.ndim == 1:
-        return np.array([x[[k - 1 for k in path]].sum() for path in tree.paths])
-    return np.stack([x[:, [k - 1 for k in path]].sum(axis=1) for path in tree.paths], axis=1)
+    padded = np.zeros(x.shape[:-1] + (tree.n + 1,))
+    padded[..., 1:] = x  # column v holds link v
+    return np.stack([padded.take(path, axis=-1).sum(axis=-1) for path in tree.paths], axis=-1)
 
 
 def receiver_solution(tree: LogicalTree, y) -> np.ndarray:
@@ -144,8 +144,8 @@ def plant_hotspots(tree: LogicalTree, K: int, loss_range, seed, key, sup=None) -
         valid = False
     if not valid:
         raise ParameterOutOfRange(f"loss range must satisfy 0 < lo <= hi < 1, got {loss_range!r}")
-    if not 0 <= K <= tree.n:
-        raise ParameterOutOfRange(f"K={K} is outside 0..n={tree.n}")
+    if not (_is_int(K) and 0 <= K <= tree.n):
+        raise ParameterOutOfRange(f"K={K!r} is not a whole number in 0..n={tree.n}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, key)))
     if sup is None:
         sup = rng.choice(tree.n, size=K, replace=False)

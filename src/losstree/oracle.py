@@ -38,9 +38,9 @@ from .noiseless import closed_form
 from .noisy import MIN_L0, MIN_L1, IntervalObservation, NoisySolution, _check_paths
 from .topology import LogicalTree, measurement_matrix
 
-# Restricted solves accept a solution when the residual stays below
-# FEAS_TOL and no component drops below -FEAS_TOL; observation values are
-# O(0.1), far above this, and rounding noise is far below.
+# The program's certificates (_interval_optimum, noisy_exact_check) accept x >= -FEAS_TOL
+# and A x within FEAS_TOL of its bounds, HiGHS's feasibility tolerance.  The support
+# scan uses the solvers' DEFAULT_TOL, so both count the same links as lossy.
 FEAS_TOL = 1e-7
 
 SIZE_LIMIT = 26
@@ -116,11 +116,11 @@ class SupportScanner:
         Solves only the supports that cover exactly the row's lossy paths and
         have a step wherever the row has one: where no link of S starts or
         ends between leaves j and j+1, rows j and j+1 of A_S are equal, so a
-        feasible S has |y_j - y_j+1| <= 2 FEAS_TOL.
+        feasible S has |y_j - y_j+1| <= 2 DEFAULT_TOL.
         """
         supports, masks, steps = self.level(k)
-        required = np.where(ys > FEAS_TOL, self.path_bits, 0).sum(axis=1)
-        jumps = np.abs(np.diff(ys, axis=1)) > 4 * FEAS_TOL  # twice the bound: rounding to spare
+        required = np.where(ys > DEFAULT_TOL, self.path_bits, 0).sum(axis=1)
+        jumps = np.abs(np.diff(ys, axis=1)) > 4 * DEFAULT_TOL  # twice the bound: rounding to spare
         ysteps = np.where(jumps, self.path_bits[:-1], 0).sum(axis=1)
         first = np.searchsorted(masks, required)
         count = np.searchsorted(masks, required, side="right") - first
@@ -151,8 +151,8 @@ class SupportScanner:
         full = np.zeros((len(sup), self.tree.n))
         np.put_along_axis(full, sup, x, axis=1)
         resid = np.abs(full @ self.dense.T - y).max(axis=-1)
-        # x >= -FEAS_TOL (vacuous for k = 0, hence the initial 0), residuals within FEAS_TOL
-        ok = (x.min(axis=-1, initial=0.0) >= -FEAS_TOL) & (resid <= FEAS_TOL)
+        # x >= -DEFAULT_TOL (vacuous for k = 0, hence the initial 0), residuals within it
+        ok = (x.min(axis=-1, initial=0.0) >= -DEFAULT_TOL) & (resid <= DEFAULT_TOL)
         return index[ok], x[ok]
 
 

@@ -13,13 +13,13 @@ loss probabilities by hotspot-location success rate (e0) and relative
 l2 error (e2).  Repetition substreams are derived from (seed, K, rep),
 with probe noise further keyed by the probe count, so runs are
 order-independent and instances stay paired across probe counts and
-interval widths.  What still runs per repetition is planting, the
-binomial draw of the probe counts on the repetition's own stream, and
-at a null probe count the exact observation (``forward``).  Each
+interval widths.  What still runs per repetition is planting and the
+binomial draw of the probe counts on the repetition's own stream.  Each
 (K, probe count) cell stacks its repetitions, and every other step takes
-the (B, n) or (B, m) rows in one call: the path probabilities, the
-interval bounds, the solvers (``closed_form``, or ``upsparse_plus`` on
-(B, m) intervals) and the scores.
+the (B, n) or (B, m) rows in one call: the exact observations at a null
+probe count (``forward``), the path probabilities, the interval bounds,
+the solvers (``closed_form``, or ``upsparse_plus`` on (B, m) intervals)
+and the scores.
 
 Probes are simulated independently per path; shared-link correlation
 between paths is not modeled (the solvers consume only the per-path
@@ -335,14 +335,14 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 def _score_block(tree, b_true, reps: range, K, probes, cfg: ExperimentConfig) -> Metrics:
     """Per-row scores of the B planted rows ``reps`` of a (K, probes) cell.
 
-    Each row is probed from its own stream; the probe pass, the interval bounds
-    and the solver run once on the stacked rows.  Cover intervals need no probes.
+    Each row is probed from its own stream; the observation or probe pass, the interval
+    bounds and the solver run once on the stacked rows.  Cover intervals need no probes.
     """
     interval = cfg.mode != POINT_MODE
     if interval and cfg.interval_mode == "cover":
         intervals = cover_intervals(tree, b_true, cfg.cover_halfwidth)
     elif probes is None:
-        y_hat = np.array([forward(tree, x) for x in addloss(b_true)])
+        y_hat = forward(tree, addloss(b_true))
         intervals = IntervalObservation.exact(y_hat) if interval else None
     else:
         run = simulate_probes(tree, b_true, probes, [

@@ -39,6 +39,11 @@ class TestBinarize:
         with pytest.raises(OutOfDomain):
             binarize([1.0], threshold=threshold)
 
+    def test_nan_observation_is_out_of_domain(self):
+        # NaN exceeds no threshold, so it used to mark its path good
+        with pytest.raises(OutOfDomain):
+            binarize([1.0, float("nan")])
+
 
 class TestScfs:
     def test_shared_prefix_names_the_fork(self, fig_tree):
@@ -109,6 +114,16 @@ class TestComparisonHarness:
     def test_no_trials_rejected(self):
         with pytest.raises(ParameterOutOfRange):
             compare_with_sparse_recovery(gen_regular_tree(3, 3), K=1, trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, "3", True])
+    def test_trials_must_be_a_whole_number(self, trials):
+        with pytest.raises(ParameterOutOfRange, match="whole number"):
+            compare_with_sparse_recovery(gen_regular_tree(3, 3), K=1, trials=trials)
+
+    @pytest.mark.parametrize("K", [1.5, True])
+    def test_K_must_be_a_whole_number(self, K):
+        with pytest.raises(ParameterOutOfRange, match="whole number"):
+            compare_with_sparse_recovery(gen_regular_tree(3, 3), K=K, trials=3)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, np.random.SeedSequence(0)])
     def test_seed_must_be_a_whole_number(self, seed):

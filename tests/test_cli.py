@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 
 from losstree import (
     IntervalObservation,
+    forward,
     load_topology,
     save_intervals,
     save_observations,
     tree_from_spec,
 )
+from losstree import cli
 from losstree.cli import _report_json, main
 
 
@@ -238,6 +240,27 @@ class TestVerify:
             capsys, "verify", "--tree", "random:4:3:3", "--trials", "5", "--seed", "0"
         )
         assert code == 0
+
+    def test_links_between_the_solver_and_program_tolerances(self, capsys, tmp_path):
+        """Links of 3.5e-9 to 1e-7 are lossy to the solver and to the oracle alike."""
+        tree = tree_from_spec("random:8:3:0")
+        obs = tmp_path / "obs.json"
+        save_observations(forward(tree, np.linspace(0, 0.1, tree.n) ** 4), obs)
+        code, stdout, _ = run_cli(capsys, "verify", "--tree", "random:8:3:0", "--obs", str(obs))
+        assert code == 0
+        assert "solver_l0=8 oracle_k=8" in stdout
+
+    def test_one_observation_call_per_command(self, capsys, monkeypatch):
+        shapes = []
+
+        def counted(tree, x):
+            shapes.append(np.shape(x))
+            return forward(tree, x)
+
+        monkeypatch.setattr(cli, "forward", counted)
+        code, _, _ = run_cli(capsys, "verify", "--tree", "random:8:3:0", "--trials", "10")
+        assert code == 0
+        assert shapes == [(10, 14)]
 
 
 class TestScfs:

@@ -10,6 +10,7 @@ per-sample l1 check with one support scanner per call.
 """
 
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ from losstree.errors import CycleDetected, DegreeViolation, DisconnectedInput
 from losstree.lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, plant_hotspots
 from losstree.noiseless import DOWN, MIXED, UP, ComplexState
 from losstree.noisy import MIN_L1, MIN_L1_AMONG_L0, MODES
-from losstree.oracle import FEAS_TOL, CensusResult, SupportScanner, _scan
+from losstree.oracle import CensusResult, SupportScanner, _scan
 from losstree.simulation import POINT_MODE, ExperimentRow, Metrics, path_loss_probabilities
 from losstree.topology import ROOT, LogicalTree
 
@@ -231,7 +232,7 @@ def ref_sparsest_enumerate(tree, y):
     dense = measurement_matrix(tree).dense().astype(float)
     bits = 1 << np.arange(tree.m, dtype=np.int64)
     link_masks = bits @ (dense > 0)
-    required = bits[y > FEAS_TOL].sum()
+    required = bits[y > DEFAULT_TOL].sum()
     for k in range(tree.m + 1):
         combos = list(itertools.combinations(range(tree.n), k))
         supports = np.array(combos, dtype=np.int64).reshape(len(combos), k)
@@ -241,7 +242,8 @@ def ref_sparsest_enumerate(tree, y):
         solutions, found = [], []
         for i in np.flatnonzero((masks & required) == required):
             x = pinv[i] @ y
-            if x.min(initial=0.0) < -FEAS_TOL or np.abs(stacks[i] @ x - y).max() > FEAS_TOL:
+            resid = np.abs(stacks[i] @ x - y).max()
+            if x.min(initial=0.0) < -DEFAULT_TOL or resid > DEFAULT_TOL:
                 continue
             full = np.zeros(tree.n)
             full[supports[i]] = np.maximum(x, 0.0)
@@ -607,7 +609,7 @@ class TestKernelsMatchPathLoops:
             sum(1 << j for j in np.flatnonzero(column).tolist()) for column in differs.T
         ]
         for y in oracle_observations(tree, np.random.default_rng(seed)):
-            steps = np.flatnonzero(np.abs(np.diff(y)) > 4 * FEAS_TOL)
+            steps = np.flatnonzero(np.abs(np.diff(y)) > 4 * DEFAULT_TOL)
             for sup in ref_sparsest_enumerate(tree, y)[1]:
                 assert differs[steps][:, [v - 1 for v in sup]].any(axis=1).all()
 
@@ -783,6 +785,38 @@ def test_kernels_never_build_the_path_lists():
     assert "paths" not in tree.__dict__
 
 
+FORWARD_TREES = st.one_of(trees(), st.integers(2, 30).map(star))  # caterpillar paths reach 59 links
+
+
+def link_draws(tree, rng, rows):
+    """(rows, n) link values over eight decades, about half of them zero, so sums round."""
+    scale = 10.0 ** rng.uniform(-6.0, 2.0, (rows, tree.n))
+    return rng.uniform(0.0, 1.0, (rows, tree.n)) * scale * (rng.random((rows, tree.n)) < 0.5)
+
+
+class TestForwardRows:
+    @settings(max_examples=80, deadline=None)
+    @given(tree=FORWARD_TREES, rows=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
+    def test_every_row_sums_as_a_single_call(self, tree, rows, seed):
+        xs = link_draws(tree, np.random.default_rng(seed), rows)
+        batch = forward(tree, xs)
+        for r in range(rows):
+            single = forward(tree, xs[r])
+            assert np.array_equal(batch[r], single)
+            assert np.array_equal(forward(tree, xs[r : r + 1])[0], single)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=FORWARD_TREES, seed=st.integers(0, 2**31 - 1))
+    def test_within_rounding_of_exact_path_sums(self, tree, seed):
+        """Each path sum lies within n·eps of its exact value, relative to that value."""
+        xs = link_draws(tree, np.random.default_rng(seed), 3)
+        exact = np.array([
+            [math.fsum(x[v - 1] for v in path_links(tree, j)) for j in range(1, tree.m + 1)]
+            for x in xs
+        ])
+        assert np.all(np.abs(forward(tree, xs) - exact) <= tree.n * np.finfo(float).eps * exact)
+
+
 EXPERIMENT_TREES = {
     "ternary13": lambda: gen_ternary_tree(13),
     "random9": lambda: gen_random_tree(9, 4, 3),
@@ -868,6 +902,24 @@ def test_interval_experiment_solves_once_per_cell_block(
     assert run_experiment(cfg, tree) == expected
     assert calls == {"upsparse_plus": 12, "simulate_probes": probe_runs,
                      "path_loss_probabilities": probability_passes}
+
+
+@pytest.mark.parametrize("mode, interval_mode, observations",
+                         [(POINT_MODE, "t-ci", 6), (MIN_L1_AMONG_L0, "t-ci", 6),
+                          (MIN_L1_AMONG_L0, "cover", 0)])
+def test_exact_observations_once_per_cell_block(monkeypatch, mode, interval_mode, observations):
+    """Two N = inf cells of seven repetitions in blocks of 3, 3 and 1: one ``forward`` each.
+
+    Cover intervals come from the path probabilities and observe nothing.
+    """
+    tree = gen_ternary_tree(13)
+    cfg = ExperimentConfig(tree="ternary:13", k_values=[1, 2], probe_counts=[100, None], reps=7,
+                           mode=mode, interval_mode=interval_mode)
+    expected = ref_experiment_rows(tree, cfg)
+    monkeypatch.setattr(simulation, "BLOCK_LINKS", 3 * tree.n)
+    calls = count_calls(monkeypatch, ["forward"])
+    assert run_experiment(cfg, tree) == expected
+    assert calls == {"forward": observations}
 
 
 GOLDEN_RUNS = {

@@ -94,16 +94,13 @@ class TestForward:
         lambda: load_topology(Path(__file__).parent / "data" / "caterpillar40.tree"),
     ], ids=["ternary:13", "random:40:3:2", "caterpillar(12)", "caterpillar40"])
     def test_batch_rows_match_single_calls(self, make):
-        """Exact on paths of under 8 links; numpy sums longer rows in another order."""
+        """Bit for bit on every path, of 8 links or more as well as shorter ones."""
         tree = make()
         xs = np.random.default_rng(3).uniform(0.0, 1.0, (5, tree.n))
         batch = forward(tree, xs)
         assert batch.shape == (5, tree.m) and batch.flags.c_contiguous
-        short = np.array([len(path) < 8 for path in tree.paths])
         for x, row in zip(xs, batch):
-            single = forward(tree, x)
-            assert np.array_equal(row[short], single[short])
-            assert np.abs(row - single).max() <= tree.n * np.finfo(float).eps * single.max()
+            assert np.array_equal(row, forward(tree, x))
         assert np.array_equal(forward(tree, xs[:1])[0], forward(tree, xs[0]))
 
     def test_batch_of_another_width_rejected(self, fig_tree):
@@ -325,7 +322,8 @@ class TestPlantHotspots:
 
     @pytest.mark.parametrize("K, loss_range", [(-1, (0.01, 0.1)), (14, (0.01, 0.1)),
                                                (2, (0.0, 0.1)), (2, (0.2, 0.1)), (2, (0.1, 1.0)),
-                                               (2, (0.1,)), (2, ("a", "b")), (2, 0.1)])
+                                               (2, (0.1,)), (2, ("a", "b")), (2, 0.1),
+                                               (1.5, (0.01, 0.1)), (True, (0.01, 0.1))])
     def test_bad_parameters_rejected(self, K, loss_range):
         with pytest.raises(ParameterOutOfRange):
             plant_hotspots(gen_regular_tree(3, 3), K, loss_range, seed=0, key=0)

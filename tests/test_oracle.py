@@ -39,6 +39,7 @@ from losstree.errors import (
     ParameterOutOfRange,
 )
 from losstree import oracle
+from losstree.lossmodel import DEFAULT_TOL
 from losstree.noisy import NoisySolution
 from losstree.oracle import SupportScanner, _interval_optimum
 from losstree.topology import ROOT, tree_from_spec
@@ -417,9 +418,9 @@ def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
     def pruned_solve(self, y, sup):
         # each candidate covers exactly its row's lossy paths and steps wherever the row does
         cover = np.bitwise_or.reduce(self.link_masks[sup], axis=1)
-        assert np.array_equal(cover, (y > oracle.FEAS_TOL) @ self.path_bits)
+        assert np.array_equal(cover, (y > DEFAULT_TOL) @ self.path_bits)
         steps = np.bitwise_or.reduce(self.step_masks[sup], axis=1)
-        ysteps = (np.abs(np.diff(y, axis=1)) > 4 * oracle.FEAS_TOL) @ self.path_bits[:-1]
+        ysteps = (np.abs(np.diff(y, axis=1)) > 4 * DEFAULT_TOL) @ self.path_bits[:-1]
         assert np.array_equal(steps & ysteps, ysteps)
         solved.append(len(sup))
         return solve(self, y, sup)
