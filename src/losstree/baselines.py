@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import OutOfDomain, ParameterOutOfRange, _check_seed, _is_int
-from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, addloss, forward, plant_hotspots
+from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, addloss, forward, plant_hotspots
 from .noiseless import closed_form
 from .topology import LogicalTree
 
@@ -22,10 +22,7 @@ def binarize(y, threshold: float = DEFAULT_TOL) -> np.ndarray:
     """Per-path bad flags: bad_j iff y_j exceeds the threshold."""
     if not 0 <= threshold < math.inf:
         raise OutOfDomain(f"threshold must be finite and non-negative, got {threshold}")
-    y = np.asarray(y, dtype=float)
-    if np.isnan(y).any():  # NaN exceeds no threshold, so it would read as good
-        raise OutOfDomain("observations must not be NaN")
-    return y > threshold
+    return _checked(y, None, "paths") > threshold
 
 
 def scfs(tree: LogicalTree, bad: np.ndarray) -> set[int]:

@@ -14,9 +14,9 @@ link loss): the children take [lo_j - x]^+ and realize max(x, lo_j).
 On a full tree the same thresholds generalize to per-subtree statistics
 (``z_stats``: leaf-span range minima of the bounds, plus one offline
 range query over ranked lower bounds, O((n + m) log m) in all), and
-``upsparse_plus`` applies them top down in one pass in label order.
-Both take intervals of (m,) or (B, m), an (m,) one being a single row;
-only a count per link and the top-down pass run row by row.
+``upsparse_plus`` applies them top down with max scans along the root
+paths.  Both take intervals of (m,) or (B, m), an (m,) one being a single
+row; only the count per link in ``z_stats`` runs row by row.
 
 A note on ties: when a whole set of x values is optimal, results report
 the set and single-value fields use the canonical minimizer; tie-breaks
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import OutOfDomain, XOutOfRange
 from .lossmodel import DEFAULT_TOL, _in_path_order, _load_json
-from .topology import ROOT, LogicalTree
+from .topology import LogicalTree
 
 MIN_L0 = "min-l0"
 MIN_L1 = "min-l1"
@@ -286,43 +286,35 @@ def upsparse_plus(
 ) -> NoisySolution:
     """Interval solver: assign path losses top down against z thresholds.
 
-    Every node i receives path loss z_i = max(z_father, threshold_i) and
-    link loss x_i = z_i - z_father.  MIN_L1's threshold min(max_lower,
-    min_upper) gives the smallest l1.  MIN_L0's, max_lower_within, is a
-    greedy rule and not always sparsest: parent [-1, 4, 5, 5, 0, 4] with
-    lo = (0, 0.4648, 0.369), hi = (0.4459, 1.302, 1.1321) gets two lossy
-    links where one suffices.  MIN_L1_AMONG_L0 bumps it to min_upper on
-    lossy links whose subtree cannot realize max_lower.  Realized
-    observations are the leaf z values and always respect the intervals.
-    Bounds (B, m) give a solution of B rows, each the solution of its row.
+    Every node i receives path loss z_i = max(z_father, threshold_i), a max
+    scan down its root path, and link loss x_i = z_i - z_father.  MIN_L1's
+    threshold min(max_lower, min_upper) gives the smallest l1.  MIN_L0's,
+    max_lower_within, is a greedy rule and not always sparsest: parent
+    [-1, 4, 5, 5, 0, 4] with lo = (0, 0.4648, 0.369), hi = (0.4459, 1.302,
+    1.1321) gets two lossy links where one suffices.  MIN_L1_AMONG_L0 bumps
+    a link to min_upper when its subtree cannot realize max_lower and its
+    threshold exceeds its father's z, that is, every threshold above it: z
+    never falls below those, and a threshold at or below an ancestor's
+    min_upper is one of that ancestor's qualifying lower bounds, so at most
+    its threshold; one above them all is above every min_upper, the most
+    an ancestor passes down.  Max is exact, so z has the bytes of a
+    sequential pass.  Realized observations are the leaf z values and
+    respect the intervals.  Bounds (B, m) give one solution per row.
     """
     if mode not in MODES:
         raise OutOfDomain(f"mode must be one of {MODES}, got {mode!r}")
     stats = z_stats(tree, intervals)  # also checks the path count
-    if mode == MIN_L1:
-        test = value = np.minimum(stats.max_lower, stats.min_upper)
-    else:
-        test = value = stats.max_lower_within
-        if mode == MIN_L1_AMONG_L0:
-            value = np.where(stats.min_upper < stats.max_lower, stats.min_upper, test)
-    # A link takes value when test exceeds its father's path loss.  Internal
-    # labels are in preorder, so one pass in label order sees every father
-    # first; the pass runs on Python floats, row by row.  Leaves have internal
-    # fathers and follow in one array step for all rows.
-    m, n, parent = tree.m, tree.n, tree.parent
-    fathers = parent[m + 1 :].tolist()
-    rows = []
-    for tests, values in zip(test[..., m:].reshape(-1, n - m).tolist(),
-                             value[..., m:].reshape(-1, n - m).tolist()):
-        zs = [0.0] * (m + 1)
-        for p, t, val in zip(fathers, tests, values):
-            zf = zs[p]
-            zs.append(val if t > zf else zf)
-        rows.append(zs)
-    z = np.array(rows).reshape(test.shape[:-1] + (n + 1,))
-    leaf, zf = test[..., :m], z.take(parent[1 : m + 1], axis=-1)
-    z[..., 1 : m + 1] = np.where(leaf > zf, leaf, zf)  # no bump on a single path
-    return NoisySolution(x=z[..., 1:] - z.take(parent[1:], axis=-1), y=z[..., 1 : m + 1].copy(),
+    m, parent = tree.m, tree.parent[1:]
+    thr = np.minimum(stats.max_lower, stats.min_upper) if mode == MIN_L1 else stats.max_lower_within
+    z = np.zeros(thr.shape[:-1] + (tree.n + 1,))  # column ROOT: 0, the identity
+    z[..., 1:] += thr  # 0.0 + -0.0 is 0.0, so max never has to pick between two zeros
+    z = tree.root_scan(z, np.maximum)
+    if mode == MIN_L1_AMONG_L0:
+        gate = thr > z.take(parent, axis=-1)
+        bump = stats.min_upper < stats.max_lower
+        z[..., 1:] = np.where(gate, np.where(bump, stats.min_upper, thr), 0.0)
+        z = tree.root_scan(z, np.maximum)
+    return NoisySolution(x=z[..., 1:] - z.take(parent, axis=-1), y=z[..., 1 : m + 1].copy(),
                          z=z[..., 1:], mode=mode)
 
 

@@ -167,24 +167,18 @@ def _is_real(value) -> bool:
 def path_loss_probabilities(tree: LogicalTree, b) -> np.ndarray:
     """p_j = 1 - prod(1 - b_k) over path j, multiplied out top down.
 
-    ``b`` is (n,), or (B, n) for (B, m) probabilities.  One pass over the
-    internal labels (preorder, so every father comes first) gives each
-    node's survival probability from the root, on Python floats, row by
-    row; the leaves, whose fathers are internal, follow in one array step.
+    ``b`` is (n,), or (B, n) for (B, m) probabilities.  One product scan
+    gives every internal node's survival probability q from the root, for
+    all rows at once; leaf j then takes p_j = 1 - q_father * (1 - b_j).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[-1] != tree.n or not np.all((b >= 0) & (b < 1)):
         raise OutOfDomain(f"need {tree.n} link loss probabilities in [0, 1) per row")
-    m, parent, survive = tree.m, tree.parent, 1.0 - b
-    fathers = parent[m + 1 :].tolist()
-    rows = []
-    for row in survive[..., m:].reshape(-1, tree.n - m).tolist():
-        q = [1.0] * (m + 1)  # survival from the root to each internal node; leaves below
-        for p, s in zip(fathers, row):
-            q.append(q[p] * s)
-        rows.append(q)
-    q = np.array(rows).reshape(b.shape[:-1] + (tree.n + 1,))
-    return 1.0 - q.take(parent[1 : m + 1], axis=-1) * survive[..., :m]
+    leaves = slice(1, tree.m + 1)
+    survive = np.ones(b.shape[:-1] + (tree.n + 1,))  # column ROOT: 1, the identity
+    np.subtract(1.0, b, out=survive[..., 1:])
+    q = tree.root_scan(survive, np.multiply)
+    return 1.0 - q.take(tree.parent[leaves], axis=-1) * survive[..., leaves]
 
 
 def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:

@@ -69,6 +69,21 @@ class LogicalTree:
     def height(self) -> int:
         return int(self.depth.max())
 
+    def root_scan(self, values, op) -> np.ndarray:
+        """op over each node's value and the values of all nodes above it.
+
+        ``values`` and the result are (..., n + 1), indexed by label; column
+        ROOT holds op's identity.  Pointer jumping (Wyllie's list ranking):
+        after k rounds each node holds op over itself and its 2**k - 1
+        nearest ancestors, so ceil(log2 height) rounds reach the root.  Each
+        row of a batch equals the call on that row alone.
+        """
+        up = np.maximum(self.parent, ROOT)  # the root points at itself
+        for _ in range((self.height - 1).bit_length()):
+            values = op(values, values.take(up, axis=-1))
+            up = up.take(up)
+        return values
+
     @cached_property
     def paths(self) -> tuple[tuple[int, ...], ...]:
         """paths[j-1] lists the links on the root-to-leaf-j path, top down."""

@@ -44,6 +44,12 @@ class TestBinarize:
         with pytest.raises(OutOfDomain):
             binarize([1.0, float("nan")])
 
+    @pytest.mark.parametrize("y", [[float("inf")], np.zeros((2, 3))])
+    def test_infinite_or_stacked_observations_are_out_of_domain(self, y):
+        # inf used to flag its path bad, and a (2, 3) stack came back as (2, 3) flags
+        with pytest.raises(OutOfDomain):
+            binarize(y)
+
 
 class TestScfs:
     def test_shared_prefix_names_the_fork(self, fig_tree):
