@@ -50,7 +50,8 @@ iv = IntervalObservation(lo=[1.0, 3.0, 5.0], hi=[4.0, 4.0, 6.0])
 zs = z_stats(tree, iv)
 print("\nbox intervals:", [(float(a), float(b)) for a, b in zip(iv.lo, iv.hi)])
 print("top-link stats: min_upper", zs.min_upper[3], "max_lower", zs.max_lower[3],
-      "max_lower_within", zs.max_lower_within[3])
+      "l0_threshold", zs.l0_threshold[3])
+print("(l0_threshold is exact: min-l0 returns the fewest lossy links in the box)")
 
 for mode in (MIN_L0, MIN_L1, MIN_L1_AMONG_L0):
     sol = upsparse_plus(tree, iv, mode)

@@ -32,9 +32,12 @@ def scfs(tree: LogicalTree, bad: np.ndarray) -> set[int]:
     keeps only the topmost such links.  The result covers the bad paths
     exactly and no smaller consistent set exists.
     """
-    bad = np.asarray(bad, dtype=bool)
+    bad = np.asarray(bad)
     if bad.shape != (tree.m,):
         raise OutOfDomain(f"tree has {tree.m} paths but {bad.size} flags were given")
+    if bad.dtype != bool and not np.isin(bad, (0, 1)).all():
+        raise OutOfDomain("bad-path flags must be booleans or 0/1")
+    bad = bad.astype(bool)
     all_bad = np.zeros(tree.n + 1, dtype=bool)  # the root (index 0) stays False
     all_bad[1:] = tree.span_min(bad)
     picked = np.flatnonzero(all_bad[1:] & ~all_bad[tree.parent[1:]])  # labels - 1

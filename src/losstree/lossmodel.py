@@ -158,7 +158,7 @@ def save_observations(y, path, scale: str = "addloss") -> None:
     """Write a JSON observation file: {"scale": ..., "y": [...]}."""
     if scale not in ("addloss", "probability"):
         raise OutOfDomain(f"unknown scale {scale!r}")
-    y = np.asarray(y, dtype=float)
+    y = _checked(y, None, "paths")
     values = y if scale == "addloss" else inverse_addloss(y)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"scale": scale, "y": [float(v) for v in values]}, fh)
@@ -251,6 +251,6 @@ def _checked(values, size: int, what: str, batch: bool = False) -> np.ndarray:
     if values.ndim not in ((1, 2) if batch else (1,)) or size not in (None, values.shape[-1]):
         count = "" if size is None else f"{size} "
         raise OutOfDomain(f"need values for {count}{what}, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise OutOfDomain(f"values for {what} must be finite")
     return values

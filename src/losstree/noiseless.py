@@ -112,8 +112,7 @@ def closed_form(tree: LogicalTree, y) -> np.ndarray:
 
 def classify_complexes(tree: LogicalTree, x) -> list[ComplexState]:
     """Per-internal-node complex states under solution x."""
-    x = np.asarray(x, dtype=float)
-    delta, lossless = _complex_summary(tree, x)
+    x, delta, lossless = _complex_summary(tree, x)
     state = np.where(delta <= DEFAULT_TOL, UP, np.where(x[tree.m :] <= DEFAULT_TOL, DOWN, MIXED))
     return [
         ComplexState(node=i, state=s, delta=d, lossless_children=c)
@@ -130,8 +129,7 @@ def unique_sparsest(tree: LogicalTree, x_star) -> bool:
     complex to have either a lossless father link or at least two
     lossless children.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    _, lossless = _complex_summary(tree, x_star)
+    x_star, _, lossless = _complex_summary(tree, x_star)
     return bool(np.all((x_star[tree.m :] <= DEFAULT_TOL) | (lossless >= 2)))
 
 
@@ -141,18 +139,19 @@ def recovery_condition(tree: LogicalTree, x_true) -> bool:
     When true for the underlying solution, it is already in up state
     everywhere, so solving its observations recovers it exactly.
     """
-    delta, _ = _complex_summary(tree, np.asarray(x_true, dtype=float))
+    _, delta, _ = _complex_summary(tree, x_true)
     return not np.any(delta > DEFAULT_TOL)
 
 
 def solution_report(tree: LogicalTree, x) -> SolutionReport:
     """Norms, complex states, and diagnostics for a feasible solution x."""
+    states = classify_complexes(tree, x)  # checks x first
     x = np.asarray(x, dtype=float)
     return SolutionReport(
         x=x,
         l0=int((x > DEFAULT_TOL).sum()),
         l1=float(x.sum()),
-        states=classify_complexes(tree, x),
+        states=states,
         unique_sparsest=unique_sparsest(tree, x),
         recovery_condition=recovery_condition(tree, x),
     )
@@ -174,13 +173,14 @@ def _pull_up(tree: LogicalTree, x, nodes) -> np.ndarray:
     return np.array(x[1:])
 
 
-def _complex_summary(tree: LogicalTree, x: np.ndarray):
-    """Smallest child loss and lossless-child count of each internal node (label - m - 1)."""
+def _complex_summary(tree: LogicalTree, x):
+    """(x checked, smallest child loss, lossless-child count) of each internal node (label - m - 1)."""
+    x = _checked(x, tree.n, "links in x")
     father = tree.parent[1:]  # link k+1 is a child link of node father[k]
     delta = np.full(tree.n + 1, np.inf)
     np.minimum.at(delta, father, x)
     lossless = np.bincount(father[x <= DEFAULT_TOL], minlength=tree.n + 1)
-    return delta[tree.m + 1 :], lossless[tree.m + 1 :]
+    return x, delta[tree.m + 1 :], lossless[tree.m + 1 :]
 
 
 __all__ = [

@@ -5,18 +5,18 @@ observation; hi_j may be infinite (math.inf is the explicit unbounded
 marker, with the usual total comparisons).  The solution space is the
 union of the families for every realizable observation vector.  Pushing
 loss up, realizing each observation at the smallest value consistent
-with the choices above it, minimizes the l1 norm; for sparsity it is a
-greedy rule (see ``upsparse_plus``).
+with the choices above it, minimizes the l1 norm; with the thresholds of
+``z_stats`` it also gives the fewest lossy links, exactly.
 
 For a single complex the family reduces to one parameter x (the father
 link loss): the children take [lo_j - x]^+ and realize max(x, lo_j).
 ``local_min_l0`` and ``local_min_l1`` characterize the optimal x sets.
 On a full tree the same thresholds generalize to per-subtree statistics
-(``z_stats``: leaf-span range minima of the bounds, plus one offline
-range query over ranked lower bounds, O((n + m) log m) in all), and
-``upsparse_plus`` applies them top down with max scans along the root
-paths.  Both take intervals of (m,) or (B, m), an (m,) one being a single
-row; only the count per link in ``z_stats`` runs row by row.
+(``z_stats``: leaf-span range minima of the bounds, plus one bottom-up
+pass for the sparsity threshold), and ``upsparse_plus`` applies them top
+down with max scans along the root paths.  Both take intervals of (m,)
+or (B, m), an (m,) one being a single row; only the bottom-up pass in
+``z_stats`` runs row by row.
 
 A note on ties: when a whole set of x values is optimal, results report
 the set and single-value fields use the canonical minimizer; tie-breaks
@@ -78,13 +78,13 @@ class ZStats:
     For the subtree under node i (indexed by link label - 1):
       min_upper: smallest upper bound among its paths;
       max_lower: largest lower bound among its paths;
-      max_lower_within: largest lower bound not exceeding min_upper
-        (always defined: the path attaining min_upper qualifies).
+      l0_threshold: the smallest father path loss at which the subtree
+        needs its fewest lossy links (see ``z_stats``).
     """
 
     min_upper: np.ndarray
     max_lower: np.ndarray
-    max_lower_within: np.ndarray
+    l0_threshold: np.ndarray
 
 
 @dataclass
@@ -160,7 +160,7 @@ def glocal_family(y_lo, y_hi, x: float) -> np.ndarray:
     child j then realizes the observation max(x, lo_j).
     """
     y_lo, y_hi = _as_intervals(y_lo, y_hi)
-    if x < y_lo.min() or x > y_hi.min():
+    if not y_lo.min() <= x <= y_hi.min():
         raise XOutOfRange(
             f"x={x} outside [{y_lo.min()}, {y_hi.min()}] for this complex"
         )
@@ -239,45 +239,38 @@ def z_stats(tree: LogicalTree, intervals: IntervalObservation) -> ZStats:
     """Subtree interval statistics for every link: (n,), or (B, n) for (B, m) bounds.
 
     min_upper and max_lower are leaf-span minima of hi and -lo, from one
-    ``LogicalTree.span_min`` over the stacked bounds.  max_lower_within is an
-    offline range query: with lo ranked once, it is the lower bound of
-    largest rank in the span among the ranks below the count of lower
-    bounds <= min_upper.  Every span is cut into aligned power-of-two blocks
-    (``LogicalTree.span_blocks``); one sort orders the ranks inside every
-    block, one searchsorted finds each block's best qualifying rank and one
-    reduceat keeps the best block of each link: O((n + m) log m) work per
-    row.  The rows of a batch share each of these calls; only the count of
-    lower bounds <= min_upper takes one searchsorted per row.
+    ``LogicalTree.span_min`` over the stacked bounds.  l0_threshold is exact.
+    Let f_v(z) be the fewest lossy links at and under v given its father's
+    path loss z <= U_v, the min_upper of v.  f_v takes two values: c_v for
+    z >= t_v and c_v + 1 below, because v can always jump once into
+    [t_v, U_v] and f_v never grows with z.  A leaf has t = lo and c = 0; a
+    child w with t_w > U_v takes a lossy link at any z, so
+    t_v = max{t_w : t_w <= U_v} and c_v = sum c_w + #{w : t_w > U_v}, and
+    z_v = max(z_father, t_v) is optimal.  One bottom-up pass per row on
+    Python floats, children before fathers (leaves, then internal labels
+    from high to low), pushes each t to the father when it is at most the
+    father's U; the father keeps the largest.  Some child always qualifies:
+    the one whose subtree holds the smallest upper bound.
     """
     _check_paths(tree, intervals)
-    m = tree.m
+    m, n = tree.m, tree.n
     lo = intervals.lo.reshape(-1, m)  # one row per observation
     rows = len(lo)
     bounds = tree.span_min(np.concatenate((intervals.hi.reshape(-1, m), -lo)))
-    link, base, starts, leaf_base = tree.span_blocks
-    first = np.arange(0, lo.size, m)[:, None]  # flat offset of each row
-    at = (lo.argsort(kind="stable") + first).ravel()
-    ranked = lo.ravel()[at]  # each row's lower bounds in increasing order
-    rank = np.empty(lo.size, dtype=np.int64)
-    rank[at] = np.arange(lo.size)  # r * m plus the rank within row r
-    # One key per leaf per level and row, the block's base * rows plus r * m
-    # plus the rank: ordered by block, then row, then rank.  The query of row r
-    # in a block finds its best qualifying rank, or else a key of an earlier
-    # row or block, which yields a best below r * m.  Only leaf 1's own block
-    # has base 0, and its rank is always below its count.
-    keys = (leaf_base * rows + rank.reshape(-1, 1, m)).ravel()
-    keys.sort()
-    count = [r.searchsorted(u, "right") for r, u in zip(ranked.reshape(-1, m), bounds)]
-    count = np.array(count, dtype=np.int64).reshape(rows, tree.n)
-    base = base * rows
-    best = keys[keys.searchsorted(base + first + count.take(link, axis=1)) - 1] - base
-    # at least r * m for every link of row r: the path attaining min_upper qualifies
-    best = np.maximum.reduceat(best, starts, axis=1)
-    shape = intervals.lo.shape[:-1] + (tree.n,)
+    parent, order = tree.parent.tolist(), [*tree.leaves, *reversed(tree.internal)]
+    thresholds = []
+    for lo_row, upper in zip(lo.tolist(), bounds[:rows].tolist()):
+        t, upper = [0.0] + lo_row + [-math.inf] * (n - m), [math.inf] + upper
+        for v in order:
+            f = parent[v]
+            if t[f] < t[v] <= upper[f]:
+                t[f] = t[v]
+        thresholds.append(t[1:])
+    shape = intervals.lo.shape[:-1] + (n,)
     return ZStats(
         min_upper=bounds[:rows].reshape(shape),
         max_lower=-bounds[rows:].reshape(shape),
-        max_lower_within=ranked[best].reshape(shape),
+        l0_threshold=np.array(thresholds, dtype=float).reshape(shape),
     )
 
 
@@ -288,24 +281,24 @@ def upsparse_plus(
 
     Every node i receives path loss z_i = max(z_father, threshold_i), a max
     scan down its root path, and link loss x_i = z_i - z_father.  MIN_L1's
-    threshold min(max_lower, min_upper) gives the smallest l1.  MIN_L0's,
-    max_lower_within, is a greedy rule and not always sparsest: parent
-    [-1, 4, 5, 5, 0, 4] with lo = (0, 0.4648, 0.369), hi = (0.4459, 1.302,
-    1.1321) gets two lossy links where one suffices.  MIN_L1_AMONG_L0 bumps
-    a link to min_upper when its subtree cannot realize max_lower and its
-    threshold exceeds its father's z, that is, every threshold above it: z
-    never falls below those, and a threshold at or below an ancestor's
-    min_upper is one of that ancestor's qualifying lower bounds, so at most
-    its threshold; one above them all is above every min_upper, the most
-    an ancestor passes down.  Max is exact, so z has the bytes of a
-    sequential pass.  Realized observations are the leaf z values and
-    respect the intervals.  Bounds (B, m) give one solution per row.
+    threshold min(max_lower, min_upper) gives the smallest l1; MIN_L0's,
+    l0_threshold, gives the fewest lossy links (proof in ``z_stats``).
+    MIN_L1_AMONG_L0 bumps a link to min_upper when its subtree cannot
+    realize max_lower and its threshold exceeds its father's z, that is,
+    every threshold above it (z never falls below those).  Equal to the
+    sequential pass by this lemma: if t_v <= U_father then t_father >= t_v,
+    so a threshold above every ancestor's threshold lies above U_father,
+    which bounds every value an ancestor passes down.  The bump keeps the
+    count sparsest, since every child threshold at most U_v stays met.
+    Max is exact, so z has the bytes of a sequential pass.  Realized
+    observations are the leaf z values and respect the intervals.  Bounds
+    (B, m) give one solution per row.
     """
     if mode not in MODES:
         raise OutOfDomain(f"mode must be one of {MODES}, got {mode!r}")
     stats = z_stats(tree, intervals)  # also checks the path count
     m, parent = tree.m, tree.parent[1:]
-    thr = np.minimum(stats.max_lower, stats.min_upper) if mode == MIN_L1 else stats.max_lower_within
+    thr = np.minimum(stats.max_lower, stats.min_upper) if mode == MIN_L1 else stats.l0_threshold
     z = np.zeros(thr.shape[:-1] + (tree.n + 1,))  # column ROOT: 0, the identity
     z[..., 1:] += thr  # 0.0 + -0.0 is 0.0, so max never has to pick between two zeros
     z = tree.root_scan(z, np.maximum)

@@ -298,8 +298,8 @@ def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
     """
     if not tree.is_internal(i):
         raise NotBranchNode(f"node {i} is not a branch node")
-    if w <= 0:
-        raise ParameterOutOfRange("w must be positive")
+    if not 0 < w < math.inf:
+        raise ParameterOutOfRange(f"w must be finite and positive, got {w!r}")
     kids = [c - 1 for c in tree.children[i]]
     g_out = len(kids)
     if K < g_out:

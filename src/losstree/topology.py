@@ -119,33 +119,6 @@ class LogicalTree:
         row_start = k * (self.m + 1) - (1 << k) + 1
         return int(k.max()) + 1, row_start + lo, row_start + hi - (1 << k)
 
-    @cached_property
-    def span_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(link, base, starts, leaf_base): every leaf span cut into aligned blocks.
-
-        Block (k, i) holds leaf positions i * 2**k .. (i + 1) * 2**k - 1
-        (0-based), as in a merge-sort tree over the m leaves, with key base
-        (k * m + i) * m.  Entry s of the cut is the block with key base[s] in
-        the span of link link[s] + 1; the entries of link v are contiguous,
-        begin at starts[v - 1] and tile its span exactly (at most two blocks
-        per level).  leaf_base[k, p] is the key base of the level-k block
-        holding position p.
-        """
-        m, levels = self.m, self.m.bit_length()
-        # Span a..b-1 (0-based) at level k still needs blocks first..end-1 with
-        # first = ceil(a / 2**k) and end = floor(b / 2**k); fe holds -first and
-        # end.  The bottom-up segment-tree walk peels block first when first is
-        # odd and block end-1 when end is odd.
-        span = (self.leaf_span[1:] * [-1, 1] + [1, -1]).astype(np.int32)  # -a, b
-        fe = span[:, :, None] >> np.arange(levels, dtype=np.int32)
-        flat = np.flatnonzero((fe & 1 == 1) & (fe[:, :1] + fe[:, 1:] > 0))
-        rest, level = np.divmod(flat, levels)
-        link, side = np.divmod(rest, 2)
-        base = (level * m + np.abs(fe.ravel()[flat]) - side) * m
-        k = np.arange(levels)[:, None]
-        leaf_base = (k * m + (np.arange(m) >> k)) * m
-        return link, base, np.searchsorted(link, np.arange(self.n)), leaf_base
-
     def span_min(self, y) -> np.ndarray:
         """Smallest y over every link's leaf span: (..., m) -> (..., n).
 

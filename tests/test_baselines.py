@@ -1,6 +1,7 @@
 """Binary good/bad inference: correctness, minimality, and the known blind spot."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ class TestScfs:
     def test_rejects_wrong_length(self, fig_tree, bad):
         with pytest.raises(OutOfDomain):
             scfs(fig_tree, bad)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0, 0], [2, 0, 0], [0.5, 0, 0], ["a", "b", "c"]])
+    def test_rejects_flags_other_than_booleans_or_0_1(self, fig_tree, bad):
+        with pytest.raises(OutOfDomain, match="bad-path flags must be booleans or 0/1"):
+            scfs(fig_tree, bad)
+
+    @pytest.mark.parametrize("bad", [[1, 1, 0], [1.0, 1.0, 0.0], [True, True, False]])
+    def test_accepts_booleans_and_0_1(self, fig_tree, bad):
+        assert scfs(fig_tree, bad) == {5}
 
     def test_all_paths_bad_names_top_link(self, fig_tree):
         assert scfs(fig_tree, np.array([True, True, True])) == {4}

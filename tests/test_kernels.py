@@ -182,21 +182,30 @@ def ref_l1_sampling_check(tree, y, x_star, samples, seed, tol=DEFAULT_TOL):
 
 
 def ref_z_stats(tree, lo, hi):
-    """(min_upper, max_lower, max_lower_within) from each leaf set, path by path."""
+    """(min_upper, max_lower, l0_threshold) from each leaf set and a recursion over children.
+
+    A leaf's threshold is its lower bound; a node's is the largest child
+    threshold at or below its min_upper.
+    """
     below = [[] for _ in range(tree.n + 1)]
     for j in tree.leaves:
         for v in path_links(tree, j):
             below[v].append(j - 1)
     stats = np.empty((3, tree.n))
+
+    def threshold(v):
+        if not tree.is_internal(v):
+            return lo[v - 1]
+        return max(t for t in map(threshold, tree.children[v]) if t <= min(hi[below[v]]))
+
     for v in range(1, tree.n + 1):
-        u = min(hi[below[v]])
-        stats[:, v - 1] = u, max(lo[below[v]]), max(lo[j] for j in below[v] if lo[j] <= u)
+        stats[:, v - 1] = min(hi[below[v]]), max(lo[below[v]]), threshold(v)
     return stats
 
 
 def ref_upsparse_plus(tree, lo, hi, mode):
     """(x, y, z) from the per-node loop, with the statistics of ``ref_z_stats``."""
-    min_upper, max_lower, max_lower_within = ref_z_stats(tree, lo, hi)
+    min_upper, max_lower, l0_threshold = ref_z_stats(tree, lo, hi)
     z = np.zeros(tree.n + 1)
     x = np.zeros(tree.n)
     for v in depth_order(tree):
@@ -204,7 +213,7 @@ def ref_upsparse_plus(tree, lo, hi, mode):
         if mode == MIN_L1:
             thr = min(max_lower[v - 1], min_upper[v - 1])
         else:
-            thr = max_lower_within[v - 1]
+            thr = l0_threshold[v - 1]
         if mode == MIN_L1_AMONG_L0 and thr > zf and min_upper[v - 1] < max_lower[v - 1]:
             thr = min_upper[v - 1]
         if thr > zf:
@@ -432,7 +441,8 @@ def sparse_draw(rng, size):
     return np.where(rng.random(size) < 0.5, np.round(rng.uniform(0.0, 1.0, size), 1), 0.0)
 
 
-# Leaf counts at and next to powers of two put span ends on every block boundary.
+# Leaf counts at and next to powers of two put span ends on every window boundary
+# of the sparse table behind ``span_min``.
 BLOCK_SIZES = st.sampled_from([2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
 
 
@@ -561,29 +571,12 @@ class TestKernelsMatchPathLoops:
         ours = upsparse(tree, forward(tree, x0), x0=x0).x
         assert ours.tobytes() == ref_upsparse(tree, x0).tobytes()
 
-    @settings(max_examples=60, deadline=None)
-    @given(tree=trees(st.integers(2, 60) | BLOCK_SIZES))
-    def test_span_blocks_tile_every_span(self, tree):
-        link, base, starts, leaf_base = tree.span_blocks
-        assert np.array_equal(starts, np.searchsorted(link, np.arange(tree.n)))
-        for k, row in enumerate(leaf_base):
-            assert row.tolist() == [(k * tree.m + p // 2**k) * tree.m for p in range(tree.m)]
-        for v in range(1, tree.n + 1):
-            covered, per_level = [], [0] * tree.m.bit_length()
-            for key in base[link == v - 1] // tree.m:
-                k, i = divmod(int(key), tree.m)
-                covered += range(i << k, (i + 1) << k)
-                per_level[k] += 1
-            lo, hi = tree.leaf_span[v]
-            assert sorted(covered) == list(range(lo - 1, hi - 1))
-            assert max(per_level) <= 2
-
     @settings(max_examples=80, deadline=None)
     @given(tree=trees(st.integers(2, 60) | BLOCK_SIZES), seed=st.integers(0, 2**31 - 1))
     def test_z_stats(self, tree, seed):
         lo, hi = interval_draw(np.random.default_rng(seed), tree.m)
         stats = z_stats(tree, IntervalObservation(lo=lo, hi=hi))
-        got = np.array([stats.min_upper, stats.max_lower, stats.max_lower_within])
+        got = np.array([stats.min_upper, stats.max_lower, stats.l0_threshold])
         assert np.array_equal(got, ref_z_stats(tree, lo, hi))
 
     @settings(max_examples=80, deadline=None)
@@ -675,7 +668,7 @@ class TestBatchesMatchSingleRows:
         batch = IntervalObservation(lo=lo, hi=hi)
         singles = [IntervalObservation(lo=l, hi=h) for l, h in zip(lo, hi)]
         stats = z_stats(tree, batch)
-        for field in ("min_upper", "max_lower", "max_lower_within"):
+        for field in ("min_upper", "max_lower", "l0_threshold"):
             got = getattr(stats, field)
             assert got.shape == (rows, tree.n)
             for row, single in zip(got, singles):
@@ -755,7 +748,7 @@ def test_interval_solver_on_a_long_caterpillar():
     tree = caterpillar(20000)
     y = sparse_draw(np.random.default_rng(5), tree.m)
     exact = IntervalObservation.exact(y)
-    assert np.array_equal(z_stats(tree, exact).max_lower_within, tree.span_min(y))
+    assert np.array_equal(z_stats(tree, exact).l0_threshold, tree.span_min(y))
     x = closed_form(tree, y)
     for mode in MODES:
         assert np.array_equal(upsparse_plus(tree, exact, mode).x, x)

@@ -28,6 +28,7 @@ from losstree import (
     sample_feasible,
     save_observations,
     solution_report,
+    unique_sparsest,
 )
 from losstree.errors import Infeasible, OutOfDomain, ParameterOutOfRange
 from losstree.lossmodel import plant_hotspots
@@ -234,6 +235,10 @@ ENTRY_POINTS = {
     "is_feasible x": lambda t, bad: is_feasible(t, bad(t.n), np.zeros(t.m)),
     "is_feasible y": lambda t, bad: is_feasible(t, np.zeros(t.n), bad(t.m)),
     "sample_feasible y": lambda t, bad: sample_feasible(t, bad(t.m), np.random.default_rng(0)),
+    "classify_complexes x": lambda t, bad: classify_complexes(t, bad(t.n)),
+    "unique_sparsest x": lambda t, bad: unique_sparsest(t, bad(t.n)),
+    "recovery_condition x": lambda t, bad: recovery_condition(t, bad(t.n)),
+    "solution_report x": lambda t, bad: solution_report(t, bad(t.n)),
 }
 
 
@@ -255,6 +260,14 @@ class TestObservationFiles:
         path = tmp_path / "obs.json"
         save_observations(addloss([0.1, 0.2]), path, scale="probability")
         assert np.allclose(load_observations(path), addloss([0.1, 0.2]))
+
+    @pytest.mark.parametrize("y", [[math.nan, 1.0], [math.inf, 1.0], [[0.1, 0.2]]])
+    def test_only_finite_rows_saved(self, tmp_path, y):
+        """JSON has no NaN or Infinity, and a file holds one observation."""
+        path = tmp_path / "obs.json"
+        with pytest.raises(OutOfDomain):
+            save_observations(y, path)
+        assert not path.exists()
 
     def test_bare_array(self, tmp_path):
         path = tmp_path / "obs.json"

@@ -253,6 +253,12 @@ class TestRecoveryCondition:
         assert hits > 10
 
 
+@pytest.mark.parametrize("check", [classify_complexes, unique_sparsest, recovery_condition])
+def test_complex_diagnostics_take_one_solution(fig_tree, check):
+    with pytest.raises(OutOfDomain, match=r"need values for 5 links in x, got shape \(2, 5\)"):
+        check(fig_tree, np.zeros((2, 5)))
+
+
 class TestReportSerialization:
     def test_json_fields(self, fig_tree):
         data = upsparse(fig_tree, [2.0, 3.0, 4.0]).to_json()

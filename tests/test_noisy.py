@@ -1,6 +1,7 @@
 """Interval observations: local optima, subtree statistics, interval solver."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -33,6 +34,28 @@ def random_intervals(tree, rng, p_unbounded=0.25):
     width = rng.uniform(0.0, 0.8, tree.m)
     hi = np.where(rng.random(tree.m) < p_unbounded, INF, lo + width)
     return IntervalObservation(lo=lo, hi=hi)
+
+
+def fewest_lossy_links(tree, iv, v):
+    """z -> the fewest lossy links at and under v when v's father has path loss z.
+
+    Each node tries every path loss: its father's, or any lower bound above
+    it (some optimum takes its values from these).
+    """
+    values = sorted(set(iv.lo.tolist()))
+
+    @lru_cache(maxsize=None)
+    def f(u, z):
+        best = INF
+        for z_u in [z] + [s for s in values if s > z]:
+            if tree.is_internal(u):
+                cost = sum(f(c, z_u) for c in tree.children[u])
+            else:
+                cost = 0 if iv.lo[u - 1] <= z_u <= iv.hi[u - 1] else INF
+            best = min(best, cost + (z_u > z))
+        return best
+
+    return lambda z: f(v, z)
 
 
 class TestIntervalObservation:
@@ -87,6 +110,10 @@ class TestGlocalFamily:
             glocal_family([1, 3, 5], [4, 4, 6], 0.5)
         with pytest.raises(XOutOfRange):
             glocal_family([1, 3, 5], [4, 4, 6], 4.5)
+
+    def test_nan_is_out_of_range(self):
+        with pytest.raises(XOutOfRange, match="x=nan outside"):
+            glocal_family([1, 3, 5], [4, 4, 6], math.nan)
 
 
 class TestLocalMinL0:
@@ -177,13 +204,13 @@ class TestZStats:
         for j in fig_tree.leaves:
             assert zs.min_upper[j - 1] == iv.hi[j - 1]
             assert zs.max_lower[j - 1] == iv.lo[j - 1]
-            assert zs.max_lower_within[j - 1] == iv.lo[j - 1]
+            assert zs.l0_threshold[j - 1] == iv.lo[j - 1]
 
     def test_single_complex_golden(self, one_complex):
         zs = z_stats(one_complex, IntervalObservation(lo=[1, 3, 5], hi=[4, 4, 6]))
         assert zs.min_upper[3] == 4.0
         assert zs.max_lower[3] == 5.0
-        assert zs.max_lower_within[3] == 3.0
+        assert zs.l0_threshold[3] == 3.0
 
     def test_degenerate_equals_subtree_minimum(self):
         rng = np.random.default_rng(1)
@@ -193,11 +220,13 @@ class TestZStats:
             for v in range(1, tree.n + 1):
                 lo, hi = tree.leaf_span[v]
                 gamma = y[lo - 1 : hi - 1].min()
-                assert zs.max_lower_within[v - 1] == gamma
+                assert zs.l0_threshold[v - 1] == gamma
                 assert zs.min_upper[v - 1] == gamma
                 assert zs.max_lower[v - 1] == y[lo - 1 : hi - 1].max()
 
     def test_definition_by_direct_evaluation(self):
+        """l0_threshold: the smallest father path loss at which a subtree needs
+        its fewest lossy links; below it, exactly one more."""
         rng = np.random.default_rng(3)
         for tree in random_small_trees(10, seed=4):
             iv = random_intervals(tree, rng)
@@ -208,7 +237,11 @@ class TestZStats:
                 ups = iv.hi[lo - 1 : hi - 1]
                 assert zs.min_upper[v - 1] == ups.min()
                 assert zs.max_lower[v - 1] == lows.max()
-                assert zs.max_lower_within[v - 1] == lows[lows <= ups.min()].max()
+                fewest = fewest_lossy_links(tree, iv, v)
+                least = fewest(min(ups.min(), lows.max()))
+                t = zs.l0_threshold[v - 1]
+                assert t == min(z for z in [0.0, *lows] if fewest(z) == least)
+                assert all(fewest(z) == least + 1 for z in [0.0, *lows] if z < t)
 
 
 class TestUpsparsePlus:
@@ -264,7 +297,7 @@ class TestUpsparsePlus:
             sol = upsparse_plus(tree, iv, MIN_L0)
             for v in range(1, tree.n + 1):
                 if sol.x[v - 1] > 1e-9:
-                    assert zs.max_lower_within[v - 1] - 1e-12 <= sol.z[v - 1]
+                    assert zs.l0_threshold[v - 1] - 1e-12 <= sol.z[v - 1]
                     assert sol.z[v - 1] <= zs.min_upper[v - 1] + 1e-12
 
     def test_monotone_refinement_converges(self):
@@ -297,7 +330,7 @@ class TestUpsparsePlus:
 
     def test_empty_batch(self, fig_tree):
         iv = IntervalObservation(lo=np.zeros((0, 3)), hi=np.zeros((0, 3)))
-        assert z_stats(fig_tree, iv).max_lower_within.shape == (0, 5)
+        assert z_stats(fig_tree, iv).l0_threshold.shape == (0, 5)
         sol = upsparse_plus(fig_tree, iv, MIN_L1_AMONG_L0)
         assert sol.x.shape == (0, 5) and sol.y.shape == (0, 3) and sol.l0().shape == (0,)
 

@@ -12,6 +12,7 @@ from losstree import (
     IntervalObservation,
     MIN_L0,
     MIN_L1,
+    MIN_L1_AMONG_L0,
     build_tree,
     closed_form,
     forward,
@@ -28,6 +29,7 @@ from losstree import (
     unique_sparsest,
     upsparse,
     upsparse_plus,
+    z_stats,
 )
 from losstree import cli
 from losstree.cli import main
@@ -110,6 +112,34 @@ def interval_instances(draw):
     else:
         tree = caterpillar(m) if shape == "caterpillar" else star(m)
     return tree, grid_intervals(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), tree.m)
+
+
+@st.composite
+def interval_batches(draw):
+    """(tree, intervals): 1-5 rows of grid intervals, (B, m), on one tree of ``interval_instances``."""
+    tree, first = draw(interval_instances())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [first] + [grid_intervals(rng, tree.m) for _ in range(draw(st.integers(0, 4)))]
+    return tree, IntervalObservation(lo=[r.lo for r in rows], hi=[r.hi for r in rows])
+
+
+def sequential_bump(tree, iv):
+    """min-l1-among-l0's path losses z by one top-down loop over the nodes.
+
+    A node whose threshold exceeds its father's z takes min_upper when its
+    subtree cannot realize max_lower, else the threshold; other nodes keep
+    the father's z.
+    """
+    stats = z_stats(tree, iv)
+    z = np.zeros(tree.n + 1)
+    for v in [*tree.internal, *tree.leaves]:  # internal labels in preorder, then the leaves
+        z_father, thr = z[tree.parent[v]], stats.l0_threshold[v - 1]
+        if thr <= z_father:
+            z[v] = z_father
+        else:
+            bump = stats.min_upper[v - 1] < stats.max_lower[v - 1]
+            z[v] = stats.min_upper[v - 1] if bump else thr
+    return z[1:]
 
 
 @st.composite
@@ -585,17 +615,15 @@ class TestNoisyGridCheck:
 
     def test_sparser_answer_on_sibling_paths(self):
         # Link 4 above leaf 1 and link 5, link 5 above leaves 2 and 3.  The
-        # solver puts 0.369 on link 4 and 0.0958 on link 5; 0.4648 on link 5
-        # alone meets every interval.
+        # greedy threshold put 0.369 on link 4 and 0.0958 on link 5; 0.4648
+        # on link 5 alone meets every interval.
         tree = build_tree([(1, 4), (2, 5), (3, 5), (4, 0), (5, 4)], 0)
         assert tree.parent.tolist() == [-1, 4, 5, 5, 0, 4]
         iv = IntervalObservation(lo=[0, 0.4648, 0.369], hi=[0.4459, 1.302, 1.1321])
-        greedy = upsparse_plus(tree, iv, MIN_L0)
-        assert greedy.l0() == 2
-        assert not noisy_exact_check(tree, iv, greedy)
-        x = np.array([0.0, 0.0, 0.0, 0.0, 0.4648])
-        one = NoisySolution(x=x, y=np.array([0.0, 0.4648, 0.4648]), z=np.zeros(5), mode=MIN_L0)
-        assert noisy_exact_check(tree, iv, one)
+        for mode in (MIN_L0, MIN_L1_AMONG_L0):
+            sol = upsparse_plus(tree, iv, mode)
+            assert sol.x.tolist() == [0.0, 0.0, 0.0, 0.0, 0.4648]
+            assert noisy_exact_check(tree, iv, sol)
 
     @settings(max_examples=100, deadline=None)
     @given(case=interval_instances())
@@ -613,6 +641,41 @@ class TestNoisyGridCheck:
         for _ in range(10):
             iv = grid_intervals(rng, tree.m)
             assert _interval_optimum(tree, iv, MIN_L0) == ref_min_lossy_links(tree, iv.lo, iv.hi)
+
+
+class TestIntervalSolverIsSparsest:
+    """min-l0 and min-l1-among-l0 against the program's k*, on grid bounds whose ties are exact."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=interval_instances())
+    def test_fewest_lossy_links(self, case):
+        tree, iv = case
+        k_star = _interval_optimum(tree, iv, MIN_L0)
+        for mode in (MIN_L0, MIN_L1_AMONG_L0):
+            sol = upsparse_plus(tree, iv, mode)
+            assert sol.l0() == k_star
+            assert noisy_exact_check(tree, iv, sol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=interval_batches())
+    def test_batch_rows_equal_single_rows(self, case):
+        tree, batch = case
+        stats = z_stats(tree, batch)
+        for mode in (MIN_L0, MIN_L1_AMONG_L0):
+            sol = upsparse_plus(tree, batch, mode)
+            for r, (lo, hi) in enumerate(zip(batch.lo, batch.hi)):
+                row = IntervalObservation(lo=lo, hi=hi)
+                one = upsparse_plus(tree, row, mode)
+                assert np.array_equal(stats.l0_threshold[r], z_stats(tree, row).l0_threshold)
+                assert np.array_equal(sol.x[r], one.x) and np.array_equal(sol.z[r], one.z)
+                assert sol.l0()[r] == one.l0() == _interval_optimum(tree, row, MIN_L0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=interval_instances())
+    def test_two_scan_gate_equals_the_sequential_bump(self, case):
+        tree, iv = case
+        sol = upsparse_plus(tree, iv, MIN_L1_AMONG_L0)
+        assert np.array_equal(sol.z, sequential_bump(tree, iv))
 
 
 class TestLemma1Construct:
@@ -649,6 +712,12 @@ class TestLemma1Construct:
         tree = gen_regular_tree(3, 3)
         with pytest.raises(KTooSmall):
             lemma1_construct(tree, tree.m + 1, K=2, w=1.0)
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf])
+    def test_weight_must_be_finite_and_positive(self, w):
+        tree = gen_regular_tree(3, 3)
+        with pytest.raises(ParameterOutOfRange, match="w must be finite and positive"):
+            lemma1_construct(tree, tree.m + 1, K=3, w=w)
 
     def test_leaf_rejected(self):
         tree = gen_regular_tree(3, 3)
