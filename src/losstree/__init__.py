@@ -1,7 +1,8 @@
 """Loss hotspot localization from tree path measurements.
 
-Builds logical trees and their path-link measurement matrices, solves the
-underdetermined link loss system for minimum-sparsity / minimum-l1
+Builds logical trees, whose path-link measurement matrix A is implicit in
+their leaf spans (``forward(tree, np.eye(tree.n)).T`` gives it densely),
+solves the underdetermined link loss system for minimum-sparsity / minimum-l1
 solutions under exact or interval observations, and verifies everything
 against brute-force oracles, a binary-inference baseline, and a probe
 simulation harness.
@@ -71,13 +72,11 @@ from .simulation import (
 )
 from .topology import (
     LogicalTree,
-    MeasurementMatrix,
     build_tree,
     gen_random_tree,
     gen_regular_tree,
     gen_ternary_tree,
     load_topology,
-    measurement_matrix,
     save_topology,
     tree_from_spec,
 )

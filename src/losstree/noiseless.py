@@ -80,7 +80,7 @@ def put_in_upstate(tree: LogicalTree, i: int, x) -> np.ndarray:
     Returns a new array; ``x`` is left as it is.
     """
     if not tree.is_internal(i):
-        raise NotInternal(f"node {i} is not an internal node")
+        raise NotInternal(f"node {i!r} is not an internal node")
     return _pull_up(tree, _checked(x, tree.n, "links in x"), [i])
 
 

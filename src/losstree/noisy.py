@@ -47,8 +47,11 @@ class IntervalObservation:
     hi: np.ndarray
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
+        try:
+            self.lo = np.asarray(self.lo, dtype=float)
+            self.hi = np.asarray(self.hi, dtype=float)
+        except (TypeError, ValueError):
+            raise OutOfDomain("interval bounds must be numbers") from None
         if self.lo.shape != self.hi.shape:
             raise OutOfDomain("interval bounds must have equal length")
         if np.any(self.lo < 0) or not np.all(np.isfinite(self.lo)):

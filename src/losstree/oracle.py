@@ -36,7 +36,7 @@ from .lossmodel import (
 )
 from .noiseless import closed_form
 from .noisy import MIN_L0, MIN_L1, IntervalObservation, NoisySolution, _check_paths
-from .topology import LogicalTree, measurement_matrix
+from .topology import LogicalTree
 
 # The program's certificates (_interval_optimum, noisy_exact_check) accept x >= -FEAS_TOL
 # and A x within FEAS_TOL of its bounds, HiGHS's feasibility tolerance.  The support
@@ -50,7 +50,7 @@ _CANDIDATES = 2**16  # exact-cover candidates pruned and solved at once, to boun
 
 @dataclass
 class EnumerationResult:
-    """All sparsest solutions of y = A x, x >= 0, found by exhaustive scan."""
+    """All sparsest solutions of y = A x, x >= 0, by exhaustive scan: one per feasible support."""
 
     k_star: int | None
     supports: list[tuple[int, ...]]  # canonical link labels
@@ -80,7 +80,10 @@ class SupportScanner:
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
-        return measurement_matrix(self.tree).dense().astype(float)
+        """A, (m, n): path j uses link v exactly when leaf j lies in v's leaf span."""
+        lo, hi = self.tree.leaf_span[1:].T
+        j = np.arange(1, self.tree.m + 1)[:, None]
+        return ((lo <= j) & (j < hi)).astype(float)
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
@@ -111,7 +114,7 @@ class SupportScanner:
         return self._levels[k]
 
     def feasible_at(self, ys: np.ndarray, k: int):
-        """Feasible size-k supports of each row of ys (T, m), as (rows, supports, xs), by row.
+        """Feasible size-k supports of each row of ys (T, m), as (rows, supports, (n,) xs), by row.
 
         Solves only the supports that cover exactly the row's lossy paths and
         have a step wherever the row has one: where no link of S starts or
@@ -126,7 +129,7 @@ class SupportScanner:
         count = np.searchsorted(masks, required, side="right") - first
         # a few rows at a time: at most _CANDIDATES candidates, or one row's
         per_pass = max(1, _CANDIDATES // max(1, count.max(initial=0)))
-        found = [(np.zeros(0, np.int64), np.zeros((0, k), np.int64), np.zeros((0, k)))]
+        found = [(np.zeros(0, np.int64), np.zeros((0, k), np.int64), np.zeros((0, self.tree.n)))]
         for lo in range(0, len(ys), per_pass):
             c = count[lo : lo + per_pass]
             rows = np.repeat(np.arange(lo, lo + c.size), c)
@@ -138,7 +141,7 @@ class SupportScanner:
         return tuple(np.concatenate(parts) for parts in zip(*found))
 
     def _solved(self, y: np.ndarray, sup: np.ndarray):
-        """(index, x) of each feasible restricted system A_S x = y, one per row.
+        """(index, x) of each feasible restricted system A_S x = y, one per row, x (n,) and >= 0.
 
         Only supports with independent columns are solved: none is feasible
         below k*, and no dependent one at k* (see ``sparsest_enumerate``).
@@ -153,7 +156,7 @@ class SupportScanner:
         resid = np.abs(full @ self.dense.T - y).max(axis=-1)
         # x >= -DEFAULT_TOL (vacuous for k = 0, hence the initial 0), residuals within it
         ok = (x.min(axis=-1, initial=0.0) >= -DEFAULT_TOL) & (resid <= DEFAULT_TOL)
-        return index[ok], x[ok]
+        return index[ok], np.maximum(full[ok], 0.0)
 
 
 def sparsest_enumerate(
@@ -164,9 +167,9 @@ def sparsest_enumerate(
 ) -> EnumerationResult | list[EnumerationResult]:
     """Scan supports by increasing size until some restricted system is feasible.
 
-    Returns every distinct solution at the first feasible size k*, and
-    unique iff there is one.  Each feasible support S at k* has
-    independent columns, hence one solution: were they dependent, moving
+    Returns every feasible support at the first feasible size k* with its
+    solution, and unique iff there is one.  Each feasible support S at k*
+    has independent columns, hence one solution: were they dependent, moving
     x_S along a null direction of A_S until a component hits zero would
     give a smaller feasible support (basic feasible solutions; Bertsimas
     & Tsitsiklis, Introduction to Linear Optimization, 1997, 2.3).
@@ -297,7 +300,9 @@ def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
     ||v||_0 <= K.
     """
     if not tree.is_internal(i):
-        raise NotBranchNode(f"node {i} is not a branch node")
+        raise NotBranchNode(f"node {i!r} is not a branch node")
+    if not _is_int(K):
+        raise ParameterOutOfRange(f"K must be a whole number, got {K!r}")
     if not 0 < w < math.inf:
         raise ParameterOutOfRange(f"w must be finite and positive, got {w!r}")
     kids = [c - 1 for c in tree.children[i]]
@@ -320,8 +325,7 @@ def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
     for k in spare[:extra]:
         u[k] = 1
         v[k] = 1
-    a = measurement_matrix(tree).dense()
-    assert not np.any(a @ (u - v)), "null construction failed"
+    assert not np.any(forward(tree, u - v)), "null construction failed"
     return w * u.astype(float), w * v.astype(float)
 
 
@@ -344,17 +348,15 @@ def _scan(scanner: SupportScanner, ys: np.ndarray, k_max: int) -> list[Enumerati
         if pending.size == 0:
             break
         rows, supports, xs = scanner.feasible_at(ys[pending], k)
-        found = {}
-        for row, sup, x_s in zip(rows.tolist(), supports, xs):
-            full = np.zeros(scanner.tree.n)
-            full[sup] = np.maximum(x_s, 0.0)
-            solutions, sup_list = found.setdefault(row, ([], []))
-            _append_distinct(solutions, sup_list, full, tuple(int(s) + 1 for s in sup))
-        for row, (solutions, sup_list) in found.items():
+        # rows come sorted, so each row's supports form one slice
+        found, first, count = np.unique(rows, return_index=True, return_counts=True)
+        labels = (supports + 1).tolist()
+        for row, a, c in zip(found.tolist(), first.tolist(), count.tolist()):
             results[pending[row]] = EnumerationResult(
-                k_star=k, supports=sup_list, solutions=solutions, unique=len(solutions) == 1
+                k_star=k, supports=list(map(tuple, labels[a : a + c])),
+                solutions=list(xs[a : a + c]), unique=c == 1,
             )
-        pending = np.delete(pending, list(found))
+        pending = np.delete(pending, found)
     return results
 
 
@@ -399,12 +401,4 @@ def _interval_optimum(tree: LogicalTree, intervals: IntervalObservation, mode: s
         "the program's sparsest support is not feasible"
     )
     return int(support.sum())
-
-
-def _append_distinct(solutions, supports, x, sup, atol=1e-6):
-    for existing in solutions:
-        if np.abs(existing - x).max() <= atol:
-            return
-    solutions.append(x)
-    supports.append(sup)
 

@@ -218,8 +218,8 @@ def confidence_intervals(run: ProbeRun, level: float) -> IntervalObservation:
     probability scale; a zero count pins the lower end to 0, a full-loss
     count leaves the upper end unbounded.  A stacked run gives (B, m) bounds.
     """
-    if not (0 < level < 1):
-        raise ParameterOutOfRange("confidence level must lie in (0, 1)")
+    if not (isinstance(level, numbers.Real) and 0 < level < 1):
+        raise ParameterOutOfRange(f"confidence level must be a number in (0, 1), got {level!r}")
     n = run.probes
     if n < 2:  # t with n - 1 = 0 degrees of freedom has no quantile
         raise ParameterOutOfRange(f"t intervals need at least 2 probes, got {n}")

@@ -1,4 +1,4 @@
-"""Rooted logical trees, canonical labeling, generators, and measurement matrices.
+"""Rooted logical trees, canonical labeling, generators, and the topology file format.
 
 A logical tree has a root with exactly one child, internal nodes with at
 least two children, and leaves with none.  Each non-root node is identified
@@ -6,14 +6,15 @@ with the link from its father, so a tree with n non-root nodes has n links,
 of which the m leaves carry the m measured root-to-leaf paths.
 
 Canonical labels number the leaves 1..m left to right and the internal
-nodes m+1..n in preorder starting from the root's child.  Under this
-labeling the first m columns of the measurement matrix form an identity
-block.  "Left to right" means first-appearance order of each node's
-children in the input edge list (generators emit children in creation
-order), which makes construction deterministic.
+nodes m+1..n in preorder starting from the root's child.  "Left to right"
+means first-appearance order of each node's children in the input edge
+list (generators emit children in creation order), which makes
+construction deterministic.  Path j uses link v exactly when leaf j lies
+in v's ``leaf_span``; ``forward(tree, np.eye(tree.n)).T`` gives the 0/1
+path-by-link matrix, whose first m columns form an identity block.
 
-Trees and matrices are immutable after construction and safe to share
-across concurrent tasks.
+Trees are immutable after construction and safe to share across
+concurrent tasks.
 """
 
 import os
@@ -31,6 +32,7 @@ from .errors import (
     MalformedLine,
     ParameterOutOfRange,
     _check_seed,
+    _is_int,
 )
 
 ROOT = 0  # canonical label of the root node
@@ -143,31 +145,13 @@ class LogicalTree:
         return np.minimum(flat.take(first, axis=0), flat.take(second, axis=0)).T
 
     def subtree_leaves(self, v: int) -> range:
+        if not (_is_int(v) and ROOT <= v <= self.n):
+            raise ParameterOutOfRange(f"node {v!r} is not a label in {ROOT}..{self.n}")
         lo, hi = self.leaf_span[v]
         return range(int(lo), int(hi))
 
     def is_internal(self, v: int) -> bool:
-        return self.m < v <= self.n
-
-
-@dataclass(eq=False)
-class MeasurementMatrix:
-    """Binary path-by-link incidence, stored as the links' leaf spans.
-
-    Path j uses link v exactly when leaf j lies under v, lo_v <= j < hi_v
-    for span[v-1] = leaf_span[v] = (lo_v, hi_v); under canonical labeling
-    the first m columns form the m-by-m identity.
-    """
-
-    m: int
-    n: int
-    span: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        """Dense m-by-n 0/1 array; column k-1 corresponds to link k."""
-        j = np.arange(1, self.m + 1)[:, None]
-        lo, hi = self.span.T
-        return ((lo <= j) & (j < hi)).astype(np.int64)
+        return _is_int(v) and self.m < v <= self.n
 
 
 def build_tree(edges, root) -> LogicalTree:
@@ -341,20 +325,15 @@ def _check_degrees(fanout, names) -> None:
         raise DegreeViolation("root's child must be internal (n >= m+1)")
 
 
-def measurement_matrix(tree: LogicalTree) -> MeasurementMatrix:
-    """Path-by-link incidence of ``tree`` under canonical labeling."""
-    return MeasurementMatrix(m=tree.m, n=tree.n, span=tree.leaf_span[1:])
-
-
 def gen_regular_tree(branching: int, height: int) -> LogicalTree:
     """Complete ``branching``-ary tree of the given height under the top link.
 
     The result has (branching**height - 1) / (branching - 1) links and
     branching**(height-1) leaves.
     """
-    if branching < 2 or height < 2:
+    if not (_is_int(branching) and _is_int(height) and branching >= 2 and height >= 2):
         raise ParameterOutOfRange(
-            f"need branching >= 2 and height >= 2, got ({branching}, {height})"
+            f"need whole numbers branching >= 2 and height >= 2, got ({branching!r}, {height!r})"
         )
     edges = [(1, 0)]
     next_id = 2
@@ -377,9 +356,9 @@ def gen_ternary_tree(links: int) -> LogicalTree:
     leaves, three links at a time.  Valid link counts are 4, 7, 10, ...
     (any count congruent to 1 mod 3, at least 4).
     """
-    if links < 4 or (links - 1) % 3 != 0:
+    if not (_is_int(links) and links >= 4 and (links - 1) % 3 == 0):
         raise ParameterOutOfRange(
-            f"a full ternary tree has 3k+1 links for k >= 1, got {links}"
+            f"a full ternary tree has 3k+1 links for a whole k >= 1, got {links!r}"
         )
     height = 2
     while (3 ** (height + 1) - 1) // 2 <= links:
@@ -401,10 +380,9 @@ def gen_random_tree(m: int, max_branching: int, seed: int) -> LogicalTree:
     Every internal node receives between 2 and ``max_branching`` children.
     The same seed always produces the same tree.
     """
-    if m < 2:
-        raise ParameterOutOfRange(f"need at least 2 leaves, got {m}")
-    if max_branching < 2:
-        raise ParameterOutOfRange(f"need max_branching >= 2, got {max_branching}")
+    if not (_is_int(m) and _is_int(max_branching) and m >= 2 and max_branching >= 2):
+        raise ParameterOutOfRange(f"need whole numbers m >= 2 and max_branching >= 2, got "
+                                  f"({m!r}, {max_branching!r})")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     edges = [(1, 0)]

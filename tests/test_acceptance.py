@@ -29,7 +29,6 @@ from losstree import (
     lemma1_construct,
     local_min_l0,
     local_min_l1,
-    measurement_matrix,
     noisy_exact_check,
     recovery_condition,
     run_experiment,
@@ -69,7 +68,7 @@ def _tree_pool(count, seed, n_cap, m_range, max_branching=3):
 def test_criterion_01_measurement_matrix_golden():
     def build():
         tree = build_tree([(4, 0), (5, 4), (3, 4), (1, 5), (2, 5)], root=0)
-        return measurement_matrix(tree).dense()
+        return forward(tree, np.eye(tree.n)).T
 
     a = build()
     expected = np.array([[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0]])

@@ -39,7 +39,6 @@ from losstree import (
     inverse_addloss,
     l1_sampling_check,
     load_topology,
-    measurement_matrix,
     receiver_solution,
     recovery_condition,
     run_experiment,
@@ -244,7 +243,7 @@ def ref_sparsest_enumerate(tree, y):
     Every support of each size is pseudo-inverted, and every one whose
     links cover at least the lossy paths is solved, dependent or not.
     """
-    dense = measurement_matrix(tree).dense().astype(float)
+    dense = forward(tree, np.eye(tree.n)).T
     bits = 1 << np.arange(tree.m, dtype=np.int64)
     link_masks = bits @ (dense > 0)
     required = bits[y > DEFAULT_TOL].sum()
@@ -262,9 +261,8 @@ def ref_sparsest_enumerate(tree, y):
                 continue
             full = np.zeros(tree.n)
             full[supports[i]] = np.maximum(x, 0.0)
-            if all(np.abs(other - full).max() > 1e-6 for other in solutions):
-                solutions.append(full)
-                found.append(tuple(int(v) + 1 for v in supports[i]))
+            solutions.append(full)
+            found.append(tuple(int(v) + 1 for v in supports[i]))
         if solutions:
             return k, found, solutions, len(solutions) == 1
     return None, [], [], False

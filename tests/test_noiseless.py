@@ -54,6 +54,15 @@ class TestPutInUpstate:
         with pytest.raises(NotInternal):
             put_in_upstate(one_complex, 1, [0.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("i", [4.0, 3.5, True, "4"])
+    def test_rejects_labels_that_are_not_whole_numbers(self, one_complex, i):
+        with pytest.raises(NotInternal):
+            put_in_upstate(one_complex, i, [2.0, 3.0, 4.0, 0.0])
+
+    def test_numpy_integer_label_accepted(self, one_complex):
+        x = put_in_upstate(one_complex, np.int64(4), [2.0, 3.0, 4.0, 0.0])
+        assert np.array_equal(x, [0.0, 1.0, 2.0, 2.0])
+
     @pytest.mark.parametrize("x", [[np.nan, 1.0, 2.0, 0.0], [1.0, 2.0, 0.0]])
     def test_rejects_non_finite_or_short_x(self, one_complex, x):
         with pytest.raises(OutOfDomain):

@@ -69,6 +69,13 @@ class TestIntervalObservation:
         with pytest.raises(OutOfDomain):
             IntervalObservation(lo=[0.0, 1.0], hi=[1.0, math.nan])
 
+    @pytest.mark.parametrize("lo, hi", [
+        (["a"], ["b"]), ([0.0], ["b"]), ([[0.0], [0.0, 1.0]], [1.0])
+    ])
+    def test_non_numeric_bounds_rejected(self, lo, hi):
+        with pytest.raises(OutOfDomain, match="interval bounds must be numbers"):
+            IntervalObservation(lo=lo, hi=hi)
+
     def test_degenerate_and_contains(self):
         iv = IntervalObservation.exact([1.0, 2.0])
         assert iv.contains([1.0, 2.0])

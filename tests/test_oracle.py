@@ -20,7 +20,6 @@ from losstree import (
     gen_regular_tree,
     l1_sampling_check,
     lemma1_construct,
-    measurement_matrix,
     noisy_exact_check,
     receiver_solution,
     save_observations,
@@ -53,7 +52,7 @@ INF = math.inf
 
 def brute_force_k_star(tree, y, tol=1e-7):
     """Reference scan: plain loops and lstsq, no shared machinery."""
-    a = measurement_matrix(tree).dense().astype(float)
+    a = forward(tree, np.eye(tree.n)).T
     y = np.asarray(y, dtype=float)
     for k in range(tree.m + 1):
         for sup in itertools.combinations(range(tree.n), k):
@@ -181,6 +180,24 @@ class TestSparsestEnumerate:
         assert len(enum.solutions) == 3
         assert not enum.unique
 
+    @pytest.mark.parametrize("y1, supports", [
+        (5e-10, [(2,)]), (5e-7, [(1, 2), (2, 3)]), (5e-6, [(1, 2), (2, 3)])
+    ])
+    def test_close_solutions_of_two_supports_stay_apart(self, y1, supports):
+        """Each feasible support at k* gives its own solution, however close two of them are."""
+        tree = build_tree([(3, 0), (1, 3), (2, 3)], root=0)
+        enum = sparsest_enumerate(tree, [y1, 0.05])
+        assert (enum.k_star, enum.supports, enum.unique) == (len(supports[0]), supports, y1 < 1e-9)
+        expected = [[0.0, 0.05, 0.0]] if y1 < 1e-9 else [[y1, 0.05, 0.0], [0.0, 0.05 - y1, y1]]
+        assert np.abs(np.array(enum.solutions) - expected).max() <= 1e-15
+
+    def test_verify_accepts_two_close_sparsest_solutions(self, tmp_path, capsys):
+        tree_path, obs = tmp_path / "band.tree", tmp_path / "band.obs.json"
+        tree_path.write_text("root 0\n3 0\n1 3\n2 3\n")
+        save_observations([5e-7, 0.05], obs)
+        assert main(["verify", "--tree", str(tree_path), "--obs", str(obs)]) == 0
+        assert "oracle_k=2 unique=False l1_minimal=True [ok]" in capsys.readouterr().out
+
     def test_zero_observations(self, fig_tree):
         enum = sparsest_enumerate(fig_tree, np.zeros(3))
         assert enum.k_star == 0
@@ -247,7 +264,7 @@ class TestSparsestEnumerate:
         trees = [t for t in random_small_trees(60, seed=9, m_range=(2, 8)) if t.n <= 14]
         non_unique = 0
         for tree in trees:
-            dense = measurement_matrix(tree).dense()
+            dense = forward(tree, np.eye(tree.n)).T
             scanner = SupportScanner(tree)
             for x in (rng.integers(0, 3, tree.n), 0.5 * (rng.random(tree.n) < 0.5)):
                 enum = sparsest_enumerate(tree, forward(tree, x), scanner=scanner)
@@ -498,8 +515,9 @@ def test_verify_scans_all_instances_in_one_call(obs, tmp_path, monkeypatch, caps
 ], ids=["random:8:3:0", "regular:2:4", "caterpillar(7)"])
 def test_gram_determinant_is_an_exact_rank_test(tree):
     """A_S has consecutive ones in each column, so det(A_SᵀA_S) counts its nonsingular minors."""
-    dense = measurement_matrix(tree).dense().astype(float)
+    dense = forward(tree, np.eye(tree.n)).T
     scanner = SupportScanner(tree)
+    assert np.array_equal(scanner.dense, dense)  # built from the leaf spans
     for k in range(1, tree.n + 1):
         stacks = dense[:, list(itertools.combinations(range(tree.n), k))].transpose(1, 0, 2)
         det = np.linalg.det(stacks.transpose(0, 2, 1) @ stacks)
@@ -704,7 +722,7 @@ class TestLemma1Construct:
     def test_exact_null_in_weight_units(self):
         # Observations agree exactly, not just within tolerance.
         tree = gen_regular_tree(2, 4)
-        a = measurement_matrix(tree).dense()
+        a = forward(tree, np.eye(tree.n)).T
         u, v = lemma1_construct(tree, tree.m + 3, K=3, w=0.1)
         assert np.array_equal(a @ (u / 0.1).astype(np.int64), a @ (v / 0.1).astype(np.int64))
 
@@ -723,6 +741,22 @@ class TestLemma1Construct:
         tree = gen_regular_tree(3, 3)
         with pytest.raises(NotBranchNode):
             lemma1_construct(tree, 1, K=3, w=1.0)
+
+    @pytest.mark.parametrize("i", [10.0, 10.5, "10"])
+    def test_node_must_be_a_whole_number(self, i):
+        with pytest.raises(NotBranchNode):
+            lemma1_construct(gen_regular_tree(3, 3), i, K=3, w=1.0)
+
+    @pytest.mark.parametrize("K", [3.0, 3.5, "3", None])
+    def test_k_must_be_a_whole_number(self, K):
+        tree = gen_regular_tree(3, 3)
+        with pytest.raises(ParameterOutOfRange, match="K must be a whole number"):
+            lemma1_construct(tree, tree.m + 1, K=K, w=1.0)
+
+    def test_numpy_integer_arguments_accepted(self):
+        tree = gen_regular_tree(3, 3)
+        u, v = lemma1_construct(tree, np.int64(tree.m + 1), K=np.int64(3), w=1.0)
+        assert (u > 0).sum() == 3 and np.array_equal(forward(tree, u), forward(tree, v))
 
     def test_construction_defeats_uniqueness(self):
         # The first vector is a sparsest solution that is not unique.

@@ -194,6 +194,12 @@ class TestConfidenceIntervals:
         with pytest.raises(ParameterOutOfRange):
             confidence_intervals(run, level=1.0)
 
+    @pytest.mark.parametrize("level", ["x", None, [0.9], math.nan])
+    def test_level_must_be_a_number(self, chain_free_tree, level):
+        run = simulate_probes(chain_free_tree, np.zeros(3), probes=10, seed=7)
+        with pytest.raises(ParameterOutOfRange, match="confidence level must be a number"):
+            confidence_intervals(run, level)
+
     @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
     def test_t_quantile_matches_scipy_stats(self, level):
         ns = [*range(2, 2001), 10**4, 10**5, 10**6]

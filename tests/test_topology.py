@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from losstree import (
     build_tree,
+    forward,
     gen_random_tree,
     gen_regular_tree,
     gen_ternary_tree,
     load_topology,
-    measurement_matrix,
     save_topology,
     tree_from_spec,
 )
@@ -145,9 +145,28 @@ def test_generated_topology_files_keep_their_bytes(tmp_path, spec, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+class TestNodeLabels:
+    def test_only_whole_internal_labels_are_internal(self, fig_tree):
+        assert [v for v in range(-1, 7) if fig_tree.is_internal(v)] == [4, 5]
+        assert fig_tree.is_internal(np.int64(4))
+        for v in (4.0, 4.5, True, "4", None):
+            assert not fig_tree.is_internal(v)
+
+    def test_subtree_leaves_of_every_label(self, fig_tree):
+        assert [fig_tree.subtree_leaves(v) for v in range(6)] == [
+            range(1, 4), range(1, 2), range(2, 3), range(3, 4), range(1, 4), range(1, 3)
+        ]
+        assert fig_tree.subtree_leaves(np.int64(5)) == range(1, 3)
+
+    @pytest.mark.parametrize("v", [-1, 6, 2.0, 2.5, True, "2"])
+    def test_subtree_leaves_rejects_non_labels(self, fig_tree, v):
+        with pytest.raises(ParameterOutOfRange, match="is not a label in 0..5"):
+            fig_tree.subtree_leaves(v)
+
+
 class TestMeasurementMatrix:
     def test_three_leaf_matrix_golden(self, fig_tree):
-        a = measurement_matrix(fig_tree).dense()
+        a = forward(fig_tree, np.eye(fig_tree.n)).T
         expected = np.array(
             [[1, 0, 0, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0]]
         )
@@ -155,24 +174,24 @@ class TestMeasurementMatrix:
 
     def test_two_leaf_matrix(self):
         tree = build_tree([(3, 0), (1, 3), (2, 3)], root=0)
-        a = measurement_matrix(tree).dense()
+        a = forward(tree, np.eye(tree.n)).T
         assert np.array_equal(a, [[1, 0, 1], [0, 1, 1]])
 
     def test_identity_left_block(self):
         for tree in random_small_trees(20, seed=7):
-            a = measurement_matrix(tree).dense()
+            a = forward(tree, np.eye(tree.n)).T
             assert np.array_equal(a[:, : tree.m], np.eye(tree.m, dtype=np.int64))
 
     def test_full_rank(self):
         for tree in random_small_trees(10, seed=8):
-            a = measurement_matrix(tree).dense()
+            a = forward(tree, np.eye(tree.n)).T
             assert np.linalg.matrix_rank(a) == tree.m
 
     def test_ternary_rows_and_column_sums(self):
         # Recompute every row by an independent path walk from the leaf up.
         tree = gen_regular_tree(3, 3)
         assert (tree.m, tree.n) == (9, 13)
-        a = measurement_matrix(tree).dense()
+        a = forward(tree, np.eye(tree.n)).T
         assert np.all(a.sum(axis=1) == 3)
         for j in tree.leaves:
             walked = np.zeros(tree.n, dtype=np.int64)
@@ -189,7 +208,7 @@ class TestMeasurementMatrix:
         # Column containment determines ancestry; the tightest superset is
         # the father.  Round-trips the structure through the matrix alone.
         for tree in random_small_trees(10, seed=9):
-            a = measurement_matrix(tree).dense()
+            a = forward(tree, np.eye(tree.n)).T
             paths = [set(np.flatnonzero(a[:, k])) for k in range(tree.n)]
             for k in range(tree.n):
                 ancestors = [
@@ -258,6 +277,21 @@ class TestGenerators:
             gen_random_tree(1, 3, seed=0)
         with pytest.raises(ParameterOutOfRange):
             gen_random_tree(5, 1, seed=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_regular_tree(2.5, 3), lambda: gen_regular_tree(3, 3.0),
+        lambda: gen_ternary_tree(13.0), lambda: gen_ternary_tree("13"),
+        lambda: gen_random_tree(5.5, 3, 0), lambda: gen_random_tree(5, 3.0, 0),
+    ], ids=["regular branching", "regular height", "ternary float", "ternary str",
+            "random leaves", "random branching"])
+    def test_counts_must_be_whole_numbers(self, make):
+        with pytest.raises(ParameterOutOfRange, match="whole"):
+            make()
+
+    def test_numpy_integer_counts_accepted(self):
+        assert gen_regular_tree(np.int64(3), np.int64(3)).n == 13
+        assert gen_ternary_tree(np.int64(13)).n == 13
+        assert gen_random_tree(np.int64(9), np.int64(3), 0).m == 9
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
     def test_random_tree_seed_must_be_a_whole_number(self, seed):
