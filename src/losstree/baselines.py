@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import OutOfDomain, ParameterOutOfRange, _check_seed, _is_int
+from .errors import OutOfDomain, ParameterOutOfRange, _check_seed, _is_int, _is_real
 from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, addloss, forward, plant_hotspots
 from .noiseless import closed_form
 from .topology import LogicalTree
@@ -20,6 +20,8 @@ from .topology import LogicalTree
 
 def binarize(y, threshold: float = DEFAULT_TOL) -> np.ndarray:
     """Per-path bad flags: bad_j iff y_j exceeds the threshold."""
+    if not _is_real(threshold):
+        raise ParameterOutOfRange(f"threshold must be a number, got {threshold!r}")
     if not 0 <= threshold < math.inf:
         raise OutOfDomain(f"threshold must be finite and non-negative, got {threshold}")
     return _checked(y, None, "paths") > threshold

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the argument checks that raise them."""
 
+import math
 import numbers
 
 import numpy as np
@@ -67,6 +68,16 @@ class ConfigInvalid(LossTreeError):
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_tol(tol) -> None:
+    """Raise ParameterOutOfRange unless the tolerance ``tol`` is a finite number of at least 0."""
+    if not (_is_real(tol) and 0 <= tol < math.inf):
+        raise ParameterOutOfRange(f"tol must be a finite number of at least 0, got {tol!r}")
 
 
 def _check_seed(seed, streams: bool = True) -> None:

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import Infeasible, OutOfDomain, ParameterOutOfRange, _is_int
+from .errors import Infeasible, OutOfDomain, ParameterOutOfRange, _check_seed, _is_int
 from .topology import LogicalTree
 
 # A value is classified lossy iff it exceeds DEFAULT_TOL; shared by the
@@ -136,6 +136,12 @@ def plant_hotspots(tree: LogicalTree, K: int, loss_range, seed, key, sup=None) -
     The lossy links are drawn first, unless ``sup`` fixes them, and then
     their losses, uniform in ``loss_range``.  Every instance stream of the
     census, the experiment and the baseline comparison comes from here.
+    A whole-number ``key`` gives one (n,) row, and ``sup`` is then one (K,)
+    support.  A sequence of B keys, such as ``range(start, stop)``, gives
+    (B, n) rows, row r bit-equal to the call with ``key[r]``, and ``sup``
+    is then (B, K).  The arguments are checked once per call; only each
+    row's stream is drawn per row.  A given support needs K distinct link
+    indices in 0..n-1 per row.
     """
     try:
         lo, hi = loss_range
@@ -146,12 +152,40 @@ def plant_hotspots(tree: LogicalTree, K: int, loss_range, seed, key, sup=None) -
         raise ParameterOutOfRange(f"loss range must satisfy 0 < lo <= hi < 1, got {loss_range!r}")
     if not (_is_int(K) and 0 <= K <= tree.n):
         raise ParameterOutOfRange(f"K={K!r} is not a whole number in 0..n={tree.n}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, key)))
-    if sup is None:
-        sup = rng.choice(tree.n, size=K, replace=False)
-    b = np.zeros(tree.n)
-    b[sup] = rng.uniform(lo, hi, size=K)
-    return b
+    _check_seed(seed, streams=False)
+    single = _is_int(key)
+    try:
+        keys = [key] if single else list(key)
+    except TypeError:  # neither a whole number nor a sequence
+        keys = [key]
+    if not all(_is_int(k) and k >= 0 for k in keys):
+        raise ParameterOutOfRange(f"keys must be whole numbers of at least 0, got {key!r}")
+    if sup is not None:
+        sup = _checked_support(sup, (K,) if single else (len(keys), K), tree.n)
+        sup = sup.reshape(len(keys), K)
+    b = np.zeros((len(keys), tree.n))
+    for r, k in enumerate(keys):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(K, k)))
+        links = rng.choice(tree.n, size=K, replace=False) if sup is None else sup[r]
+        b[r][links] = rng.uniform(lo, hi, size=K)  # through the row view: cheaper than b[r, links]
+    return b[0] if single else b
+
+
+def _checked_support(sup, shape: tuple, n: int) -> np.ndarray:
+    """``sup`` as integer link indices shaped ``shape``, K distinct ones in 0..n-1 per row."""
+    try:
+        sup = np.asarray(sup)
+        valid = sup.shape == shape and (sup.size == 0 or np.issubdtype(sup.dtype, np.integer))
+    except ValueError:  # ragged rows
+        valid = False
+    if not valid:
+        raise ParameterOutOfRange(f"the support must be {shape} link indices")
+    sup = sup.astype(np.int64)  # an empty list reads as floats
+    ordered = np.sort(sup, axis=-1)
+    if sup.size and (ordered.min() < 0 or ordered.max() >= n
+                     or (np.diff(ordered, axis=-1) == 0).any()):
+        raise ParameterOutOfRange(f"each support needs distinct link indices in 0..{n - 1}")
+    return sup
 
 
 def save_observations(y, path, scale: str = "addloss") -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain, XOutOfRange
+from .errors import OutOfDomain, XOutOfRange, _check_tol
 from .lossmodel import DEFAULT_TOL, _in_path_order, _load_json
 from .topology import LogicalTree
 
@@ -70,6 +70,7 @@ class IntervalObservation:
         return self.lo.shape[-1]
 
     def contains(self, y, tol: float = 0.0) -> bool:
+        _check_tol(tol)
         y = np.asarray(y, dtype=float)
         return bool(np.all(y >= self.lo - tol) and np.all(y <= self.hi + tol))
 

@@ -29,7 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange, _check_seed
+from .errors import (
+    InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange, _check_seed, _check_tol,
+    _is_real
+)
 from .lossmodel import (
     BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, addloss, forward,
     plant_hotspots, sample_feasible
@@ -104,8 +107,7 @@ class SupportScanner:
             count = math.comb(self.tree.n, k)
             if count > _SCAN_LIMIT:
                 raise InstanceTooLarge(f"{count} supports of size {k} on {self.tree.n} links")
-            combos = itertools.chain.from_iterable(itertools.combinations(range(self.tree.n), k))
-            supports = np.fromiter(combos, np.int64, count * k).reshape(count, k)
+            supports = _supports(self.tree.n, k)
             masks = np.bitwise_or.reduce(self.link_masks[supports], axis=1)
             order = np.argsort(masks, kind="stable")
             supports, masks = supports[order], masks[order]
@@ -206,8 +208,11 @@ def uniqueness_census(
     supports with one loss draw each.  Per-trial RNG
     substreams make results independent of execution order.  A ``scanner``
     built for ``tree`` may be shared across calls, so that each support
-    size is built once for all of them.  Trials are observed, scanned and
-    solved together, in blocks of at most ``BLOCK_LINKS`` link values.
+    size is built once for all of them.  Trials are planted, observed,
+    scanned and solved together, in blocks of at most ``BLOCK_LINKS`` link
+    values: one ``plant_hotspots`` call per block draws each row from its
+    trial's substream, and a row counts as unique when exactly one support
+    is feasible at its k*, read from the scan's per-row counts.
     """
     if not (_is_int(K) and 0 <= K <= tree.m):
         raise ParameterOutOfRange(f"K={K!r} is outside 0..m={tree.m}, m the path count")
@@ -217,27 +222,26 @@ def uniqueness_census(
     if placement == "exhaustive":
         if math.comb(tree.n, K) > _SCAN_LIMIT:
             raise InstanceTooLarge("exhaustive placement sweep too large")
-        picks = [np.array(sup, dtype=np.int64) for sup in itertools.combinations(range(tree.n), K)]
+        picks = _supports(tree.n, K)
+        total = len(picks)
     elif placement == "random":
         if not (_is_int(trials) and trials >= 1):
             raise ParameterOutOfRange(f"the census needs at least one trial, got {trials!r}")
-        picks = [None] * trials
+        total, picks = trials, None
     else:
         raise ParameterOutOfRange(f"unknown placement mode {placement!r}")
 
     n_unique = 0
     n_recovered = 0
     block = max(1, BLOCK_LINKS // tree.n)
-    for start in range(0, len(picks), block):
-        x_true = np.array([
-            addloss(plant_hotspots(tree, K, loss_range, seed, i, picks[i]))
-            for i in range(start, min(start + block, len(picks)))
-        ])
+    for start in range(0, total, block):
+        keys = range(start, min(start + block, total))
+        sup = None if picks is None else picks[start : start + block]
+        x_true = addloss(plant_hotspots(tree, K, loss_range, seed, keys, sup))
         y = forward(tree, x_true)
-        n_unique += sum(res.unique for res in _scan(scanner, y, K))
+        n_unique += int(np.count_nonzero(_feasible_counts(scanner, y, K)[1] == 1))
         gap = np.abs(closed_form(tree, y) - x_true).max(axis=1)
         n_recovered += int(np.count_nonzero(gap <= DEFAULT_TOL))
-    total = len(picks)
     return CensusResult(
         trials=total,
         p_unique=n_unique / total,
@@ -281,6 +285,7 @@ def noisy_exact_check(
     tol, and a sparsity candidate may count no more lossy links than k*.
     """
     _check_paths(tree, intervals)
+    _check_tol(tol)
     x = _checked(candidate.x, tree.n, "links")
     if x.min() < -FEAS_TOL or not intervals.contains(forward(tree, x), tol):
         return False
@@ -303,7 +308,7 @@ def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
         raise NotBranchNode(f"node {i!r} is not a branch node")
     if not _is_int(K):
         raise ParameterOutOfRange(f"K must be a whole number, got {K!r}")
-    if not 0 < w < math.inf:
+    if not (_is_real(w) and 0 < w < math.inf):
         raise ParameterOutOfRange(f"w must be finite and positive, got {w!r}")
     kids = [c - 1 for c in tree.children[i]]
     g_out = len(kids)
@@ -340,24 +345,51 @@ def _scanner_for(tree: LogicalTree, scanner: SupportScanner | None) -> SupportSc
     return scanner
 
 
+def _supports(n: int, k: int) -> np.ndarray:
+    """All size-k subsets of links 0..n-1, (n choose k, k), in lexicographic order."""
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(combos, np.int64, math.comb(n, k) * k).reshape(math.comb(n, k), k)
+
+
 def _scan(scanner: SupportScanner, ys: np.ndarray, k_max: int) -> list[EnumerationResult]:
     """``sparsest_enumerate`` of each row of ys (T, m), sizes up to k_max, all rows at once."""
+    k_star, count, levels = _feasible_counts(scanner, ys, k_max)
     results = [EnumerationResult(k_star=None, supports=[], solutions=[], unique=False) for _ in ys]
+    for k, (rows, supports, xs) in enumerate(levels):
+        # rows come sorted, so each row's supports form one slice
+        found = np.flatnonzero(k_star == k)
+        ends = np.cumsum(count[found]).tolist()
+        labels = list(map(tuple, (supports + 1).tolist()))
+        for row, a, b in zip(found.tolist(), [0] + ends, ends):
+            results[row] = EnumerationResult(
+                k_star=k, supports=labels[a:b], solutions=list(xs[a:b]), unique=b - a == 1
+            )
+    return results
+
+
+def _feasible_counts(scanner: SupportScanner, ys: np.ndarray, k_max: int):
+    """(k*, count, levels) of the rows of ys (T, m), scanning sizes up to k_max, all rows at once.
+
+    Per row, k* is the first size with a feasible support (-1 if none up to
+    k_max) and count the number of feasible supports there; level k holds
+    ``feasible_at``'s (rows, supports, xs) for the rows still pending at k,
+    with rows indexing ys.
+    """
+    k_star = np.full(len(ys), -1)
+    count = np.zeros(len(ys), np.int64)
+    levels = []
     pending = np.arange(len(ys))  # rows with no feasible support yet
     for k in range(k_max + 1):
         if pending.size == 0:
             break
         rows, supports, xs = scanner.feasible_at(ys[pending], k)
-        # rows come sorted, so each row's supports form one slice
-        found, first, count = np.unique(rows, return_index=True, return_counts=True)
-        labels = (supports + 1).tolist()
-        for row, a, c in zip(found.tolist(), first.tolist(), count.tolist()):
-            results[pending[row]] = EnumerationResult(
-                k_star=k, supports=list(map(tuple, labels[a : a + c])),
-                solutions=list(xs[a : a + c]), unique=c == 1,
-            )
-        pending = np.delete(pending, found)
-    return results
+        per_row = np.bincount(rows, minlength=pending.size)
+        found = per_row > 0
+        k_star[pending[found]] = k
+        count[pending[found]] = per_row[found]
+        levels.append((pending[rows], supports, xs))
+        pending = pending[~found]
+    return k_star, count, levels
 
 
 def _interval_optimum(tree: LogicalTree, intervals: IntervalObservation, mode: str):

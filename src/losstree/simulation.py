@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange, _check_seed
+from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange, _check_seed, _is_real
 from .lossmodel import (
     BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, addloss, forward,
     inverse_addloss, plant_hotspots
@@ -158,10 +158,6 @@ class ExperimentConfig:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def path_loss_probabilities(tree: LogicalTree, b) -> np.ndarray:
@@ -303,9 +299,7 @@ def run_experiment(cfg: ExperimentConfig, tree: LogicalTree | None = None):
     blocks = [range(cfg.reps)[start : start + block] for start in range(0, cfg.reps, block)]
     rows = []
     for K in cfg.k_values:
-        b_true = np.empty((cfg.reps, tree.n))  # filled in place: no second copy of the rows
-        for rep in range(cfg.reps):
-            b_true[rep] = plant_hotspots(tree, K, cfg.loss_range, cfg.seed, rep)
+        b_true = plant_hotspots(tree, K, cfg.loss_range, cfg.seed, range(cfg.reps))
         for probes in cfg.probe_counts:
             scores = [
                 _score_block(tree, b_true[reps.start : reps.stop], reps, K, probes, cfg)

@@ -422,8 +422,8 @@ def load_topology(path) -> LogicalTree:
     have exactly one header, on any line; a leading byte-order mark is skipped.
     One pass over the lines checks and splits them.  Errors come in this
     order: the first line that is neither blank nor two tokens, or is a
-    second header; a missing header; a bad root id; a bad edge id; then the
-    faults that ``build_tree`` finds.
+    second header; a missing header; a bad root id; the first bad edge id
+    in the file; then the faults that ``build_tree`` finds.
     """
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
@@ -444,7 +444,7 @@ def load_topology(path) -> LogicalTree:
     if header is None:
         raise DisconnectedInput("topology file has no 'root <id>' line")
     root = _node_id(root)
-    node = {t: _node_id(t) for t in set(tokens)}
+    node = {t: _node_id(t) for t in dict.fromkeys(tokens)}  # in file order
     ids = map(node.__getitem__, tokens)
     return build_tree(zip(ids, ids), root=root)  # consecutive ids pair up
 

@@ -313,6 +313,28 @@ class TestScfs:
             f"error: a node id of {limit + 1} digits is too long to read as an integer"
         ]
 
+    @pytest.mark.parametrize("hash_seed", ["1", "2", "3", "4"])
+    def test_first_overlong_node_id_is_named_under_any_hash_seed(self, tmp_path, fig_files,
+                                                                  hash_seed):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integer strings of any length")
+        _, obs_path = fig_files
+        first, second = "7" * (limit + 700), "8" * (limit + 1700)
+        tree = tmp_path / "big.tree"
+        tree.write_text(f"root 0\n4 0\n5 4\n{first} 4\n1 5\n{second} 5\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "losstree", "scfs", "--tree", str(tree), "--obs", obs_path],
+            capture_output=True,
+            text=True,
+            timeout=CLI_TIMEOUT_S,
+            env={**_src_env(), "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: a node id of {limit + 700} digits is too long to read as an integer"
+        ]
+
     def test_clean_network(self, capsys, tmp_path, fig_files):
         tree_path, _ = fig_files
         obs = tmp_path / "zero.json"

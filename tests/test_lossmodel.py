@@ -340,3 +340,42 @@ class TestPlantHotspots:
     def test_bad_parameters_rejected(self, K, loss_range):
         with pytest.raises(ParameterOutOfRange):
             plant_hotspots(gen_regular_tree(3, 3), K, loss_range, seed=0, key=0)
+
+    @pytest.mark.parametrize("K, seed, key, sup", [
+        (2, -1, 0, None),  # a bare ValueError from SeedSequence
+        (2, 0, -1, None),
+        (2, 0, "a", None),
+        (2, 0, 1.5, None),  # a bare TypeError
+        (2, 0, [0, -1], None),
+        (2, 0, 0, [1, 1]),  # used to plant one lossy link instead of two
+        (2, 0, 0, [0, 99]),  # an IndexError
+        (2, 0, 0, [0, 1, 2]),
+        (2, 0, 0, [0.0, 1.0]),
+        (2, 0, range(2), [0, 1]),  # one support for two keys
+        (2, 0, range(2), [[0, 1], [3, 3]]),
+    ])
+    def test_bad_seed_key_or_support_rejected(self, K, seed, key, sup):
+        with pytest.raises(ParameterOutOfRange):
+            plant_hotspots(gen_regular_tree(3, 3), K, (0.01, 0.1), seed, key, sup)
+
+    @pytest.mark.parametrize("K, keys, fixed", [
+        (3, range(7), False),
+        (3, range(5), True),
+        (0, range(4), False),
+        (0, range(4), True),
+        (2, range(9, 10), False),
+        (2, range(9, 10), True),
+        (13, [11, 2, 40, 2], False),
+        (1, np.array([8, 0, 3]), True),
+    ])
+    def test_a_batch_equals_its_single_calls(self, K, keys, fixed):
+        tree = gen_regular_tree(3, 3)
+        sup = np.random.default_rng(K).permuted(np.tile(np.arange(tree.n), (len(keys), 1)), axis=1)
+        sup = sup[:, :K] if fixed else None
+        batch = plant_hotspots(tree, K, (0.02, 0.05), 7, keys, sup)
+        assert batch.shape == (len(keys), tree.n)
+        for r, key in enumerate(keys):
+            row_sup = None if sup is None else sup[r]
+            single = plant_hotspots(tree, K, (0.02, 0.05), 7, int(key), row_sup)
+            assert np.array_equal(batch[r], single)
+            assert np.count_nonzero(single) == K

@@ -13,6 +13,7 @@ from losstree import (
     MIN_L0,
     MIN_L1,
     MIN_L1_AMONG_L0,
+    binarize,
     build_tree,
     closed_form,
     forward,
@@ -376,10 +377,12 @@ class TestUniquenessCensus:
 
     @pytest.mark.parametrize("block, calls", [(None, 1), (3, 10)])
     def test_one_batched_call_per_block(self, monkeypatch, block, calls):
-        """30 trials observe, scan and solve in one block, or in ten of three trials."""
+        """30 trials plant, observe, scan and solve in one block, or in ten of three trials."""
         tree = gen_regular_tree(3, 3)
         expected = uniqueness_census(tree, K=2, trials=30, seed=6)
-        counts = {"forward": 0, "_scan": 0, "closed_form": 0}
+        counts = dict.fromkeys(
+            ["plant_hotspots", "addloss", "forward", "_feasible_counts", "closed_form"], 0
+        )
 
         def counted(name):
             original = getattr(oracle, name)
@@ -395,7 +398,7 @@ class TestUniquenessCensus:
         if block is not None:
             monkeypatch.setattr(oracle, "BLOCK_LINKS", block * tree.n)
         assert uniqueness_census(tree, K=2, trials=30, seed=6) == expected
-        assert counts == {"forward": calls, "_scan": calls, "closed_form": calls}
+        assert counts == dict.fromkeys(counts, calls)
 
     def test_recovery_needs_a_lossless_child(self):
         # On the two-leaf tree, two hotspots are never uniquely sparsest
@@ -765,3 +768,18 @@ class TestLemma1Construct:
         enum = sparsest_enumerate(tree, forward(tree, u))
         assert enum.k_star == 2
         assert not enum.unique
+
+
+@pytest.mark.parametrize("call", [
+    lambda tree, iv, sol: lemma1_construct(tree, tree.m + 1, K=3, w="x"),
+    lambda tree, iv, sol: noisy_exact_check(tree, iv, sol, tol="x"),
+    lambda tree, iv, sol: iv.contains(sol.y, tol="x"),
+    lambda tree, iv, sol: binarize(sol.y, "x"),
+], ids=["lemma1_construct", "noisy_exact_check", "contains", "binarize"])
+def test_non_numeric_parameters_rejected(call):
+    """Each used to raise a bare TypeError."""
+    tree = tree_from_spec("regular:3:3")
+    y = forward(tree, np.full(tree.n, 0.1))
+    iv = IntervalObservation(lo=y, hi=y)
+    with pytest.raises(ParameterOutOfRange):
+        call(tree, iv, upsparse_plus(tree, iv, MIN_L1))
