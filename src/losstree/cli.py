@@ -311,56 +311,81 @@ def _write_json(data: dict, out_path) -> None:
 
 
 # With an indent, json always takes its pure-Python encoder.  A report has a
-# fixed layout, so each list is encoded in one call of the C encoder, whose
-# item separator already carries the newline and indent of the list's items.
+# fixed layout, so its text is one %-template, filled from one call of the
+# C encoder over all its scalar values.  The encoder escapes "\x00" inside
+# every string, so a split of that call's text at its separator is exact.
+# A flat list is one call of its own, whose item separator already carries
+# the newline and indent of the list's items, and fills its slot whole.
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _encode_items = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": ")).encode
-_encode_rows = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": ")).encode
+_encode_values = json.JSONEncoder(allow_nan=False, separators=("\x00", ": ")).encode
 
 
 def _report_json(data: dict) -> str:
     """The text of ``json.dumps(data, indent=2, allow_nan=False)``, byte for byte.
 
     ``data`` must be a dict with string keys whose values are scalars,
-    flat lists of scalars, or lists of dicts with scalar values; any other
-    layout fails an invariant (exit code 2).  A non-finite float raises
-    ``ValueError``, as ``json.dumps`` does.
+    flat lists of scalars, or lists of dicts with string keys and scalar
+    values; any other layout fails an invariant (exit code 2).  A non-finite
+    float raises ``ValueError``, as ``json.dumps`` does.
     """
     if type(data) is not dict or set(map(type, data)) - {str}:
         raise AssertionError("a report is a dict with string keys")
     if not data:
         return "{}"
-    parts = []
+    fields, values, lists = [], [], {}  # lists: the slot of each flat list in values
     for key, value in data.items():
         if type(value) is not list:
             if type(value) not in _SCALAR_TYPES:
                 raise AssertionError(f"report field {key!r} is not a scalar or a list")
-            text = _encode_items(value)
+            slot = "%s"
+            values.append(value)
         elif not value:
-            text = "[]"
+            slot = "[]"
         elif set(map(type, value)) <= _SCALAR_TYPES:
-            text = "[\n    " + _encode_items(value)[1:-1] + "\n  ]"
+            slot = "%s"
+            lists[len(values)] = value
+            values.append(None)
         else:
-            text = _rows_json(key, value)
-        parts.append(encode_basestring_ascii(key) + ": " + text)
-    return "{\n  " + ",\n  ".join(parts) + "\n}"
+            slot = _rows_template(key, value, values)
+        fields.append(_key_text(key) + ": " + slot)
+    texts = _encode_values(values)[1:-1].split("\x00") if values else []
+    for i, items in lists.items():
+        texts[i] = "[\n    " + _encode_items(items)[1:-1] + "\n  ]"
+    return ("{\n  " + ",\n  ".join(fields) + "\n}") % tuple(texts)
 
 
-def _rows_json(key: str, rows: list) -> str:
-    """A non-empty list of flat dicts, in the layout of ``indent=2`` at depth 1.
+def _rows_template(key: str, rows: list, values: list) -> str:
+    """The template of a list of flat dicts at depth 1; their values go onto ``values``.
 
-    The whole list is one encoder call.  The encoder escapes every newline
-    inside a string, so the only "},\\n      {" left in its output are the
-    joints between rows, where the rows are split apart and re-indented.
+    Each distinct tuple of keys gets one row template.
     """
-    if set(map(type, rows)) != {dict} or (
-        set(map(type, itertools.chain.from_iterable(map(dict.values, rows)))) - _SCALAR_TYPES
+    wrong = f"report field {key!r} is not a list of scalars or of flat dicts"
+    if set(map(type, rows)) != {dict}:
+        raise AssertionError(wrong)
+    keys = list(map(tuple, rows))
+    distinct = dict.fromkeys(keys)
+    row_values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    if set(map(type, itertools.chain.from_iterable(distinct))) - {str} or (
+        set(map(type, row_values)) - _SCALAR_TYPES
     ):
-        raise AssertionError(f"report field {key!r} is not a list of scalars or of flat dicts")
-    bodies = _encode_rows(rows)[2:-2].split("},\n      {")
-    return "[\n    " + ",\n    ".join(
-        "{\n      " + body + "\n    }" if body else "{}" for body in bodies
-    ) + "\n  ]"
+        raise AssertionError(wrong)
+    values += row_values
+    templates = {k: _row_template(k) for k in distinct}
+    return "[\n    " + ",\n    ".join(map(templates.__getitem__, keys)) + "\n  ]"
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(keys: tuple) -> str:
+    """A row with these keys at depth 2 of ``indent=2``, a ``%s`` for each value."""
+    if not keys:
+        return "{}"
+    return "{\n      " + ",\n      ".join(_key_text(k) + ": %s" for k in keys) + "\n    }"
+
+
+def _key_text(key: str) -> str:
+    """``key`` encoded for a template: a "%" in it doubled."""
+    return encode_basestring_ascii(key).replace("%", "%%")
 
 
 def _write_census_csv(path, rows: list[dict]) -> None:

@@ -205,7 +205,8 @@ def load_observations(path) -> np.ndarray:
     JSON files hold either a bare array (addloss scale) or an object
     {"scale": "addloss"|"probability", "y": [...]}.  Text files hold one
     ``y <path> <value>`` line per path, after an optional ``scale <name>``
-    header; '#' starts a comment.
+    header; '#' starts a comment.  A path or value holding "_" is not read
+    (Python would take "0_1" as 1).
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -236,7 +237,7 @@ def load_observations(path) -> np.ndarray:
                 scale = parts[1]
                 continue
             try:
-                if parts[0] != "y" or len(parts) != 3:
+                if parts[0] != "y" or len(parts) != 3 or "_" in parts[1] + parts[2]:
                     raise ValueError
                 j, value = int(parts[1]), float(parts[2])
             except ValueError:

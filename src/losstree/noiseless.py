@@ -4,8 +4,8 @@ The solution family for a fixed observation y can be searched by local
 moves on "complexes" (an internal node together with its incident links):
 pulling the common part of the child losses up into the father link never
 increases either norm.  Applying that move bottom up once per internal
-node (``upsparse``) yields, for any feasible starting solution, the same
-output: the unique minimum-l1 solution, which also attains the minimum l0.
+node yields, for any feasible starting solution, the same output: the
+unique minimum-l1 solution, which also attains the minimum l0.
 
 That output has the closed form x*_i = gamma_i - gamma_f(i), where
 gamma_i is the smallest observation in the subtree under i (and the top
@@ -13,12 +13,13 @@ link takes gamma itself).  ``closed_form`` is the batch-first production
 path: y is (m,) or (B, m), and since every subtree's leaves form one
 contiguous label range, all gamma_i come from one sparse-table
 range-minimum query (``LogicalTree.span_min``, about log2 m array
-operations).  The iterative ``upsparse`` is kept for cross-validation
-and exposes the per-complex machinery.
+operations).  ``upsparse`` runs the moves from a given start; from the
+receiver start (its default) the moves give the closed form bit for bit,
+so it returns that.  ``put_in_upstate`` exposes a single move.
 
-The diagnostics (complex states, uniqueness, the recovery condition) all
-read two per-complex numbers, the smallest child loss and the count of
-lossless children, which one array pass over the father map yields.
+The complex states read two per-complex numbers, the smallest child loss
+and the count of lossless children, each one array pass over the father
+map; uniqueness and the recovery condition read only the count.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleStart, NotInternal
-from .lossmodel import DEFAULT_TOL, _checked, is_feasible, receiver_solution
+from .lossmodel import DEFAULT_TOL, _checked, is_feasible
 from .topology import LogicalTree
 
 UP = "up"
@@ -66,7 +67,7 @@ class SolutionReport:
             "x": self.x.tolist(),
             "l0": self.l0,
             "l1": float(self.l1),
-            "states": [dict(vars(s)) for s in self.states],
+            "states": list(map(dict.copy, map(vars, self.states))),
             "unique_sparsest": self.unique_sparsest,
             "recovery_condition": self.recovery_condition,
         }
@@ -91,14 +92,22 @@ def upsparse(tree: LogicalTree, y, x0=None) -> SolutionReport:
     internal nodes in decreasing label order, which puts every child
     before its father (internal labels follow preorder), updating one copy
     of x in place.  The output is independent of the starting solution.
+
+    From the receiver start the moves are not run: they give
+    ``closed_form(tree, y + 0.0)`` bit for bit.  Every internal link starts
+    at 0, so when node v is moved each child c holds exactly gamma_c (a
+    leaf's y, or an internal link's 0 + gamma_c), and the delta ``min``
+    takes is exactly gamma_v.  Each child then ends at the one rounding
+    gamma_c - gamma_v and is never touched again, and the top link keeps
+    gamma: the subtractions of the closed form.  The moves turn -0.0 into
+    0.0 first, which is what ``+ 0.0`` does to y.
     """
     y = _checked(y, tree.m, "paths")
     if x0 is None:
-        x = receiver_solution(tree, y)
-    else:
-        x = _checked(x0, tree.n, "links in x0")
-        if not is_feasible(tree, x, y):
-            raise InfeasibleStart("x0 does not satisfy the observations")
+        return solution_report(tree, closed_form(tree, y + 0.0))
+    x = _checked(x0, tree.n, "links in x0")
+    if not is_feasible(tree, x, y):
+        raise InfeasibleStart("x0 does not satisfy the observations")
     return solution_report(tree, _pull_up(tree, x, range(tree.n, tree.m, -1)))
 
 
@@ -112,12 +121,15 @@ def closed_form(tree: LogicalTree, y) -> np.ndarray:
 
 def classify_complexes(tree: LogicalTree, x) -> list[ComplexState]:
     """Per-internal-node complex states under solution x."""
-    x, delta, lossless = _complex_summary(tree, x)
-    state = np.where(delta <= DEFAULT_TOL, UP, np.where(x[tree.m :] <= DEFAULT_TOL, DOWN, MIXED))
-    return [
-        ComplexState(node=i, state=s, delta=d, lossless_children=c)
-        for i, s, d, c in zip(tree.internal, state.tolist(), delta.tolist(), lossless.tolist())
-    ]
+    x = _checked(x, tree.n, "links in x")
+    delta = np.full(tree.n + 1, np.inf)
+    np.minimum.at(delta, tree.parent[1:], x)  # x[k] is link k + 1, a child of node parent[k + 1]
+    delta = delta[tree.m + 1 :]
+    lossless = _lossless_children(tree, x)
+    # 0 (up) with a lossless child, else 1 (down) or, with a lossy father link, 2 (mixed)
+    state = (lossless == 0) * ((x[tree.m :] > DEFAULT_TOL) + 1)
+    return list(map(ComplexState, tree.internal, map((UP, DOWN, MIXED).__getitem__, state.tolist()),
+                    delta.tolist(), lossless.tolist()))
 
 
 def unique_sparsest(tree: LogicalTree, x_star) -> bool:
@@ -129,8 +141,7 @@ def unique_sparsest(tree: LogicalTree, x_star) -> bool:
     complex to have either a lossless father link or at least two
     lossless children.
     """
-    x_star, _, lossless = _complex_summary(tree, x_star)
-    return bool(np.all((x_star[tree.m :] <= DEFAULT_TOL) | (lossless >= 2)))
+    return _diagnostics(tree, _checked(x_star, tree.n, "links in x"))[0]
 
 
 def recovery_condition(tree: LogicalTree, x_true) -> bool:
@@ -139,21 +150,21 @@ def recovery_condition(tree: LogicalTree, x_true) -> bool:
     When true for the underlying solution, it is already in up state
     everywhere, so solving its observations recovers it exactly.
     """
-    _, delta, _ = _complex_summary(tree, x_true)
-    return not np.any(delta > DEFAULT_TOL)
+    return _diagnostics(tree, _checked(x_true, tree.n, "links in x"))[1]
 
 
 def solution_report(tree: LogicalTree, x) -> SolutionReport:
     """Norms, complex states, and diagnostics for a feasible solution x."""
     states = classify_complexes(tree, x)  # checks x first
     x = np.asarray(x, dtype=float)
+    unique, recovers = _diagnostics(tree, x)
     return SolutionReport(
         x=x,
-        l0=int((x > DEFAULT_TOL).sum()),
+        l0=int(np.count_nonzero(x > DEFAULT_TOL)),
         l1=float(x.sum()),
         states=states,
-        unique_sparsest=unique_sparsest(tree, x),
-        recovery_condition=recovery_condition(tree, x),
+        unique_sparsest=unique,
+        recovery_condition=recovers,
     )
 
 
@@ -173,14 +184,16 @@ def _pull_up(tree: LogicalTree, x, nodes) -> np.ndarray:
     return np.array(x[1:])
 
 
-def _complex_summary(tree: LogicalTree, x):
-    """(x checked, smallest child loss, lossless-child count) of each internal node (label - m - 1)."""
-    x = _checked(x, tree.n, "links in x")
-    father = tree.parent[1:]  # link k+1 is a child link of node father[k]
-    delta = np.full(tree.n + 1, np.inf)
-    np.minimum.at(delta, father, x)
-    lossless = np.bincount(father[x <= DEFAULT_TOL], minlength=tree.n + 1)
-    return x, delta[tree.m + 1 :], lossless[tree.m + 1 :]
+def _lossless_children(tree: LogicalTree, x):
+    """The count of lossless child links of each internal node (label - m - 1) under a checked x."""
+    return np.bincount(tree.parent[1:][x <= DEFAULT_TOL], minlength=tree.n + 1)[tree.m + 1 :]
+
+
+def _diagnostics(tree: LogicalTree, x):
+    """(``unique_sparsest``, ``recovery_condition``) of a checked x, from its lossless-child counts."""
+    lossless = _lossless_children(tree, x)
+    unique = bool(((x[tree.m :] <= DEFAULT_TOL) | (lossless >= 2)).all())
+    return unique, bool(lossless.all())
 
 
 __all__ = [

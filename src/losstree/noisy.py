@@ -332,8 +332,15 @@ def save_intervals(intervals: IntervalObservation, path) -> None:
         fh.write("\n")
 
 
+_NUMBERS = (int, float)  # the types json gives a number; true/false are bool, not int
+
+
 def load_intervals(path) -> IntervalObservation:
-    """Read a JSON interval file; "inf" or null upper ends mean unbounded."""
+    """Read a JSON interval file; "inf" or null upper ends mean unbounded.
+
+    Every other path, lo and hi is a JSON number: a string such as "0.1"
+    is not read as one.
+    """
     with open(path, encoding="utf-8") as fh:
         rows = _load_json(fh.read(), "interval file")
     if not isinstance(rows, list):
@@ -344,7 +351,7 @@ def load_intervals(path) -> IntervalObservation:
             path, lo, hi = row["path"], row["lo"], row["hi"]
             if hi is None or (isinstance(hi, str) and hi.lower() in ("inf", "infinity")):
                 hi = math.inf
-            if bool in (type(path), type(lo), type(hi)):
+            if not (type(path) in _NUMBERS and type(lo) in _NUMBERS and type(hi) in _NUMBERS):
                 raise TypeError
             j, bounds = int(path), (float(lo), float(hi))
             if isinstance(path, float) and path != j:

@@ -114,12 +114,14 @@ class LogicalTree:
 
         Row k holds min(y[i : i + 2**k]) for i = 0..m - 2**k, rows concatenated.
         Two such windows cover the leaf span of link v from either end; their
-        minima sit at flat positions first[v-1] and second[v-1].
+        minima sit at flat positions first[v-1] and second[v-1].  The top link
+        spans all m leaves, so the rows run to k = floor(log2 m).
         """
-        lo, hi = self.leaf_span[1:].T - 1
-        k = (np.frexp(hi - lo)[1] - 1).astype(np.int64)  # floor(log2(length))
-        row_start = k * (self.m + 1) - (1 << k) + 1
-        return int(k.max()) + 1, row_start + lo, row_start + hi - (1 << k)
+        lo, hi = self.leaf_span[1:].T
+        k = np.frexp(hi - lo)[1].astype(np.int64) - 1  # floor(log2(length))
+        half = 1 << k
+        row_start = k * (self.m + 1) - half  # where row k starts, less one for the 1-based lo
+        return self.m.bit_length(), row_start + lo, row_start + hi - half
 
     def span_min(self, y) -> np.ndarray:
         """Smallest y over every link's leaf span: (..., m) -> (..., n).

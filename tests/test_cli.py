@@ -369,20 +369,30 @@ REPORT_FLOATS = st.one_of(
 REPORT_INTS = st.one_of(st.integers(), st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63)))
 REPORT_STRINGS = st.one_of(
     st.text(max_size=6),
-    st.text(st.sampled_from('{}"\n\\,: aé '), max_size=12),
-    st.sampled_from(["},\n      {", '"},\n      {"', "}, {"]),
+    st.text(st.sampled_from('{}"\n\\,: aé %s\x00'), max_size=12),
+    st.sampled_from(["},\n      {", '"},\n      {"', "}, {", "%s", "%(a)s"]),
 )
 REPORT_SCALARS = st.one_of(
     REPORT_FLOATS, REPORT_INTS, REPORT_STRINGS, st.booleans(), st.none()
 )
-REPORT_ROWS = st.lists(
-    st.dictionaries(st.sampled_from(["node", "state", "delta", "}", "{\n", ""]) | REPORT_STRINGS,
-                    REPORT_SCALARS, max_size=4),
-    max_size=5,
-)
+# Row keys that a %-template or a split of the encoder's text could misread.
+ROW_KEYS = st.sampled_from([
+    "node", "state", "delta", "}", "{", "{\n", "", "%", "%s", "%%", "%(a)s", '"', "\n", "é", "\x00",
+]) | REPORT_STRINGS
+
+
+@st.composite
+def shared_key_rows(draw):
+    """Rows that all have one tuple of keys, in one order, as the complex states do."""
+    keys = draw(st.lists(ROW_KEYS, unique=True, max_size=5))
+    rows = st.lists(REPORT_SCALARS, min_size=len(keys), max_size=len(keys))
+    return [dict(zip(keys, values)) for values in draw(st.lists(rows, min_size=1, max_size=6))]
+
+
+REPORT_ROWS = st.lists(st.dictionaries(ROW_KEYS, REPORT_SCALARS, max_size=4), max_size=5)
 REPORTS = st.dictionaries(
     REPORT_STRINGS,
-    REPORT_SCALARS | st.lists(REPORT_SCALARS, max_size=6) | REPORT_ROWS,
+    REPORT_SCALARS | st.lists(REPORT_SCALARS, max_size=6) | REPORT_ROWS | shared_key_rows(),
     max_size=6,
 )
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -524,6 +534,15 @@ class TestBadInput:
         obs.write_text("y 1 0.1\ny 2 0.1\ny 4 0.1\n")
         self.run_bad(capsys, "solve", "--tree", tree4, "--obs", str(obs), expect="1..m")
 
+    @pytest.mark.parametrize("line", ["y 3 0_1", "y 3_0 0.1"], ids=["value", "path"])
+    def test_text_observations_underscore(self, capsys, tmp_path, tree4, line):
+        """Python reads "0_1" as 1 and "3_0" as 30; the file reader takes neither."""
+        capsys.readouterr()
+        obs = tmp_path / "y.txt"
+        obs.write_text(f"y 1 0.1\ny 2 0.1\n{line}\ny 4 0.1\n")
+        self.run_bad(capsys, "solve", "--tree", tree4, "--obs", str(obs),
+                     expect=f"line 3: unrecognized line {line!r}")
+
     def test_text_observations_nan(self, capsys, tmp_path, tree4):
         capsys.readouterr()
         obs = tmp_path / "y.txt"
@@ -573,6 +592,10 @@ class TestBadInput:
         ({"path": True}, "true/false"),
         ({"lo": True}, "true/false"),
         ({"hi": False}, "true/false"),
+        ({"lo": "0.1"}, "needs a numeric path"),
+        ({"lo": "0_1"}, "needs a numeric path"),
+        ({"path": "1"}, "needs a numeric path"),
+        ({"hi": "0.5"}, "needs a numeric path"),
     ])
     def test_interval_rows_malformed(self, capsys, tmp_path, tree4, change, expect):
         capsys.readouterr()

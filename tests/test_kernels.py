@@ -38,6 +38,7 @@ from losstree import (
     gen_ternary_tree,
     inverse_addloss,
     l1_sampling_check,
+    load_observations,
     load_topology,
     receiver_solution,
     recovery_condition,
@@ -53,7 +54,7 @@ from losstree import (
     upsparse_plus,
     z_stats,
 )
-from losstree import oracle, simulation
+from losstree import noiseless, oracle, simulation
 from losstree.cli import main
 from losstree.errors import CycleDetected, DegreeViolation, DisconnectedInput
 from losstree.lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, plant_hotspots
@@ -225,8 +226,11 @@ def ref_upsparse_plus(tree, lo, hi, mode):
 
 
 def ref_upsparse(tree, x0):
-    """The level-by-level loop: deepest level first, label order within a level."""
-    x = np.array(x0, dtype=float)
+    """The level-by-level loop: deepest level first, label order within a level.
+
+    Every -0.0 of x0 is made 0.0 first, so a tie's pick of zero cannot matter.
+    """
+    x = np.array(x0, dtype=float) + 0.0
     for d in range(tree.height - 1, 0, -1):
         for v in np.flatnonzero(tree.depth == d).tolist():
             if tree.is_internal(v):
@@ -439,6 +443,11 @@ def sparse_draw(rng, size):
     return np.where(rng.random(size) < 0.5, np.round(rng.uniform(0.0, 1.0, size), 1), 0.0)
 
 
+def signed_zeros(rng, values):
+    """``values`` with about half of its zeros made -0.0."""
+    return np.where((values == 0) & (rng.random(values.shape) < 0.5), -0.0, values)
+
+
 # Leaf counts at and next to powers of two put span ends on every window boundary
 # of the sparse table behind ``span_min``.
 BLOCK_SIZES = st.sampled_from([2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
@@ -561,11 +570,12 @@ class TestKernelsMatchPathLoops:
     @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
     def test_upsparse(self, tree, seed):
         rng = np.random.default_rng(seed)
-        y = sparse_draw(rng, tree.m)
+        y = signed_zeros(rng, sparse_draw(rng, tree.m))
         # Bytes, not values: the sign of every zero must match too.
         ours = upsparse(tree, y).x
         assert ours.tobytes() == ref_upsparse(tree, receiver_solution(tree, y)).tobytes()
-        x0 = sparse_draw(rng, tree.n)
+        assert upsparse(tree, np.full(tree.m, -0.0)).x.tobytes() == np.zeros(tree.n).tobytes()
+        x0 = signed_zeros(rng, sparse_draw(rng, tree.n))
         ours = upsparse(tree, forward(tree, x0), x0=x0).x
         assert ours.tobytes() == ref_upsparse(tree, x0).tobytes()
 
@@ -898,12 +908,12 @@ def test_blocks_of_repetitions_keep_the_rows(monkeypatch, mode, interval_mode):
         assert run_experiment(cfg, tree) == ref_experiment_rows(tree, cfg)
 
 
-def count_calls(monkeypatch, names) -> dict:
-    """Call counts of the ``simulation`` functions ``names``, as the experiment calls them."""
+def count_calls(monkeypatch, names, module=simulation) -> dict:
+    """Call counts of the ``module`` functions ``names``, as the module's own code calls them."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        original = getattr(simulation, name)
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -912,8 +922,21 @@ def count_calls(monkeypatch, names) -> dict:
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(simulation, name, counted(name))
+        monkeypatch.setattr(module, name, counted(name))
     return calls
+
+
+def test_solve_from_the_receiver_start_runs_no_moves(monkeypatch, capsys):
+    """``solve`` takes the closed form; only a given start runs the up-moves."""
+    calls = count_calls(monkeypatch, ["_pull_up", "closed_form"], noiseless)
+    obs = DATA / "report_caterpillar40.obs.json"
+    assert main(["solve", "--tree", CATERPILLAR, "--obs", str(obs)]) == 0
+    golden = DATA / "report_solve_caterpillar40.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    assert calls == {"_pull_up": 0, "closed_form": 1}
+    tree, y = load_topology(CATERPILLAR), load_observations(obs)
+    upsparse(tree, y, x0=receiver_solution(tree, y))
+    assert calls == {"_pull_up": 1, "closed_form": 1}
 
 
 @pytest.mark.parametrize("mode, solves, intervals", [(POINT_MODE, 6, 0), (MIN_L1_AMONG_L0, 0, 3)])
