@@ -95,7 +95,7 @@ def is_feasible(tree: LogicalTree, x, y) -> bool:
 
 
 def sample_feasible(
-    tree: LogicalTree, y, rng: np.random.Generator, size: int | None = None
+    tree: LogicalTree, y, rng: "np.random.Generator", size: int | None = None
 ) -> np.ndarray:
     """Draw solutions from the feasible polytope of y = A x, x >= 0.
 

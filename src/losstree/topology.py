@@ -159,7 +159,9 @@ class LogicalTree:
 def build_tree(edges, root) -> LogicalTree:
     """Build a canonically labeled tree from (child, parent) pairs.
 
-    Child order under each node is first-appearance order in ``edges``.
+    Child order under each node is first-appearance order in ``edges``.  An
+    (E, 2) signed-integer ndarray with an int ``root`` is mapped to dense ids
+    by one ``np.unique``: the tree of its rows, with Python ints as aliases.
 
     Raises:
         CycleDetected: the edge list contains a cycle.
@@ -169,14 +171,23 @@ def build_tree(edges, root) -> LogicalTree:
             leaf (which would leave no internal link).
     """
     # Dense ids 0..N-1 in first-appearance order, the root first.
-    ids = {root: ROOT}
-    flat = [ids.setdefault(v, len(ids)) for v in chain.from_iterable(edges)]  # child, father, ...
-    if not flat:
+    if (isinstance(edges, np.ndarray) and edges.shape[1:] == (2,) and edges.dtype.kind == "i"
+            and _is_int(root) and -(2**63) <= root < 2**63):
+        distinct, first, inverse = np.unique(np.append(root, edges), return_index=True,
+                                             return_inverse=True)
+        order = first.argsort()
+        dense = np.empty_like(order)
+        dense[order] = np.arange(len(order))
+        flat, names = dense.take(inverse[1:]), distinct.take(order).tolist()  # child, father, ...
+    else:
+        ids = {root: ROOT}
+        flat = [ids.setdefault(v, len(ids)) for v in chain.from_iterable(edges)]
+        names = list(ids)
+    if not len(flat):
         raise DegreeViolation("empty edge list")
-    names = list(ids)
     if len(flat) < 2 * FEW_EDGES:
         return _label_few(flat[0::2], flat[1::2], names)
-    flat = np.array(flat, dtype=np.int64)
+    flat = np.asarray(flat, dtype=np.int64)
     child, father = flat[0::2], flat[1::2]
     N = len(names)  # nodes, the root (dense id 0) included
 
@@ -422,15 +433,26 @@ def load_topology(path) -> LogicalTree:
 
     A ``#`` starts a comment that runs to the end of its line.  The file must
     have exactly one header, on any line; a leading byte-order mark is skipped.
-    One pass over the lines checks and splits them.  Errors come in this
-    order: the first line that is neither blank nor two tokens, or is a
-    second header; a missing header; a bad root id; the first bad edge id
-    in the file; then the faults that ``build_tree`` finds.
+    Errors come in this order: the first line that is neither blank nor two
+    tokens, or is a second header; a missing header; a bad root id; the first
+    bad edge id in the file; then the faults that ``build_tree`` finds.
+
+    An ASCII file (comments aside) of at least ``FEW_EDGES`` lines is read in
+    bulk, by array operations over its bytes, if every line holds zero or two
+    tokens, one ``root`` starts a line and every other token has 1 to 18
+    digits.  Such a token's ``_node_id`` is its decimal value, below
+    10**18 < 2**63, so its digits times powers of ten sum exactly in int64;
+    nothing rests on what ``int`` accepts.  Every other file is walked line
+    by line, and only the walk raises format errors.
     """
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if "#" in text:
         text = _COMMENT.sub("", text)
+    if text.count("\n") + 1 >= FEW_EDGES and text.isascii():
+        found = _decimal_edges(text)
+        if found is not None:
+            return build_tree(*found)
     header, tokens = None, []  # tokens: child and parent of every edge line, in order
     for lineno, line in enumerate(text.split("\n"), 1):
         words = line.split()
@@ -452,6 +474,35 @@ def load_topology(path) -> LogicalTree:
 
 
 _COMMENT = re.compile(r"#.*")
+# Byte classes: 0 for the ASCII bytes that str.split() splits on (\t \n \v \f \r,
+# \x1c-\x1f and space), 1 for the digits, 2 for every other byte.
+_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
+_BYTE_CLASS[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = 0
+_BYTE_CLASS[48:58] = 1
+
+
+def _decimal_edges(text: str):
+    """(edges, root) of an ASCII text that ``load_topology`` reads in bulk, else None."""
+    data = np.frombuffer(f" {text} ".encode("ascii"), dtype=np.uint8)
+    kind = _BYTE_CLASS.take(data)
+    # Token starts and ends alternate where the space class switches.
+    start, end = (np.flatnonzero(np.diff(kind == 0)) + 1).reshape(-1, 2).T
+    line = np.flatnonzero(data == 10).searchsorted(start)  # line of each token
+    letters = np.flatnonzero(kind == 2)
+    if len(letters) != 4 or (np.bincount(line).take(line) != 2).any():
+        return None
+    k = start.searchsorted(letters[0], side="right") - 1  # the token holding the first letter
+    if k % 2 or data[start[k] : end[k]].tobytes() != b"root":  # odd: second on its line
+        return None
+    start, end = np.delete(start, k), np.delete(end, k)  # ids only, the root's at k
+    width = int((end - start).max())
+    if width > 18:
+        return None
+    # The last width bytes of each id, right-aligned; those before its start count 0.
+    at = end[:, None] - np.arange(width, 0, -1)
+    digits = np.where(at >= start[:, None], data.take(at, mode="clip") - 48, 0)
+    ids = digits @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.delete(ids, k).reshape(-1, 2), int(ids[k])
 
 
 def _node_id(token: str):

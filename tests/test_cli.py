@@ -23,6 +23,7 @@ from losstree import (
     load_topology,
     save_intervals,
     save_observations,
+    save_topology,
     tree_from_spec,
 )
 from losstree import cli
@@ -906,6 +907,23 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, expect_loaded]
+
+    def test_solve_leaves_numpy_random_unloaded(self, tmp_path):
+        # numpy loads numpy.random on first access; nothing on the solve path draws.
+        tree = tree_from_spec("regular:2:7")  # a file over FEW_EDGES lines: the bulk read
+        save_topology(tree, tmp_path / "t.tree")
+        save_observations(np.full(tree.m, 0.1), tmp_path / "y.json")
+        probe = ("import sys, losstree.cli; code = losstree.cli.main(sys.argv[1:]); "
+                 "print(code, 'numpy.random' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "solve", "--tree", "t.tree", "--obs", "y.json"],
+            capture_output=True,
+            text=True,
+            timeout=CLI_TIMEOUT_S,
+            cwd=tmp_path,
+            env=_src_env(),
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
     def test_parser_reuse_matches_fresh_processes(self, capsys, monkeypatch, tmp_path, obs):
         monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width

@@ -17,6 +17,7 @@ from losstree import (
     gen_ternary_tree,
     load_topology,
     save_topology,
+    topology,
     tree_from_spec,
 )
 from losstree.errors import (
@@ -477,3 +478,157 @@ class TestArrayLoaderMatchesLineLoop:
         save_topology(gen_random_tree(5000, 4, 0), path)
         expected = loop_load_topology(path)
         assert all(same_tree(tree, expected) for tree in on_both_paths(lambda: load_topology(path)))
+
+
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \t "]
+# Faults of decimal files: 'root' second on its line, in place of the header, is an
+# edge id; the header is missing then.
+DECIMAL_FILE_FAULTS = {**FILE_FAULTS, "5 root": DisconnectedInput}
+
+
+@st.composite
+def decimal_topology_files(draw):
+    """(text, fault, bulk): a topology file whose ids are decimal, maybe with one fault.
+
+    These are the files the bulk read is for.  Ids have 1 to 19 digits, some
+    spelled with leading zeros, so ``007`` and ``7`` name one node; tokens are
+    split by every ASCII separator ``str.split`` knows, lines end in LF, CRLF
+    or CR.  ``bulk`` tells whether the bulk read should take the file once
+    the line count passes ``FEW_EDGES``: it has no file fault and no id of
+    more than 18 digits.
+    """
+    tree = draw(st.one_of(
+        st.integers(2, 40).map(caterpillar),
+        st.builds(gen_random_tree, st.integers(2, 40), st.integers(2, 4), st.integers(0, 999)),
+    ))
+    value = draw(st.lists(st.integers(0, 10**18 - 1) | st.integers(0, 999),
+                          min_size=tree.n + 3, max_size=tree.n + 3, unique=True))
+    edges = [(value[v], value[tree.parent[v]]) for v in range(1, tree.n + 1)]
+    fault = draw(st.none() | st.sampled_from(sorted(EDGE_FAULTS) + sorted(DECIMAL_FILE_FAULTS)))
+    if fault in EDGE_FAULTS:
+        fresh = {"new": value[-2], "nowhere": value[-1]}  # decimal ids for the added nodes
+        edges = [(fresh.get(c, c), fresh.get(p, p))
+                 for c, p in inject_edge_fault(edges, value[0], fault, draw)]
+    pick = lambda options: draw(st.sampled_from(options))  # noqa: E731
+    longest = 0
+
+    def spell(x):
+        nonlocal longest
+        word = "0" * draw(st.integers(0, min(2, 19 - len(str(x))))) + str(x)
+        longest = max(longest, len(word))
+        return word
+
+    def line(*words):
+        return pick(["", " ", "\t"]) + pick(SEPARATORS).join(words) + pick(["", " "]) + pick(COMMENTS)
+
+    lines = [line(spell(c), spell(p)) for c, p in draw(st.permutations(edges))]
+    extra = [line("root", spell(value[0]))] if fault not in ("missing root", "5 root") else []
+    if fault == "second root":
+        extra.append(line("root", spell(pick(value))))
+    if fault == "malformed line":
+        extra.append(line(*pick([["5"], ["1", "2", "3"], ["root"], ["root", "0", "1"]])))
+    if fault == "5 root":
+        extra.append(line(spell(value[0]), "root"))
+    extra += [pick(["", " ", "# only a comment", "# ü"]) for _ in range(draw(st.integers(0, 3)))]
+    for other in extra:
+        lines.insert(draw(st.integers(0, len(lines))), other)
+    text = "".join(row + pick(["\n", "\r\n", "\r"]) for row in lines)
+    bulk = fault not in DECIMAL_FILE_FAULTS and longest <= 18
+    return ("\ufeff" if draw(st.booleans()) else "") + text, fault, bulk
+
+
+def with_build_tree_inputs(call):
+    """(call(), whether each build_tree call it made got an ndarray)."""
+    arrays = []
+
+    def spy(edges, root):
+        arrays.append(isinstance(edges, np.ndarray))
+        return build_tree(edges, root)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "build_tree", spy)
+        return call(), arrays
+
+
+class TestBulkRead:
+    """The bulk read of decimal-id files against the line loop it skips."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=decimal_topology_files())
+    def test_same_tree_or_same_error(self, tmp_path_factory, case):
+        text, fault, bulk = case
+        path = tmp_path_factory.getbasetemp() / "decimal.tree"
+        path.write_bytes(text.encode("utf-8"))
+        expected = loaded(loop_load_topology, path)
+        results, arrays = with_build_tree_inputs(
+            lambda: on_both_paths(lambda: loaded(load_topology, path)) + [loaded(load_topology, path)])
+        for got in results:
+            if fault is None:
+                assert same_tree(got, expected)
+            else:
+                assert got == expected
+                assert got[0] is {**EDGE_FAULTS, **DECIMAL_FILE_FAULTS}[fault]
+        over_gate = text.count("\n") + text.count("\r") - text.count("\r\n") + 1 >= topology.FEW_EDGES
+        if bulk:  # gates: never on the DFS path, 0 on the tour path, then FEW_EDGES
+            assert arrays == [False, True, over_gate]
+        else:
+            assert not any(arrays)
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda rows: rows, None),  # the file as written: the bulk read takes it
+        (lambda rows: rows + ["5"], MalformedLine),
+        (lambda rows: rows[:3] + ["5", "6"] + rows[3:], MalformedLine),  # tokens still pair up
+        (lambda rows: rows + ["1 2 3"], MalformedLine),
+        (lambda rows: rows + ["root 1"], MalformedLine),
+        (lambda rows: rows[1:], DisconnectedInput),
+        (lambda rows: ["0 root"] + rows[1:], DisconnectedInput),
+        (lambda rows: _renamed(rows, "0", "-3"), None),
+        (lambda rows: _renamed(rows, "1", "+5"), None),
+        (lambda rows: _renamed(rows, "1", "1" + "0" * 18), None),
+        (lambda rows: _renamed(rows, "1", "\u0661"), None),  # Arabic-Indic one: the int 1
+        (lambda rows: rows[:2] + [rows[2].replace(" ", "\xa0")] + rows[3:], None),
+    ], ids=["bulk", "one token", "two one-token lines", "three tokens", "second header",
+            "missing header", "5 root", "-3", "+5", "19 digits", "non-ASCII digit",
+            "non-ASCII space"])
+    def test_rejected_files_take_the_line_walk(self, tmp_path, edit, error):
+        tree = gen_random_tree(60, 3, 5)
+        rows = ["root 0"] + [f"{v} {tree.parent[v]}" for v in range(1, tree.n + 1)]
+        assert len(rows) >= topology.FEW_EDGES
+        path = tmp_path / "edited.tree"
+        path.write_text("\n".join(edit(rows)) + "\n", encoding="utf-8")
+        got, arrays = with_build_tree_inputs(lambda: loaded(load_topology, path))
+        expected = loaded(loop_load_topology, path)
+        if error is None:
+            assert same_tree(got, expected)
+            assert arrays == [edit(rows) == rows]
+        else:
+            assert got == expected and got[0] is error
+            assert arrays == []
+
+    def test_blank_and_comment_lines_only(self, tmp_path):
+        path = tmp_path / "empty.tree"
+        path.write_text("\n".join(["", "# only a comment"] * topology.FEW_EDGES))
+        with pytest.raises(DisconnectedInput, match=r"^topology file has no 'root <id>' line$"):
+            load_topology(path)
+
+    @pytest.mark.parametrize("tree", [gen_random_tree(200, 4, 7), caterpillar(12)],
+                             ids=["wide", "small"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_build_tree_on_an_int_array(self, tree, dtype):
+        ids = np.random.default_rng(1).permutation(10 * (tree.n + 1))[: tree.n + 1]
+        pairs = [(int(ids[v]), int(ids[tree.parent[v]])) for v in range(1, tree.n + 1)]
+        expected = loop_build_tree(pairs, int(ids[0]))
+        array = np.array(pairs, dtype=dtype)
+        for got in on_both_paths(lambda: build_tree(array, int(ids[0]))):
+            assert same_tree(got, expected)
+            assert all(type(name) is int for name in got.alias.values())
+
+    def test_int_array_with_a_root_beyond_int64(self):
+        # Mixed with int64 ids, a root of 2**63 would turn float and meet 2**63 - 1.
+        edges = np.array([(1, 2**63 - 1), (2, 1), (3, 1)])
+        with pytest.raises(DisconnectedInput, match="9223372036854775807.* has no path to the root"):
+            build_tree(edges, 2**63)
+
+
+def _renamed(rows, old, new):
+    return [" ".join(new if word == old else word for word in row.split()) for row in rows]
