@@ -437,7 +437,7 @@ def load_topology(path) -> LogicalTree:
     tokens, or is a second header; a missing header; a bad root id; the first
     bad edge id in the file; then the faults that ``build_tree`` finds.
 
-    An ASCII file (comments aside) of at least ``FEW_EDGES`` lines is read in
+    An ASCII file (comments aside) of at least ``FEW_EDGES`` edges is read in
     bulk, by array operations over its bytes, if every line holds zero or two
     tokens, one ``root`` starts a line and every other token has 1 to 18
     digits.  Such a token's ``_node_id`` is its decimal value, below
@@ -449,7 +449,7 @@ def load_topology(path) -> LogicalTree:
         text = fh.read()
     if "#" in text:
         text = _COMMENT.sub("", text)
-    if text.count("\n") + 1 >= FEW_EDGES and text.isascii():
+    if text.count("\n") + 1 >= FEW_EDGES and text.isascii():  # fewer lines: fewer edges
         found = _decimal_edges(text)
         if found is not None:
             return build_tree(*found)
@@ -489,7 +489,8 @@ def _decimal_edges(text: str):
     start, end = (np.flatnonzero(np.diff(kind == 0)) + 1).reshape(-1, 2).T
     line = np.flatnonzero(data == 10).searchsorted(start)  # line of each token
     letters = np.flatnonzero(kind == 2)
-    if len(letters) != 4 or (np.bincount(line).take(line) != 2).any():
+    if (len(letters) != 4 or len(start) < 2 * FEW_EDGES + 2  # the header and FEW_EDGES edges
+            or (np.bincount(line).take(line) != 2).any()):
         return None
     k = start.searchsorted(letters[0], side="right") - 1  # the token holding the first letter
     if k % 2 or data[start[k] : end[k]].tobytes() != b"root":  # odd: second on its line

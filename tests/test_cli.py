@@ -909,12 +909,14 @@ class TestStartup:
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, expect_loaded]
 
     def test_solve_leaves_numpy_random_unloaded(self, tmp_path):
-        # numpy loads numpy.random on first access; nothing on the solve path draws.
-        tree = tree_from_spec("regular:2:7")  # a file over FEW_EDGES lines: the bulk read
+        # numpy 2 loads numpy.random on first access; nothing on the solve path draws.
+        # numpy 1 imports it with numpy itself, so there is nothing to check.
+        tree = tree_from_spec("regular:2:7")  # a file over FEW_EDGES edges: the bulk read
         save_topology(tree, tmp_path / "t.tree")
         save_observations(np.full(tree.m, 0.1), tmp_path / "y.json")
-        probe = ("import sys, losstree.cli; code = losstree.cli.main(sys.argv[1:]); "
-                 "print(code, 'numpy.random' in sys.modules)")
+        probe = ("import sys, numpy; eager = 'numpy.random' in sys.modules; import losstree.cli; "
+                 "code = losstree.cli.main(sys.argv[1:]); "
+                 "print(code, eager, 'numpy.random' in sys.modules)")
         proc = subprocess.run(
             [sys.executable, "-c", probe, "solve", "--tree", "t.tree", "--obs", "y.json"],
             capture_output=True,
@@ -923,7 +925,12 @@ class TestStartup:
             cwd=tmp_path,
             env=_src_env(),
         )
-        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        code, eager, loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stderr
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert loaded == "False"
 
     def test_parser_reuse_matches_fresh_processes(self, capsys, monkeypatch, tmp_path, obs):
         monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width

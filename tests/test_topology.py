@@ -488,14 +488,14 @@ DECIMAL_FILE_FAULTS = {**FILE_FAULTS, "5 root": DisconnectedInput}
 
 @st.composite
 def decimal_topology_files(draw):
-    """(text, fault, bulk): a topology file whose ids are decimal, maybe with one fault.
+    """(text, fault, bulk, edges): a topology file whose ids are decimal, maybe with one fault.
 
     These are the files the bulk read is for.  Ids have 1 to 19 digits, some
     spelled with leading zeros, so ``007`` and ``7`` name one node; tokens are
     split by every ASCII separator ``str.split`` knows, lines end in LF, CRLF
     or CR.  ``bulk`` tells whether the bulk read should take the file once
-    the line count passes ``FEW_EDGES``: it has no file fault and no id of
-    more than 18 digits.
+    its edge count reaches ``FEW_EDGES``: it has no file fault and no id of
+    more than 18 digits.  ``edges`` are the file's edge lines as id pairs.
     """
     tree = draw(st.one_of(
         st.integers(2, 40).map(caterpillar),
@@ -534,7 +534,7 @@ def decimal_topology_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), other)
     text = "".join(row + pick(["\n", "\r\n", "\r"]) for row in lines)
     bulk = fault not in DECIMAL_FILE_FAULTS and longest <= 18
-    return ("\ufeff" if draw(st.booleans()) else "") + text, fault, bulk
+    return ("\ufeff" if draw(st.booleans()) else "") + text, fault, bulk, edges
 
 
 def with_build_tree_inputs(call):
@@ -556,7 +556,7 @@ class TestBulkRead:
     @settings(max_examples=300, deadline=None)
     @given(case=decimal_topology_files())
     def test_same_tree_or_same_error(self, tmp_path_factory, case):
-        text, fault, bulk = case
+        text, fault, bulk, edges = case
         path = tmp_path_factory.getbasetemp() / "decimal.tree"
         path.write_bytes(text.encode("utf-8"))
         expected = loaded(loop_load_topology, path)
@@ -568,7 +568,7 @@ class TestBulkRead:
             else:
                 assert got == expected
                 assert got[0] is {**EDGE_FAULTS, **DECIMAL_FILE_FAULTS}[fault]
-        over_gate = text.count("\n") + text.count("\r") - text.count("\r\n") + 1 >= topology.FEW_EDGES
+        over_gate = len(edges) >= topology.FEW_EDGES
         if bulk:  # gates: never on the DFS path, 0 on the tour path, then FEW_EDGES
             assert arrays == [False, True, over_gate]
         else:
@@ -593,7 +593,7 @@ class TestBulkRead:
     def test_rejected_files_take_the_line_walk(self, tmp_path, edit, error):
         tree = gen_random_tree(60, 3, 5)
         rows = ["root 0"] + [f"{v} {tree.parent[v]}" for v in range(1, tree.n + 1)]
-        assert len(rows) >= topology.FEW_EDGES
+        assert tree.n >= topology.FEW_EDGES
         path = tmp_path / "edited.tree"
         path.write_text("\n".join(edit(rows)) + "\n", encoding="utf-8")
         got, arrays = with_build_tree_inputs(lambda: loaded(load_topology, path))
@@ -604,6 +604,16 @@ class TestBulkRead:
         else:
             assert got == expected and got[0] is error
             assert arrays == []
+
+    def test_few_edges_on_many_lines_take_the_line_walk(self, tmp_path):
+        # save_topology adds an alias comment per link: twice the lines, no more edges.
+        tree = tree_from_spec("regular:2:6")
+        assert tree.n < topology.FEW_EDGES <= 2 * tree.n
+        path = tmp_path / "saved.tree"
+        save_topology(tree, path)
+        got, arrays = with_build_tree_inputs(lambda: load_topology(path))
+        assert same_tree(got, loop_load_topology(path))
+        assert arrays == [False]
 
     def test_blank_and_comment_lines_only(self, tmp_path):
         path = tmp_path / "empty.tree"
