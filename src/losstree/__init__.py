@@ -25,6 +25,7 @@ from .lossmodel import (
 )
 from .noiseless import (
     ComplexState,
+    ComplexStates,
     SolutionReport,
     classify_complexes,
     closed_form,

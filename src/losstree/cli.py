@@ -314,20 +314,22 @@ def _write_json(data: dict, out_path) -> None:
 # fixed layout, so its text is one %-template, filled from one call of the
 # C encoder over all its scalar values.  The encoder escapes "\x00" inside
 # every string, so a split of that call's text at its separator is exact.
-# A flat list is one call of its own, whose item separator already carries
-# the newline and indent of the list's items, and fills its slot whole.
+# A flat list is one call of its own, whose item separator carries the
+# items' newline and indent.  A table's cells join the scalars, row by row,
+# under a row template repeated once per row.
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 _encode_items = json.JSONEncoder(allow_nan=False, separators=(",\n    ", ": ")).encode
 _encode_values = json.JSONEncoder(allow_nan=False, separators=("\x00", ": ")).encode
 
 
 def _report_json(data: dict) -> str:
-    """The text of ``json.dumps(data, indent=2, allow_nan=False)``, byte for byte.
+    """The text of ``json.dumps(data, indent=2, allow_nan=False)``, tables written as rows.
 
-    ``data`` must be a dict with string keys whose values are scalars,
-    flat lists of scalars, or lists of dicts with string keys and scalar
-    values; any other layout fails an invariant (exit code 2).  A non-finite
-    float raises ``ValueError``, as ``json.dumps`` does.
+    ``data`` must be a dict with string keys whose values are scalars, flat
+    lists of scalars, or tables: dicts of string keys to equal-length flat
+    lists of scalars, written as their rows ``{key: column[i], ...}``.  Any
+    other layout fails an invariant (exit code 2).  A non-finite float
+    raises ``ValueError``, as ``json.dumps`` does.
     """
     if type(data) is not dict or set(map(type, data)) - {str}:
         raise AssertionError("a report is a dict with string keys")
@@ -335,19 +337,32 @@ def _report_json(data: dict) -> str:
         return "{}"
     fields, values, lists = [], [], {}  # lists: the slot of each flat list in values
     for key, value in data.items():
-        if type(value) is not list:
-            if type(value) not in _SCALAR_TYPES:
-                raise AssertionError(f"report field {key!r} is not a scalar or a list")
-            slot = "%s"
+        if type(value) in _SCALAR_TYPES:
+            fields.append(_key_text(key) + ": %s")
             values.append(value)
-        elif not value:
+            continue
+        if type(value) is dict:  # a table
+            columns = list(value.values())
+            if set(map(type, value)) - {str} or set(map(type, columns)) - {list} or (
+                    len(set(map(len, columns))) > 1):
+                raise AssertionError(f"report field {key!r} is not a table of equal-length lists")
+        elif type(value) is list:
+            columns = [value]
+        else:
+            raise AssertionError(f"report field {key!r} is not a scalar, a list or a table")
+        if set(map(type, itertools.chain.from_iterable(columns))) - _SCALAR_TYPES:
+            raise AssertionError(f"report field {key!r} holds a value that is not a scalar")
+        rows = len(columns[0]) if columns else 0
+        if not rows:
             slot = "[]"
-        elif set(map(type, value)) <= _SCALAR_TYPES:
+        elif type(value) is list:
             slot = "%s"
             lists[len(values)] = value
             values.append(None)
-        else:
-            slot = _rows_template(key, value, values)
+        else:  # one row template per row, the cells in row order
+            slot = "[\n    " + ",\n    ".join(itertools.repeat(_row_template(tuple(value)), rows))
+            slot += "\n  ]"
+            values += itertools.chain.from_iterable(zip(*columns))
         fields.append(_key_text(key) + ": " + slot)
     texts = _encode_values(values)[1:-1].split("\x00") if values else []
     for i, items in lists.items():
@@ -355,31 +370,9 @@ def _report_json(data: dict) -> str:
     return ("{\n  " + ",\n  ".join(fields) + "\n}") % tuple(texts)
 
 
-def _rows_template(key: str, rows: list, values: list) -> str:
-    """The template of a list of flat dicts at depth 1; their values go onto ``values``.
-
-    Each distinct tuple of keys gets one row template.
-    """
-    wrong = f"report field {key!r} is not a list of scalars or of flat dicts"
-    if set(map(type, rows)) != {dict}:
-        raise AssertionError(wrong)
-    keys = list(map(tuple, rows))
-    distinct = dict.fromkeys(keys)
-    row_values = list(itertools.chain.from_iterable(map(dict.values, rows)))
-    if set(map(type, itertools.chain.from_iterable(distinct))) - {str} or (
-        set(map(type, row_values)) - _SCALAR_TYPES
-    ):
-        raise AssertionError(wrong)
-    values += row_values
-    templates = {k: _row_template(k) for k in distinct}
-    return "[\n    " + ",\n    ".join(map(templates.__getitem__, keys)) + "\n  ]"
-
-
 @functools.lru_cache(maxsize=64)
 def _row_template(keys: tuple) -> str:
     """A row with these keys at depth 2 of ``indent=2``, a ``%s`` for each value."""
-    if not keys:
-        return "{}"
     return "{\n      " + ",\n      ".join(_key_text(k) + ": %s" for k in keys) + "\n    }"
 
 

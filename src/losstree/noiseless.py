@@ -19,7 +19,8 @@ so it returns that.  ``put_in_upstate`` exposes a single move.
 
 The complex states read two per-complex numbers, the smallest child loss
 and the count of lossless children, each one array pass over the father
-map; uniqueness and the recovery condition read only the count.
+map; uniqueness and the recovery condition read only the count.  The
+states stay columns (``ComplexStates``) up to the report's JSON table.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .topology import LogicalTree
 UP = "up"
 DOWN = "down"
 MIXED = "mixed"
+_STATES = np.array([UP, DOWN, MIXED])  # by state code
 
 
 @dataclass
@@ -53,12 +55,30 @@ class ComplexState:
     lossless_children: int
 
 
+@dataclass(eq=False)
+class ComplexStates:
+    """``ComplexState`` rows as equal-length columns; iterating yields the rows."""
+
+    node: np.ndarray
+    state: np.ndarray
+    delta: np.ndarray
+    lossless_children: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def __iter__(self):
+        return map(ComplexState, *(column.tolist() for column in vars(self).values()))
+
+
 @dataclass
 class SolutionReport:
+    """Norms, complex states and diagnostics; ``to_json`` gives the states as a table of columns."""
+
     x: np.ndarray
     l0: int
     l1: float
-    states: list[ComplexState]
+    states: ComplexStates
     unique_sparsest: bool
     recovery_condition: bool
 
@@ -67,7 +87,7 @@ class SolutionReport:
             "x": self.x.tolist(),
             "l0": self.l0,
             "l1": float(self.l1),
-            "states": list(map(dict.copy, map(vars, self.states))),
+            "states": {name: column.tolist() for name, column in vars(self.states).items()},
             "unique_sparsest": self.unique_sparsest,
             "recovery_condition": self.recovery_condition,
         }
@@ -119,8 +139,8 @@ def closed_form(tree: LogicalTree, y) -> np.ndarray:
     return gamma[..., 1:] - gamma.take(tree.parent[1:], axis=-1)
 
 
-def classify_complexes(tree: LogicalTree, x) -> list[ComplexState]:
-    """Per-internal-node complex states under solution x."""
+def classify_complexes(tree: LogicalTree, x) -> ComplexStates:
+    """Per-internal-node complex states under solution x, as columns."""
     x = _checked(x, tree.n, "links in x")
     delta = np.full(tree.n + 1, np.inf)
     np.minimum.at(delta, tree.parent[1:], x)  # x[k] is link k + 1, a child of node parent[k + 1]
@@ -128,8 +148,7 @@ def classify_complexes(tree: LogicalTree, x) -> list[ComplexState]:
     lossless = _lossless_children(tree, x)
     # 0 (up) with a lossless child, else 1 (down) or, with a lossy father link, 2 (mixed)
     state = (lossless == 0) * ((x[tree.m :] > DEFAULT_TOL) + 1)
-    return list(map(ComplexState, tree.internal, map((UP, DOWN, MIXED).__getitem__, state.tolist()),
-                    delta.tolist(), lossless.tolist()))
+    return ComplexStates(np.arange(tree.m + 1, tree.n + 1), _STATES.take(state), delta, lossless)
 
 
 def unique_sparsest(tree: LogicalTree, x_star) -> bool:
@@ -198,6 +217,7 @@ def _diagnostics(tree: LogicalTree, x):
 
 __all__ = [
     "ComplexState",
+    "ComplexStates",
     "SolutionReport",
     "put_in_upstate",
     "upsparse",

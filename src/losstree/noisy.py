@@ -25,6 +25,7 @@ that pick one solution prefer the largest x (most loss pulled up).
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,12 +340,17 @@ def load_intervals(path) -> IntervalObservation:
     """Read a JSON interval file; "inf" or null upper ends mean unbounded.
 
     Every other path, lo and hi is a JSON number: a string such as "0.1"
-    is not read as one.
+    is not read as one.  Plain rows in path order are read a column at a
+    time; any other file goes to the row walk, which alone raises, so errors
+    keep their order.
     """
     with open(path, encoding="utf-8") as fh:
         rows = _load_json(fh.read(), "interval file")
     if not isinstance(rows, list):
         raise OutOfDomain("interval file must hold a list of {path, lo, hi} rows")
+    bounds = _bulk_bounds(rows)
+    if bounds is not None:
+        return IntervalObservation(*bounds)
     entries = []
     for row in rows:
         try:
@@ -364,6 +370,19 @@ def load_intervals(path) -> IntervalObservation:
         entries.append((j, bounds))
     lo, hi = np.array(_in_path_order(entries, "interval file")).reshape(-1, 2).T.copy()
     return IntervalObservation(lo=lo, hi=hi)
+
+
+def _bulk_bounds(rows):
+    """The (2, m) lo and hi of plain rows listed in path order, or None for the row walk to read."""
+    try:  # KeyError, TypeError or ValueError: no rows, or a row that is not a {path, lo, hi} dict
+        paths, lo, hi = zip(*map(operator.itemgetter("path", "lo", "hi"), rows))
+        hi = [math.inf if h == "inf" else h for h in hi] if "inf" in hi else hi
+        if (paths != tuple(range(1, len(paths) + 1)) or set(map(type, paths)) != {int}
+                or set(map(type, lo + tuple(hi))).difference(_NUMBERS)):
+            return None
+        return np.array((lo, hi), dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
+        return None
 
 
 def _as_intervals(y_lo, y_hi):

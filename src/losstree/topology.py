@@ -80,11 +80,17 @@ class LogicalTree:
         nearest ancestors, so ceil(log2 height) rounds reach the root.  Each
         row of a batch equals the call on that row alone.
         """
-        up = np.maximum(self.parent, ROOT)  # the root points at itself
-        for _ in range((self.height - 1).bit_length()):
+        for up in self._scan_pointers:
             values = op(values, values.take(up, axis=-1))
-            up = up.take(up)
         return values
+
+    @cached_property
+    def _scan_pointers(self) -> tuple[np.ndarray, ...]:
+        """Round k of ``root_scan``: each node's ancestor 2**k links up, or the root."""
+        rounds = [np.maximum(self.parent, ROOT)]  # the root points at itself
+        while len(rounds) < (self.height - 1).bit_length():
+            rounds.append(rounds[-1].take(rounds[-1]))
+        return tuple(rounds)
 
     @cached_property
     def paths(self) -> tuple[tuple[int, ...], ...]:

@@ -20,14 +20,18 @@ from hypothesis import strategies as st
 from losstree import (
     IntervalObservation,
     forward,
+    load_observations,
     load_topology,
     save_intervals,
     save_observations,
     save_topology,
     tree_from_spec,
+    upsparse,
 )
 from losstree import cli
 from losstree.cli import _report_json, main
+
+from conftest import caterpillar as caterpillar_tree
 
 
 def run_cli(capsys, *argv):
@@ -383,20 +387,36 @@ ROW_KEYS = st.sampled_from([
 
 
 @st.composite
+def tables(draw, min_rows=0):
+    """A table: equal-length columns of scalars under distinct keys, as the complex states are."""
+    keys = draw(st.lists(ROW_KEYS, unique=True, min_size=1 if min_rows else 0, max_size=5))
+    rows = draw(st.integers(min_rows, 6))
+    return {key: draw(st.lists(REPORT_SCALARS, min_size=rows, max_size=rows)) for key in keys}
+
+
+@st.composite
 def shared_key_rows(draw):
-    """Rows that all have one tuple of keys, in one order, as the complex states do."""
+    """Rows that all have one tuple of keys, in one order."""
     keys = draw(st.lists(ROW_KEYS, unique=True, max_size=5))
     rows = st.lists(REPORT_SCALARS, min_size=len(keys), max_size=len(keys))
     return [dict(zip(keys, values)) for values in draw(st.lists(rows, min_size=1, max_size=6))]
 
 
-REPORT_ROWS = st.lists(st.dictionaries(ROW_KEYS, REPORT_SCALARS, max_size=4), max_size=5)
+# Lists of rows, whose keys may differ from row to row; a report writes rows only from a table.
+REPORT_ROWS = st.lists(st.dictionaries(ROW_KEYS, REPORT_SCALARS, max_size=4), min_size=1,
+                       max_size=5) | shared_key_rows()
 REPORTS = st.dictionaries(
     REPORT_STRINGS,
-    REPORT_SCALARS | st.lists(REPORT_SCALARS, max_size=6) | REPORT_ROWS | shared_key_rows(),
+    REPORT_SCALARS | st.lists(REPORT_SCALARS, max_size=6) | tables(),
     max_size=6,
 )
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def as_rows(report):
+    """``report`` with each table (a dict of columns) written out as its list of rows."""
+    return {key: [dict(zip(value, row)) for row in zip(*value.values())]
+            if type(value) is dict else value for key, value in report.items()}
 
 
 class _FixedReport:
@@ -438,13 +458,14 @@ class TestReportJson:
     @settings(max_examples=300, deadline=None)
     @given(report=REPORTS)
     @example(report={})
-    @example(report={"x": [], "states": [], "l1": -0.0, "y": [-0.0, 5e-324, 1e308, 2**64]})
-    @example(report={"states": [{}, {"a": "},\n      {"}, {}, {"b": 1, "c": None}]})
+    @example(report={"x": [], "states": {}, "l1": -0.0, "y": [-0.0, 5e-324, 1e308, 2**64]})
+    @example(report={"states": {"a": [], "b": []}})
+    @example(report={"states": {"a": ["},\n      {", "%s"], "%": [1, None], "\x00": ["\x00", 0.1]}})
     def test_matches_indented_dumps(self, report):
-        assert _report_json(report) == json.dumps(report, indent=2, allow_nan=False)
+        assert _report_json(report) == json.dumps(as_rows(report), indent=2, allow_nan=False)
 
     @settings(max_examples=60, deadline=None)
-    @given(report=REPORTS, bad=NON_FINITE, where=st.sampled_from(["scalar", "list", "row"]),
+    @given(report=REPORTS, bad=NON_FINITE, where=st.sampled_from(["scalar", "list", "table"]),
            data=st.data())
     def test_non_finite_gives_one_error_line(self, tmp_path_factory, report, bad, where, data):
         key = data.draw(REPORT_STRINGS)
@@ -455,11 +476,12 @@ class TestReportJson:
             items.insert(data.draw(st.integers(0, len(items))), bad)
             report[key] = items
         else:
-            rows = data.draw(REPORT_ROWS.filter(bool))
-            rows[data.draw(st.integers(0, len(rows) - 1))][data.draw(REPORT_STRINGS)] = bad
-            report[key] = rows
+            table = data.draw(tables(min_rows=1))
+            column = table[data.draw(st.sampled_from(sorted(table)))]
+            column[data.draw(st.integers(0, len(column) - 1))] = bad
+            report[key] = table
         with pytest.raises(ValueError):
-            json.dumps(report, indent=2, allow_nan=False)
+            json.dumps(as_rows(report), indent=2, allow_nan=False)
         code, stdout, err = _solve_with_report(report, tmp_path_factory.mktemp("nonfinite"))
         assert code == 1
         assert stdout == ""
@@ -473,9 +495,17 @@ class TestReportJson:
         {"x": [1.0, {"a": 1.0}]},
         {"states": [{"a": [1.0]}]},
         {"states": [{"a": {}}]},
+        {"states": [{"a": 1.0}, {"b": 1.0}]},
+        {"states": [{"a": 1.0, "b": 2.0}, {"b": 1.0, "a": 2.0}]},
+        {"states": {"a": [1.0], "b": []}},
+        {"states": {"a": [[1.0]]}},
+        {"states": {"a": (1.0,)}},
+        {"states": {1: [1.0]}},
         {1: 1.0},
         {"x": (1.0, 2.0)},
-    ], ids=["dict-value", "nested-list", "mixed-list", "row-list", "row-dict", "int-key", "tuple"])
+    ], ids=["dict-value", "nested-list", "mixed-list", "row-list", "row-dict", "rows-keys-differ",
+            "rows-keys-reordered", "table-ragged", "table-nested", "table-tuple", "table-int-key",
+            "int-key", "tuple"])
     def test_other_layouts_are_an_invariant_failure(self, tmp_path, report):
         with pytest.raises(AssertionError):
             _report_json(report)
@@ -483,6 +513,45 @@ class TestReportJson:
         assert code == 2
         assert stdout == ""
         assert err.startswith("internal invariant failure: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(report=REPORTS, key=REPORT_STRINGS, rows=REPORT_ROWS)
+    def test_lists_of_rows_are_an_invariant_failure(self, report, key, rows):
+        report[key] = rows
+        with pytest.raises(AssertionError):
+            _report_json(report)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(2, 40), caterpillar=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    def test_solve_stdout_is_the_report_with_its_states_as_rows(self, tmp_path_factory, m,
+                                                                 caterpillar, seed):
+        tmp = tmp_path_factory.mktemp("solve")
+        tree = caterpillar_tree(m) if caterpillar else tree_from_spec(f"random:{m}:3:{seed}")
+        save_topology(tree, tmp / "t.tree")
+        rng = np.random.default_rng(seed)
+        x = np.where(rng.random(tree.n) < 0.3, rng.choice([1e-9, 2e-9, 0.1], tree.n), 0.0)
+        save_observations(forward(tree, x), tmp / "y.json")
+        argv = ["solve", "--tree", str(tmp / "t.tree"), "--obs", str(tmp / "y.json"),
+                "--out", str(tmp / "r")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        report = upsparse(tree, load_observations(tmp / "y.json")).to_json()
+        expected = json.dumps(as_rows(report), indent=2) + "\n"
+        assert out.getvalue() == expected
+        assert (tmp / "r").read_text(encoding="utf-8") == expected
+
+    def test_solve_text_is_encoded_from_the_solution(self, capsys, monkeypatch, fig_files):
+        # The benchmark's check of a corrupted solve: the text must show the corruption.
+        def corrupt(tree, y):
+            report = upsparse(tree, y)
+            report.x[0] += 0.01
+            return report
+
+        monkeypatch.setattr(cli, "upsparse", corrupt)
+        code, stdout, err = run_cli(capsys, "solve", "--tree", fig_files[0], "--obs", fig_files[1])
+        assert code == 0, err
+        assert json.loads(stdout)["x"] == [0.01, 1.0, 2.0, 2.0, 0.0]
 
     def test_unwritable_out_leaves_stdout_empty(self, capsys, tmp_path):
         argv = REPORT_RUNS["report_solve_ternary13.json"]

@@ -15,6 +15,7 @@ per call.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -516,13 +517,26 @@ class TestKernelsMatchPathLoops:
         assert scfs(tree, bad) == ref_scfs(tree, bad)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(tree=trees() | st.integers(2, 30).map(star), seed=st.integers(0, 2**31 - 1))
+    def test_complex_states_are_the_reference_rows(self, tree, seed):
+        # Ties, and links at the lossy threshold and at twice it.
+        rng = np.random.default_rng(seed)
+        ties = rng.choice([0.0, DEFAULT_TOL, 2 * DEFAULT_TOL, 0.1], tree.n)
+        for x in (ties, closed_form(tree, ties[: tree.m]), sparse_draw(rng, tree.n)):
+            states, ref = classify_complexes(tree, x), ref_classify_complexes(tree, x)
+            assert len(states) == len(ref) == tree.n - tree.m
+            assert list(states) == ref
+            table = {name: [vars(row)[name] for row in ref] for name in vars(ref[0])}
+            assert json.dumps(solution_report(tree, x).to_json()["states"]) == json.dumps(table)
+
     @settings(max_examples=60, deadline=None)
     @given(tree=trees(), seed=st.integers(0, 2**31 - 1))
     def test_complex_diagnostics(self, tree, seed):
         rng = np.random.default_rng(seed)
         at_tol = rng.choice([0.0, DEFAULT_TOL, 2 * DEFAULT_TOL, 0.1, 0.2], tree.n)
         for x in (sparse_draw(rng, tree.n), closed_form(tree, sparse_draw(rng, tree.m)), at_tol):
-            assert classify_complexes(tree, x) == ref_classify_complexes(tree, x)
+            assert list(classify_complexes(tree, x)) == ref_classify_complexes(tree, x)
             assert unique_sparsest(tree, x) is ref_unique_sparsest(tree, x)
             assert recovery_condition(tree, x) is ref_recovery_condition(tree, x)
 

@@ -202,21 +202,21 @@ class TestClassifyComplexes:
             assert all(s.state == UP for s in states)
 
     def test_receiver_on_two_level_tree_is_down(self, one_complex):
-        states = classify_complexes(
+        (state,) = classify_complexes(
             one_complex, receiver_solution(one_complex, [1.0, 2.0, 3.0])
         )
-        assert [s.state for s in states] == [DOWN]
-        assert states[0].delta == pytest.approx(1.0)
-        assert states[0].lossless_children == 0
+        assert state.state == DOWN
+        assert state.delta == pytest.approx(1.0)
+        assert state.lossless_children == 0
 
     def test_mixed_state(self, one_complex):
-        states = classify_complexes(one_complex, [0.5, 1.5, 2.5, 0.5])
-        assert states[0].state == MIXED
+        (state,) = classify_complexes(one_complex, [0.5, 1.5, 2.5, 0.5])
+        assert state.state == MIXED
 
     def test_all_lossless_counts_as_up(self, one_complex):
-        states = classify_complexes(one_complex, np.zeros(4))
-        assert states[0].state == UP
-        assert states[0].lossless_children == 3
+        (state,) = classify_complexes(one_complex, np.zeros(4))
+        assert state.state == UP
+        assert state.lossless_children == 3
 
 
 class TestUniqueSparsest:
@@ -274,5 +274,5 @@ class TestReportSerialization:
         assert set(data) == {
             "x", "l0", "l1", "states", "unique_sparsest", "recovery_condition"
         }
-        assert data["states"][0]["state"] == "up"
+        assert data["states"]["state"][0] == "up"
         assert data["x"] == [0.0, 1.0, 2.0, 2.0, 0.0]

@@ -1,10 +1,14 @@
 """Interval observations: local optima, subtree statistics, interval solver."""
 
+import json
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from losstree import (
     IntervalObservation,
@@ -21,6 +25,7 @@ from losstree import (
     upsparse_plus,
     z_stats,
 )
+from losstree import noisy
 from losstree.errors import OutOfDomain, XOutOfRange
 from losstree.noisy import MODES
 
@@ -94,6 +99,61 @@ class TestIntervalObservation:
         path.write_text('[{"path": 1, "lo": 0, "hi": 1}, {"path": 3, "lo": 0, "hi": 1}]')
         with pytest.raises(OutOfDomain):
             load_intervals(path)
+
+
+# Values a row may hold, most of them ones the column-wise read must leave to the row walk.
+ROW_VALUES = st.one_of(
+    st.floats(0.0, 10.0), st.integers(0, 10),
+    st.sampled_from([2**70, 10**400, -1.0, 2.0, 2.5, True, None, "inf", "Infinity", "0.1",
+                     math.nan, math.inf, [1.0], {}]),
+)
+
+
+@st.composite
+def interval_rows(draw):
+    """Rows of an interval file, in path order or not, with a few of ROW_VALUES' faults."""
+    m = draw(st.integers(0, 8))
+    paths = draw(st.permutations(range(1, m + 1)) | st.just(range(1, m + 1)))
+    rows = []
+    for j in paths:
+        lo = draw(st.floats(0.0, 10.0) | st.integers(0, 10))
+        row = {"path": j, "lo": lo, "hi": draw(st.sampled_from(["inf", lo, lo + 1, 2 * lo]))}
+        if draw(st.integers(0, 9)) == 0:
+            row[draw(st.sampled_from(["path", "lo", "hi"]))] = draw(ROW_VALUES)
+        if draw(st.integers(0, 19)) == 0:
+            del row[draw(st.sampled_from(["path", "lo", "hi"]))]
+        rows.append(row)
+    if rows and draw(st.integers(0, 9)) == 0:
+        rows.append(draw(st.sampled_from([rows[0], [1, 0.0, 1.0], "row", None])))
+    return rows
+
+
+class TestIntervalFiles:
+    @staticmethod
+    def outcome(path):
+        """The bounds load_intervals reads, as bytes, or the (type, message) of its error."""
+        try:
+            iv = load_intervals(path)
+        except OutOfDomain as exc:
+            return type(exc), str(exc)
+        return iv.lo.tobytes(), iv.hi.tobytes(), iv.lo.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=interval_rows())
+    @example(rows=[{"path": True, "lo": 0, "hi": 1}, {"path": 2, "lo": 0, "hi": 1}])
+    @example(rows=[{"path": 1.0, "lo": 0, "hi": 1}, {"path": 2, "lo": 0, "hi": None}])
+    @example(rows=[{"path": 1, "lo": 10**400, "hi": "inf"}])
+    def test_column_read_matches_the_row_walk(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("iv") / "iv.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        read = self.outcome(path)
+        with mock.patch("losstree.noisy._bulk_bounds", return_value=None):
+            assert self.outcome(path) == read
+
+    def test_plain_rows_in_path_order_are_read_by_columns(self):
+        rows = [{"path": 1, "lo": 0.5, "hi": 2}, {"path": 2, "lo": 1, "hi": "inf"}]
+        assert noisy._bulk_bounds(rows).tolist() == [[0.5, 1.0], [2.0, INF]]
+        assert noisy._bulk_bounds(rows[::-1]) is None  # read by the row walk
 
 
 class TestGlocalFamily:
