@@ -19,8 +19,9 @@ so it returns that.  ``put_in_upstate`` exposes a single move.
 
 The complex states read two per-complex numbers, the smallest child loss
 and the count of lossless children, each one array pass over the father
-map; uniqueness and the recovery condition read only the count.  The
-states stay columns (``ComplexStates``) up to the report's JSON table.
+map; uniqueness and the recovery condition read only the count, which a
+report takes from its states.  The states stay columns (``ComplexStates``)
+up to the report's JSON table.
 """
 
 from dataclasses import dataclass
@@ -160,7 +161,8 @@ def unique_sparsest(tree: LogicalTree, x_star) -> bool:
     complex to have either a lossless father link or at least two
     lossless children.
     """
-    return _diagnostics(tree, _checked(x_star, tree.n, "links in x"))[0]
+    x_star = _checked(x_star, tree.n, "links in x")
+    return _diagnostics(tree, x_star, _lossless_children(tree, x_star))[0]
 
 
 def recovery_condition(tree: LogicalTree, x_true) -> bool:
@@ -169,14 +171,15 @@ def recovery_condition(tree: LogicalTree, x_true) -> bool:
     When true for the underlying solution, it is already in up state
     everywhere, so solving its observations recovers it exactly.
     """
-    return _diagnostics(tree, _checked(x_true, tree.n, "links in x"))[1]
+    x_true = _checked(x_true, tree.n, "links in x")
+    return _diagnostics(tree, x_true, _lossless_children(tree, x_true))[1]
 
 
 def solution_report(tree: LogicalTree, x) -> SolutionReport:
     """Norms, complex states, and diagnostics for a feasible solution x."""
     states = classify_complexes(tree, x)  # checks x first
     x = np.asarray(x, dtype=float)
-    unique, recovers = _diagnostics(tree, x)
+    unique, recovers = _diagnostics(tree, x, states.lossless_children)
     return SolutionReport(
         x=x,
         l0=int(np.count_nonzero(x > DEFAULT_TOL)),
@@ -208,9 +211,8 @@ def _lossless_children(tree: LogicalTree, x):
     return np.bincount(tree.parent[1:][x <= DEFAULT_TOL], minlength=tree.n + 1)[tree.m + 1 :]
 
 
-def _diagnostics(tree: LogicalTree, x):
+def _diagnostics(tree: LogicalTree, x, lossless):
     """(``unique_sparsest``, ``recovery_condition``) of a checked x, from its lossless-child counts."""
-    lossless = _lossless_children(tree, x)
     unique = bool(((x[tree.m :] <= DEFAULT_TOL) | (lossless >= 2)).all())
     return unique, bool(lossless.all())
 

@@ -317,17 +317,11 @@ def upsparse_plus(
 
 
 def save_intervals(intervals: IntervalObservation, path) -> None:
-    """Write intervals as JSON: [{"path": j, "lo": v, "hi": v|"inf"}]."""
-    rows = []
-    for j in range(intervals.m):
-        hi = intervals.hi[j]
-        rows.append(
-            {
-                "path": j + 1,
-                "lo": float(intervals.lo[j]),
-                "hi": "inf" if math.isinf(hi) else float(hi),
-            }
-        )
+    """Write (m,) intervals as JSON: [{"path": j, "lo": v, "hi": v|"inf"}]."""
+    if intervals.lo.ndim != 1:
+        raise OutOfDomain(f"need one interval per path, got shape {intervals.lo.shape}")
+    rows = [{"path": j, "lo": lo, "hi": "inf" if math.isinf(hi) else hi}
+            for j, (lo, hi) in enumerate(zip(intervals.lo.tolist(), intervals.hi.tolist()), 1)]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(rows, fh)
         fh.write("\n")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange, _check_seed, _is_real
 from .lossmodel import (
-    BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, addloss, forward,
+    BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, _load_json, addloss, forward,
     inverse_addloss, plant_hotspots
 )
 from .noiseless import closed_form
@@ -140,7 +140,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _load_json(fh.read(), "experiment config file")
         if not isinstance(data, dict):
             raise ConfigInvalid("an experiment config file must hold one JSON object")
         names = {f.name for f in fields(cls)}

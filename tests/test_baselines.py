@@ -8,15 +8,31 @@ import pytest
 
 from losstree import (
     addloss,
+    baselines,
     binarize,
+    closed_form,
     compare_with_sparse_recovery,
     forward,
     gen_regular_tree,
+    gen_ternary_tree,
     scfs,
 )
 from losstree.errors import OutOfDomain, ParameterOutOfRange
+from losstree.lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, plant_hotspots
 
-from conftest import random_small_trees, random_sparse_x
+from conftest import caterpillar, random_small_trees, random_sparse_x
+
+
+def per_trial_rates(tree, K, trials, seed):
+    """``compare_with_sparse_recovery`` one trial at a time: plant, observe, solve."""
+    n_scfs = n_sparse = 0
+    for t in range(trials):
+        b = plant_hotspots(tree, K, DEFAULT_LOSS_RANGE, seed, t)
+        x_true = addloss(b)
+        y = forward(tree, x_true)
+        n_scfs += scfs(tree, binarize(y)) == set((np.flatnonzero(b) + 1).tolist())
+        n_sparse += bool(np.abs(closed_form(tree, y) - x_true).max() <= DEFAULT_TOL)
+    return n_scfs / trials, n_sparse / trials
 
 
 class TestBinarize:
@@ -145,6 +161,17 @@ class TestComparisonHarness:
     def test_seed_must_be_a_whole_number(self, seed):
         with pytest.raises(ParameterOutOfRange, match="seed must be a whole number"):
             compare_with_sparse_recovery(gen_regular_tree(3, 3), K=1, trials=5, seed=seed)
+
+    @pytest.mark.parametrize("tree", [gen_ternary_tree(13), caterpillar(9)],
+                             ids=["ternary", "caterpillar"])
+    @pytest.mark.parametrize("K", [0, 1, 3, 6])
+    @pytest.mark.parametrize("block_links", [1, 40, 2**16])
+    def test_blocks_match_a_per_trial_loop(self, monkeypatch, tree, K, block_links):
+        monkeypatch.setattr(baselines, "BLOCK_LINKS", block_links)  # 1 and 40: several blocks
+        got = compare_with_sparse_recovery(tree, K=K, trials=23, seed=3)
+        assert got == per_trial_rates(tree, K, 23, 3)
+        if K == 3:
+            assert 0 < got[0] < got[1] < 1  # the rows are told apart, not all alike
 
     def test_deterministic(self):
         tree = gen_regular_tree(3, 3)

@@ -733,7 +733,8 @@ class TestBadInput:
         path.write_bytes(b"[0.1, \xff]")
         self.run_bad(capsys, command, "--tree", tree4, flag, str(path), expect="utf-8")
 
-    @pytest.mark.parametrize("flag, command", [("--obs", "solve"), ("--intervals", "solve-noisy")])
+    @pytest.mark.parametrize("flag, command", [("--obs", "solve"), ("--intervals", "solve-noisy"),
+                                               ("--config", "experiment")])
     def test_json_nested_too_deeply(self, capsys, tmp_path, tree4, flag, command):
         capsys.readouterr()
         path = tmp_path / "deep.json"

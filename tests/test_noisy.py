@@ -87,12 +87,26 @@ class TestIntervalObservation:
         assert not iv.contains([1.0, 2.1])
 
     def test_file_round_trip(self, tmp_path):
-        iv = IntervalObservation(lo=[0.0, 3.0, 5.0], hi=[2.0, INF, INF])
+        iv = IntervalObservation(lo=[0.0, -0.0, 0.1, 1e-300], hi=[2.5, INF, 0.1 + 0.2, 7.0])
         path = tmp_path / "iv.json"
         save_intervals(iv, path)
         loaded = load_intervals(path)
         assert np.array_equal(loaded.lo, iv.lo)
         assert np.array_equal(loaded.hi, iv.hi)
+        written = path.read_bytes()
+        assert written == (b'[{"path": 1, "lo": 0.0, "hi": 2.5}, '
+                           b'{"path": 2, "lo": -0.0, "hi": "inf"}, '
+                           b'{"path": 3, "lo": 0.1, "hi": 0.30000000000000004}, '
+                           b'{"path": 4, "lo": 1e-300, "hi": 7.0}]\n')
+        save_intervals(loaded, path)
+        assert path.read_bytes() == written
+
+    def test_stacked_intervals_rejected(self, tmp_path):
+        iv = IntervalObservation(lo=np.zeros((2, 3)), hi=np.ones((2, 3)))
+        path = tmp_path / "iv.json"
+        with pytest.raises(OutOfDomain, match=r"one interval per path, got shape \(2, 3\)"):
+            save_intervals(iv, path)
+        assert not path.exists()
 
     def test_file_must_cover_all_paths(self, tmp_path):
         path = tmp_path / "iv.json"

@@ -435,7 +435,7 @@ def loaded(load, path):
 
 
 class TestArrayLoaderMatchesLineLoop:
-    """The reader and both of build_tree's labellings against the loops they replaced."""
+    """The reader on both of its paths, and build_tree, against the loops they replaced."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=topology_files())
@@ -465,13 +465,13 @@ class TestArrayLoaderMatchesLineLoop:
                 build(edges, 0)
             return type(info.value), str(info.value)
 
-        assert on_both_paths(lambda: error(build_tree)) == [error(loop_build_tree)] * 2
+        assert error(build_tree) == error(loop_build_tree)
 
     def test_deep_caterpillar(self):
         """Height 20 000: the tour's pointer jumping needs all of its rounds."""
         edges, root = caterpillar_edges(20_000)
         expected = loop_build_tree(edges, root)
-        assert all(same_tree(tree, expected) for tree in on_both_paths(lambda: build_tree(edges, root)))
+        assert same_tree(build_tree(edges, root), expected)
 
     def test_wide_random_tree_round_trip(self, tmp_path):
         path = tmp_path / "wide.tree"
@@ -569,7 +569,7 @@ class TestBulkRead:
                 assert got == expected
                 assert got[0] is {**EDGE_FAULTS, **DECIMAL_FILE_FAULTS}[fault]
         over_gate = len(edges) >= topology.FEW_EDGES
-        if bulk:  # gates: never on the DFS path, 0 on the tour path, then FEW_EDGES
+        if bulk:  # gates: never (the line walk), 0 (the bulk read), then FEW_EDGES
             assert arrays == [False, True, over_gate]
         else:
             assert not any(arrays)
@@ -629,9 +629,9 @@ class TestBulkRead:
         pairs = [(int(ids[v]), int(ids[tree.parent[v]])) for v in range(1, tree.n + 1)]
         expected = loop_build_tree(pairs, int(ids[0]))
         array = np.array(pairs, dtype=dtype)
-        for got in on_both_paths(lambda: build_tree(array, int(ids[0]))):
-            assert same_tree(got, expected)
-            assert all(type(name) is int for name in got.alias.values())
+        got = build_tree(array, int(ids[0]))
+        assert same_tree(got, expected)
+        assert all(type(name) is int for name in got.alias.values())
 
     def test_int_array_with_a_root_beyond_int64(self):
         # Mixed with int64 ids, a root of 2**63 would turn float and meet 2**63 - 1.

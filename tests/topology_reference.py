@@ -124,7 +124,7 @@ def load_topology(path) -> LogicalTree:
 
 
 def on_both_paths(call) -> list:
-    """[call() with build_tree's DFS for every tree, call() with its Euler tour for every tree]."""
+    """[call() with every topology file walked line by line, call() with the bulk read where it can]."""
     results = []
     for few_edges in (2**62, 0):
         with pytest.MonkeyPatch.context() as patch:
