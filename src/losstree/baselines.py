@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .errors import OutOfDomain, ParameterOutOfRange, _check_seed, _is_int, _is_real
-from .lossmodel import (BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, addloss, forward,
-                        plant_hotspots)
+from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _planted_blocks, addloss, forward
 from .noiseless import closed_form
 from .topology import LogicalTree
 
@@ -63,8 +62,8 @@ def compare_with_sparse_recovery(
     lossy links, binary inference run on thresholded observations, the
     minimum-l1 solver on the raw observations.  Success means recovering
     the true support exactly (for the solver, the true solution itself).
-    Trials are planted, observed and solved in blocks of at most
-    ``BLOCK_LINKS`` link values, as in the census; ``scfs`` runs per row.
+    Trials are planted, observed and solved in the blocks of
+    ``_planted_blocks``, as in the census; ``scfs`` runs per row.
 
     Returns (binary baseline rate, sparse recovery rate).
     """
@@ -72,9 +71,7 @@ def compare_with_sparse_recovery(
         raise ParameterOutOfRange(f"need a whole number of trials of at least 1, got {trials!r}")
     _check_seed(seed, streams=False)
     n_scfs = n_sparse = 0
-    block = max(1, BLOCK_LINKS // tree.n)
-    for start in range(0, trials, block):
-        b = plant_hotspots(tree, K, loss_range, seed, range(start, min(start + block, trials)))
+    for _, b in _planted_blocks(tree, K, loss_range, seed, trials):
         x_true = addloss(b)
         y = forward(tree, x_true)
         gap = np.abs(closed_form(tree, y) - x_true).max(axis=1)

@@ -22,7 +22,7 @@ from . import __version__
 from .baselines import binarize, scfs
 from .errors import LossTreeError, OutOfDomain, ParameterOutOfRange
 from .lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, forward, load_observations
-from .noiseless import upsparse
+from .noiseless import closed_form, upsparse
 from .noisy import MODES, load_intervals, upsparse_plus
 from .oracle import SupportScanner, l1_sampling_check, sparsest_enumerate, uniqueness_census
 from .simulation import (
@@ -240,28 +240,30 @@ def _cmd_experiment(args) -> int:
 def _cmd_verify(args) -> int:
     tree = tree_from_spec(args.tree)
     if args.obs is not None:
-        instances = np.atleast_2d(load_observations(args.obs))
+        instances = load_observations(args.obs)  # stacked after closed_form checks its length
     elif args.trials < 1:
         raise ParameterOutOfRange(f"verify needs at least one trial, got --trials {args.trials}")
     else:
-        xs = []
+        x_true = []
         for t in range(args.trials):
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(t,)))
-            xs.append(np.where(rng.random(tree.n) < 0.4, rng.uniform(0.01, 0.2, tree.n), 0.0))
-        instances = forward(tree, np.array(xs))  # one observation call for all trials
-    reports = [upsparse(tree, y) for y in instances]
+            x_true.append(np.where(rng.random(tree.n) < 0.4, rng.uniform(0.01, 0.2, tree.n), 0.0))
+        instances = forward(tree, np.array(x_true))  # one observation call for all trials
+    xs = np.atleast_2d(closed_form(tree, instances + 0.0))  # upsparse's solutions, in one call
+    instances = np.atleast_2d(instances)
+    l0s = np.count_nonzero(xs > DEFAULT_TOL, axis=1).tolist()
     enums = sparsest_enumerate(tree, instances)  # one oracle scan of every instance
     failures = 0
-    for i, (y, report, enum) in enumerate(zip(instances, reports, enums)):
-        l0_ok = enum.k_star == report.l0
+    for i, (y, x, l0, enum) in enumerate(zip(instances, xs, l0s, enums)):
+        l0_ok = enum.k_star == l0
         match_ok = True
         if enum.unique:
-            match_ok = bool(np.abs(enum.solutions[0] - report.x).max() <= DEFAULT_TOL)
-        l1_ok = l1_sampling_check(tree, y, report.x, samples=200, seed=args.seed + i)
+            match_ok = bool(np.abs(enum.solutions[0] - x).max() <= DEFAULT_TOL)
+        l1_ok = l1_sampling_check(tree, y, x, samples=200, seed=args.seed + i)
         status = "ok" if (l0_ok and match_ok and l1_ok) else "MISMATCH"
         failures += status != "ok"
         print(
-            f"instance {i}: solver_l0={report.l0} oracle_k={enum.k_star} "
+            f"instance {i}: solver_l0={l0} oracle_k={enum.k_star} "
             f"unique={enum.unique} l1_minimal={l1_ok} [{status}]"
         )
     assert failures == 0, f"{failures} oracle mismatches"

@@ -23,9 +23,9 @@ from .topology import LogicalTree
 # l0 counting and feasibility checks across the package.
 DEFAULT_TOL = 1e-9
 
-# Experiment cells and census trials are solved in blocks of rows holding at
-# most this many link values, so memory stays bounded however many rows a
-# large tree gets (the sparse table of closed_form is about log2 m times a block).
+# Planted rows (census and baseline trials, experiment repetitions) come from
+# _planted_blocks in blocks of at most this many link values, so memory stays bounded
+# however many rows a large tree gets (closed_form's sparse table is about log2 m blocks).
 BLOCK_LINKS = 2**16
 
 
@@ -169,6 +169,15 @@ def plant_hotspots(tree: LogicalTree, K: int, loss_range, seed, key, sup=None) -
         links = rng.choice(tree.n, size=K, replace=False) if sup is None else sup[r]
         b[r][links] = rng.uniform(lo, hi, size=K)  # through the row view: cheaper than b[r, links]
     return b[0] if single else b
+
+
+def _planted_blocks(tree: LogicalTree, K: int, loss_range, seed, count: int, sup=None):
+    """Yield (keys, rows) per block: a range within 0..count-1 and its ``plant_hotspots`` rows."""
+    block = max(1, BLOCK_LINKS // tree.n)
+    for start in range(0, count, block):
+        keys = range(start, min(start + block, count))
+        sub = None if sup is None else sup[keys.start : keys.stop]
+        yield keys, plant_hotspots(tree, K, loss_range, seed, keys, sub)
 
 
 def _checked_support(sup, shape: tuple, n: int) -> np.ndarray:

@@ -34,8 +34,8 @@ from .errors import (
     _is_real
 )
 from .lossmodel import (
-    BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, addloss, forward,
-    plant_hotspots, sample_feasible
+    DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, _planted_blocks, addloss, forward,
+    sample_feasible
 )
 from .noiseless import closed_form
 from .noisy import MIN_L0, MIN_L1, IntervalObservation, NoisySolution, _check_paths
@@ -209,10 +209,10 @@ def uniqueness_census(
     substreams make results independent of execution order.  A ``scanner``
     built for ``tree`` may be shared across calls, so that each support
     size is built once for all of them.  Trials are planted, observed,
-    scanned and solved together, in blocks of at most ``BLOCK_LINKS`` link
-    values: one ``plant_hotspots`` call per block draws each row from its
-    trial's substream, and a row counts as unique when exactly one support
-    is feasible at its k*, read from the scan's per-row counts.
+    scanned and solved together, in the blocks of ``_planted_blocks``
+    (one ``plant_hotspots`` call per block draws each row from its trial's
+    substream), and a row counts as unique when exactly one support is
+    feasible at its k*, read from the scan's per-row counts.
     """
     if not (_is_int(K) and 0 <= K <= tree.m):
         raise ParameterOutOfRange(f"K={K!r} is outside 0..m={tree.m}, m the path count")
@@ -231,13 +231,9 @@ def uniqueness_census(
     else:
         raise ParameterOutOfRange(f"unknown placement mode {placement!r}")
 
-    n_unique = 0
-    n_recovered = 0
-    block = max(1, BLOCK_LINKS // tree.n)
-    for start in range(0, total, block):
-        keys = range(start, min(start + block, total))
-        sup = None if picks is None else picks[start : start + block]
-        x_true = addloss(plant_hotspots(tree, K, loss_range, seed, keys, sup))
+    n_unique = n_recovered = 0
+    for _, b in _planted_blocks(tree, K, loss_range, seed, total, picks):
+        x_true = addloss(b)
         y = forward(tree, x_true)
         n_unique += int(np.count_nonzero(_feasible_counts(scanner, y, K)[1] == 1))
         gap = np.abs(closed_form(tree, y) - x_true).max(axis=1)

@@ -15,11 +15,11 @@ with probe noise further keyed by the probe count, so runs are
 order-independent and instances stay paired across probe counts and
 interval widths.  What still runs per repetition is planting and the
 binomial draw of the probe counts on the repetition's own stream.  Each
-(K, probe count) cell stacks its repetitions, and every other step takes
-the (B, n) or (B, m) rows in one call: the exact observations at a null
-probe count (``forward``), the path probabilities, the interval bounds,
-the solvers (``closed_form``, or ``upsparse_plus`` on (B, m) intervals)
-and the scores.
+(K, probe count) cell stacks its repetitions a block at a time, and every
+other step takes a block's (B, n) or (B, m) rows in one call: the exact
+observations at a null probe count (``forward``), the path
+probabilities, the interval bounds, the solvers (``closed_form``, or
+``upsparse_plus`` on (B, m) intervals) and the scores.
 
 Probes are simulated independently per path; shared-link correlation
 between paths is not modeled (the solvers consume only the per-path
@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange, _check_seed, _is_real
 from .lossmodel import (
-    BLOCK_LINKS, DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, _load_json, addloss, forward,
-    inverse_addloss, plant_hotspots
+    DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, _load_json, _planted_blocks, addloss,
+    forward, inverse_addloss
 )
 from .noiseless import closed_form
 from .noisy import MODES, IntervalObservation, upsparse_plus
@@ -125,9 +125,9 @@ class ExperimentConfig:
             raise ConfigInvalid("level must lie in (0, 1)")
         if not (
             isinstance(self.probe_counts, (tuple, list))
-            and all(n is None or (_is_int(n) and n >= 1) for n in self.probe_counts)
+            and all(n is None or (_is_int(n) and 1 <= n < 2**63) for n in self.probe_counts)
         ):
-            raise ConfigInvalid("probe counts must be integers >= 1 (or null for exact)")
+            raise ConfigInvalid("probe counts must be integers in 1..2**63 - 1 (or null for exact)")
         if not (
             _is_real(self.cover_halfwidth)
             and math.isfinite(self.cover_halfwidth)
@@ -184,8 +184,8 @@ def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:
     draws its counts from ``np.random.default_rng(seed[r])``, so it gets the
     counts of a call on that row alone.
     """
-    if not (_is_int(probes) and probes >= 1):
-        raise ParameterOutOfRange(f"need a whole number of probes of at least 1, got {probes!r}")
+    if not (_is_int(probes) and 1 <= probes < 2**63):  # the binomial draw takes an int64 count
+        raise ParameterOutOfRange(f"need a whole number of probes in 1..2**63 - 1, got {probes!r}")
     p = path_loss_probabilities(tree, b)
     if p.ndim == 1:
         seeds = [seed]
@@ -285,28 +285,26 @@ def run_experiment(cfg: ExperimentConfig, tree: LogicalTree | None = None):
     """Sweep (K, probe count) cells and aggregate e0/e2 over repetitions.
 
     Per repetition: plant K hotspots with losses uniform in the configured
-    range.  Per cell, on the stacked repetitions (in blocks of
-    ``BLOCK_LINKS`` link values): simulate probes (or take exact
+    range.  Each K plants its repetitions in the blocks of
+    ``_planted_blocks``, so only one block is held at a time.  Per probe
+    count, on each block's stacked rows: simulate probes (or take exact
     observations when the probe count is null), solve per the configured
     mode, invert the addloss transform, and score against the planted
-    probabilities.
+    probabilities.  A cell's scores join in block order.
     """
     if tree is None:
         tree = tree_from_spec(cfg.tree)
     if max(cfg.k_values) > tree.n:
         raise ConfigInvalid(f"K up to {max(cfg.k_values)} exceeds n={tree.n}")
-    block = max(1, BLOCK_LINKS // tree.n)
-    blocks = [range(cfg.reps)[start : start + block] for start in range(0, cfg.reps, block)]
     rows = []
     for K in cfg.k_values:
-        b_true = plant_hotspots(tree, K, cfg.loss_range, cfg.seed, range(cfg.reps))
-        for probes in cfg.probe_counts:
-            scores = [
-                _score_block(tree, b_true[reps.start : reps.stop], reps, K, probes, cfg)
-                for reps in blocks
-            ]
-            e0_mean, e0_se = _mean_se(np.concatenate([score.e0 for score in scores]))
-            e2_mean, e2_se = _mean_se(np.concatenate([score.e2 for score in scores]))
+        scores = [[] for _ in cfg.probe_counts]  # per position: duplicate counts keep their rows
+        for reps, b_true in _planted_blocks(tree, K, cfg.loss_range, cfg.seed, cfg.reps):
+            for cell, probes in zip(scores, cfg.probe_counts):
+                cell.append(_score_block(tree, b_true, reps, K, probes, cfg))
+        for probes, cell in zip(cfg.probe_counts, scores):
+            e0_mean, e0_se = _mean_se(np.concatenate([score.e0 for score in cell]))
+            e2_mean, e2_se = _mean_se(np.concatenate([score.e2 for score in cell]))
             rows.append(ExperimentRow(
                 K=K, probes=probes, mode=cfg.mode, reps=cfg.reps, e0_mean=e0_mean,
                 e0_se=e0_se, e2_mean=e2_mean, e2_se=e2_se, seed=cfg.seed,

@@ -8,13 +8,13 @@ import pytest
 
 from losstree import (
     addloss,
-    baselines,
     binarize,
     closed_form,
     compare_with_sparse_recovery,
     forward,
     gen_regular_tree,
     gen_ternary_tree,
+    lossmodel,
     scfs,
 )
 from losstree.errors import OutOfDomain, ParameterOutOfRange
@@ -167,7 +167,7 @@ class TestComparisonHarness:
     @pytest.mark.parametrize("K", [0, 1, 3, 6])
     @pytest.mark.parametrize("block_links", [1, 40, 2**16])
     def test_blocks_match_a_per_trial_loop(self, monkeypatch, tree, K, block_links):
-        monkeypatch.setattr(baselines, "BLOCK_LINKS", block_links)  # 1 and 40: several blocks
+        monkeypatch.setattr(lossmodel, "BLOCK_LINKS", block_links)  # 1 and 40: several blocks
         got = compare_with_sparse_recovery(tree, K=K, trials=23, seed=3)
         assert got == per_trial_rates(tree, K, 23, 3)
         if K == 3:

@@ -693,9 +693,14 @@ class TestBadInput:
         (["census", "--tree", "ternary:13", "--K", "1,4-2"], "'4-2' runs downward"),
         (["verify", "--tree", "ternary:13", "--trials", "0"], "at least one trial"),
         (["verify", "--tree", "ternary:13", "--trials", "-3"], "at least one trial"),
+        (["experiment", "--tree", "ternary:13", "--probes", "99999999999999999999"],
+         "probe counts must be integers in 1..2**63 - 1"),
+        (["experiment", "--config", "{config}"], "probe counts must be integers in 1..2**63 - 1"),
     ])
-    def test_bad_flag_values(self, capsys, argv, expect):
-        self.run_bad(capsys, *argv, expect=expect)
+    def test_bad_flag_values(self, capsys, tmp_path, argv, expect):
+        config = tmp_path / "cfg.json"  # a config whose probe count overflows an int64
+        config.write_text('{"tree": "ternary:13", "k_values": [1], "probe_counts": [%d]}' % 2**64)
+        self.run_bad(capsys, *(a.format(config=config) for a in argv), expect=expect)
 
     @pytest.mark.parametrize("argv", [
         ["census", "--tree", "ternary:13", "--K", "1"],

@@ -1,6 +1,7 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ and every python block of README.md runs against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +33,17 @@ def test_demo_runs(demo, tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (REPO / "README.md").read_text("utf-8"), re.M | re.S
+)
+
+
+def test_readme_blocks_found():
+    assert README_BLOCKS, "no python blocks found in README.md"
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_block_runs(index):
+    exec(compile(README_BLOCKS[index], f"README.md python block {index}", "exec"), {})

@@ -55,7 +55,7 @@ from losstree import (
     upsparse_plus,
     z_stats,
 )
-from losstree import noiseless, oracle, simulation
+from losstree import lossmodel, noiseless, oracle, simulation
 from losstree.cli import main
 from losstree.errors import CycleDetected, DegreeViolation, DisconnectedInput
 from losstree.lossmodel import DEFAULT_LOSS_RANGE, DEFAULT_TOL, plant_hotspots
@@ -669,7 +669,7 @@ class TestKernelsMatchPathLoops:
         placement = "exhaustive" if exhaustive else "random"
         loss_range = (0.05, 0.05) if tied else DEFAULT_LOSS_RANGE
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "BLOCK_LINKS", block * tree.n)
+            patch.setattr(lossmodel, "BLOCK_LINKS", block * tree.n)
             got = uniqueness_census(tree, K, loss_range, trials, seed, placement)
         assert got == ref_census(tree, K, loss_range, trials, seed, placement)
 
@@ -917,7 +917,7 @@ def test_blocks_of_repetitions_keep_the_rows(monkeypatch, mode, interval_mode):
     cfg = ExperimentConfig(tree="ternary:13", k_values=[2], probe_counts=[100, None], reps=7,
                            mode=mode, interval_mode=interval_mode, seed=5)
     for block in (1, 2, 3):
-        monkeypatch.setattr(simulation, "BLOCK_LINKS", block * tree.n + tree.n - 1)
+        monkeypatch.setattr(lossmodel, "BLOCK_LINKS", block * tree.n + tree.n - 1)
         assert run_experiment(cfg, tree) == ref_experiment_rows(tree, cfg)
 
 
@@ -976,7 +976,7 @@ def test_interval_experiment_solves_once_per_cell_block(
     cfg = ExperimentConfig(tree="ternary:13", k_values=[1, 2], probe_counts=[100, None], reps=7,
                            mode=MIN_L1_AMONG_L0, interval_mode=interval_mode)
     expected = ref_experiment_rows(tree, cfg)
-    monkeypatch.setattr(simulation, "BLOCK_LINKS", 3 * tree.n)
+    monkeypatch.setattr(lossmodel, "BLOCK_LINKS", 3 * tree.n)
     calls = count_calls(monkeypatch, ["upsparse_plus", "simulate_probes", "path_loss_probabilities"])
     assert run_experiment(cfg, tree) == expected
     assert calls == {"upsparse_plus": 12, "simulate_probes": probe_runs,
@@ -995,10 +995,32 @@ def test_exact_observations_once_per_cell_block(monkeypatch, mode, interval_mode
     cfg = ExperimentConfig(tree="ternary:13", k_values=[1, 2], probe_counts=[100, None], reps=7,
                            mode=mode, interval_mode=interval_mode)
     expected = ref_experiment_rows(tree, cfg)
-    monkeypatch.setattr(simulation, "BLOCK_LINKS", 3 * tree.n)
+    monkeypatch.setattr(lossmodel, "BLOCK_LINKS", 3 * tree.n)
     calls = count_calls(monkeypatch, ["forward"])
     assert run_experiment(cfg, tree) == expected
     assert calls == {"forward": observations}
+
+
+def test_experiment_plants_one_block_at_a_time(monkeypatch):
+    """Seven repetitions in blocks of 3, 3 and 1: each block is planted once for all counts.
+
+    The repeated probe count keeps its own row.
+    """
+    tree = gen_ternary_tree(13)
+    cfg = ExperimentConfig(tree="ternary:13", k_values=[1, 2], probe_counts=[100, None, 100],
+                           reps=7, seed=5)
+    expected = ref_experiment_rows(tree, cfg)
+    monkeypatch.setattr(lossmodel, "BLOCK_LINKS", 3 * tree.n)
+    planted = []
+    original = lossmodel.plant_hotspots
+
+    def plant(tree, K, loss_range, seed, key, sup=None):
+        planted.append(len(key))
+        return original(tree, K, loss_range, seed, key, sup)
+
+    monkeypatch.setattr(lossmodel, "plant_hotspots", plant)
+    assert run_experiment(cfg, tree) == expected
+    assert planted == [3, 3, 1, 3, 3, 1]
 
 
 GOLDEN_RUNS = {

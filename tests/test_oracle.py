@@ -40,7 +40,7 @@ from losstree.errors import (
     OutOfDomain,
     ParameterOutOfRange,
 )
-from losstree import oracle
+from losstree import lossmodel, oracle
 from losstree.lossmodel import DEFAULT_TOL
 from losstree.noisy import NoisySolution
 from losstree.oracle import SupportScanner, _interval_optimum
@@ -368,7 +368,7 @@ class TestUniquenessCensus:
             uniqueness_census(tree, K=1, trials=5, scanner=SupportScanner(gen_regular_tree(3, 3)))
 
     def test_size_limit_checked_before_planting(self, monkeypatch):
-        monkeypatch.setattr(oracle, "plant_hotspots", None)  # planting would raise TypeError
+        monkeypatch.setattr(lossmodel, "plant_hotspots", None)  # planting would raise TypeError
         with pytest.raises(InstanceTooLarge):
             uniqueness_census(gen_regular_tree(3, 4), K=1, trials=5)
         tree = gen_regular_tree(3, 3)
@@ -384,8 +384,8 @@ class TestUniquenessCensus:
             ["plant_hotspots", "addloss", "forward", "_feasible_counts", "closed_form"], 0
         )
 
-        def counted(name):
-            original = getattr(oracle, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 counts[name] += 1
@@ -393,10 +393,11 @@ class TestUniquenessCensus:
 
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(oracle, name, counted(name))
+        for name in counts:  # planting happens in lossmodel's block loop, the rest in oracle
+            module = lossmodel if name == "plant_hotspots" else oracle
+            monkeypatch.setattr(module, name, counted(module, name))
         if block is not None:
-            monkeypatch.setattr(oracle, "BLOCK_LINKS", block * tree.n)
+            monkeypatch.setattr(lossmodel, "BLOCK_LINKS", block * tree.n)
         assert uniqueness_census(tree, K=2, trials=30, seed=6) == expected
         assert counts == dict.fromkeys(counts, calls)
 

@@ -126,6 +126,13 @@ class TestSimulateProbes:
         with pytest.raises(ParameterOutOfRange, match="whole number of probes"):
             simulate_probes(fig_tree, np.zeros(5), probes=probes, seed=0)
 
+    def test_probe_count_fits_the_binomial_draw(self, fig_tree):
+        """Counts above 2**63 - 1 are refused, not passed on to overflow in numpy."""
+        with pytest.raises(ParameterOutOfRange, match=r"1\.\.2\*\*63 - 1, got 9223372036854775808"):
+            simulate_probes(fig_tree, np.zeros(5), probes=2**63, seed=0)
+        run = simulate_probes(fig_tree, np.zeros(5), probes=2**63 - 1, seed=0)
+        assert run.probes == 2**63 - 1 and not run.losses.any()
+
     def test_numpy_integer_probe_count(self, fig_tree):
         run = simulate_probes(fig_tree, np.full(5, 0.1), probes=np.int64(50), seed=0)
         assert run.probes == 50
@@ -322,9 +329,11 @@ class TestExperimentConfig:
         ({"tree": 5}, "tree"),
         ({"loss_range": 0.5}, "loss_range"),
         ({"probe_counts": [100.5]}, "probe counts"),
+        ({"probe_counts": [2**63]}, r"1\.\.2\*\*63 - 1"),
         ({"k_values": None}, "k_values"),
     ], ids=["level-string", "halfwidth-string", "unknown-key", "k-float", "reps-float",
-            "not-an-object", "tree-number", "loss-range-number", "probes-float", "k-null"])
+            "not-an-object", "tree-number", "loss-range-number", "probes-float", "probes-2**63",
+            "k-null"])
     def test_bad_config_file(self, tmp_path, config, expect):
         if isinstance(config, dict):
             config = {"tree": "ternary:13", "k_values": [1], **config}
