@@ -257,26 +257,29 @@ def z_stats(tree: LogicalTree, intervals: IntervalObservation) -> ZStats:
     father's U; the father keeps the largest.  Some child always qualifies:
     the one whose subtree holds the smallest upper bound.
     """
-    _check_paths(tree, intervals)
+    min_upper, max_lower = _span_bounds(tree, intervals)
     m, n = tree.m, tree.n
-    lo = intervals.lo.reshape(-1, m)  # one row per observation
-    rows = len(lo)
-    bounds = tree.span_min(np.concatenate((intervals.hi.reshape(-1, m), -lo)))
     parent, order = tree.parent.tolist(), [*tree.leaves, *reversed(tree.internal)]
     thresholds = []
-    for lo_row, upper in zip(lo.tolist(), bounds[:rows].tolist()):
+    lo = intervals.lo.reshape(-1, m)  # one row per observation
+    for lo_row, upper in zip(lo.tolist(), min_upper.reshape(-1, n).tolist()):
         t, upper = [0.0] + lo_row + [-math.inf] * (n - m), [math.inf] + upper
         for v in order:
             f = parent[v]
             if t[f] < t[v] <= upper[f]:
                 t[f] = t[v]
         thresholds.append(t[1:])
-    shape = intervals.lo.shape[:-1] + (n,)
-    return ZStats(
-        min_upper=bounds[:rows].reshape(shape),
-        max_lower=-bounds[rows:].reshape(shape),
-        l0_threshold=np.array(thresholds, dtype=float).reshape(shape),
-    )
+    return ZStats(min_upper=min_upper, max_lower=max_lower,
+                  l0_threshold=np.array(thresholds, dtype=float).reshape(min_upper.shape))
+
+
+def _span_bounds(tree: LogicalTree, intervals: IntervalObservation):
+    """(min_upper, max_lower) of ``z_stats``, from one ``span_min`` over the stacked bounds."""
+    _check_paths(tree, intervals)
+    lo = intervals.lo.reshape(-1, tree.m)  # one row per observation
+    bounds = tree.span_min(np.concatenate((intervals.hi.reshape(-1, tree.m), -lo)))
+    shape = intervals.lo.shape[:-1] + (tree.n,)
+    return bounds[: len(lo)].reshape(shape), -bounds[len(lo) :].reshape(shape)
 
 
 def upsparse_plus(
@@ -301,16 +304,20 @@ def upsparse_plus(
     """
     if mode not in MODES:
         raise OutOfDomain(f"mode must be one of {MODES}, got {mode!r}")
-    stats = z_stats(tree, intervals)  # also checks the path count
+    if mode == MIN_L1:  # reads no l0_threshold, so skips its pass
+        upper, lower = _span_bounds(tree, intervals)  # also checks the path count
+        thr = np.minimum(lower, upper)
+    else:
+        stats = z_stats(tree, intervals)
+        upper, lower, thr = stats.min_upper, stats.max_lower, stats.l0_threshold
     m, parent = tree.m, tree.parent[1:]
-    thr = np.minimum(stats.max_lower, stats.min_upper) if mode == MIN_L1 else stats.l0_threshold
     z = np.zeros(thr.shape[:-1] + (tree.n + 1,))  # column ROOT: 0, the identity
     z[..., 1:] += thr  # 0.0 + -0.0 is 0.0, so max never has to pick between two zeros
     z = tree.root_scan(z, np.maximum)
     if mode == MIN_L1_AMONG_L0:
         gate = thr > z.take(parent, axis=-1)
-        bump = stats.min_upper < stats.max_lower
-        z[..., 1:] = np.where(gate, np.where(bump, stats.min_upper, thr), 0.0)
+        bump = upper < lower
+        z[..., 1:] = np.where(gate, np.where(bump, upper, thr), 0.0)
         z = tree.root_scan(z, np.maximum)
     return NoisySolution(x=z[..., 1:] - z.take(parent, axis=-1), y=z[..., 1 : m + 1].copy(),
                          z=z[..., 1:], mode=mode)

@@ -128,6 +128,8 @@ class ExperimentConfig:
             and all(n is None or (_is_int(n) and 1 <= n < 2**63) for n in self.probe_counts)
         ):
             raise ConfigInvalid("probe counts must be integers in 1..2**63 - 1 (or null for exact)")
+        if not self.probe_counts:  # no probe count: the run would plant and score nothing
+            raise ConfigInvalid("probe_counts must be a non-empty list")
         if not (
             _is_real(self.cover_halfwidth)
             and math.isfinite(self.cover_halfwidth)

@@ -23,6 +23,7 @@ concurrent tasks.
 
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -52,7 +53,9 @@ class LogicalTree:
         parent: parent[k] is the father of node k for k in 1..n; parent[0] = -1.
         depth: depth[k] counts links on the path from the root to node k.
         leaf_span: leaf_span[v] = (lo, hi): leaves of v's subtree are lo..hi-1.
-        alias: canonical label -> original node id from the input edge list.
+        alias: canonical label -> original node id from the input edge list, a
+            read-only mapping.  ``build_tree`` gives one that builds its dict on
+            first read; it compares, iterates and prints as that dict.
     """
 
     n: int
@@ -60,7 +63,7 @@ class LogicalTree:
     parent: np.ndarray
     depth: np.ndarray
     leaf_span: np.ndarray
-    alias: dict[int, object]
+    alias: Mapping[int, object]
 
     @property
     def leaves(self) -> range:
@@ -167,6 +170,8 @@ def build_tree(edges, root) -> LogicalTree:
     (E, 2) signed-integer ndarray with an int ``root`` is mapped to dense ids
     by one ``np.unique``: the tree of its rows, with Python ints as aliases.
     Every tree, of any size, is labeled by one Euler tour (Tarjan and Vishkin).
+    The tree keeps the original ids and the label order; its ``alias`` dict
+    is built only when something reads it.
 
     Raises:
         CycleDetected: the edge list contains a cycle.
@@ -183,7 +188,7 @@ def build_tree(edges, root) -> LogicalTree:
         order = first.argsort()
         dense = np.empty_like(order)
         dense[order] = np.arange(len(order))
-        flat, names = dense.take(inverse[1:]), distinct.take(order).tolist()  # child, father, ...
+        flat, names = dense.take(inverse[1:]), distinct.take(order)  # child, father, ...; ids
     else:
         ids = {root: ROOT}
         flat = [ids.setdefault(v, len(ids)) for v in chain.from_iterable(edges)]
@@ -198,7 +203,7 @@ def build_tree(edges, root) -> LogicalTree:
     # raise, so each error keeps its message and its precedence.
     parents = np.bincount(child, minlength=N)
     if parents[ROOT] or np.count_nonzero(parents) < len(child):
-        _fathers(child.tolist(), father.tolist(), names)
+        _fathers(child.tolist(), father.tolist(), _listed(names))
 
     # Euler tour: arc 2v enters node v and arc 2v+1 leaves it, so arc 0 starts
     # at the root and arc 1 ends the tour.  One stable sort lists every node
@@ -227,9 +232,9 @@ def build_tree(edges, root) -> LogicalTree:
         succ = succ.take(succ)
     m = int(suffix[1, 0])
     if m + int(suffix[2, 0]) < N - 1:  # the tour missed a node: no father, or off a cycle
-        child = child.tolist()
+        child, names = child.tolist(), _listed(names)
         _raise_unreachable(child, _fathers(child, father.tolist(), names), names)
-    _check_degrees(fanout.tolist(), names)
+    _check_degrees(fanout, names)
 
     # Leaves are labeled in tour order, internal nodes in preorder after them.
     label = np.where(leaf, m + 1 - suffix[1, 0::2], N - suffix[2, 0::2])
@@ -246,8 +251,37 @@ def build_tree(edges, root) -> LogicalTree:
         parent=parent,
         depth=1 - at[0, :, 0],
         leaf_span=m + 1 - at[1],
-        alias=dict(zip(range(1, N), map(names.__getitem__, order[1:].tolist()))),
+        alias=_Alias(names, order[1:]),
     )
+
+
+class _Alias(Mapping):
+    """Canonical label -> original id, names[order[k - 1]] for label k; a dict built on first read."""
+
+    def __init__(self, names, order):
+        self._names, self._order = names, order
+
+    @cached_property
+    def _dict(self) -> dict:
+        ids = map(_listed(self._names).__getitem__, self._order.tolist())
+        return dict(zip(range(1, len(self._order) + 1), ids))
+
+    def __getitem__(self, label):
+        return self._dict[label]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+
+def _listed(names) -> list:
+    """Ids by dense id as a list, so an int id is a Python int; only errors and ``alias`` need it."""
+    return names.tolist() if isinstance(names, np.ndarray) else names
 
 
 def _fathers(child, father, names) -> list:
@@ -280,13 +314,15 @@ def _raise_unreachable(starts, up, names) -> None:
 def _check_degrees(fanout, names) -> None:
     """Raise unless the root has one child and every other node none or several.
 
-    Every node hangs below the root, so the root's child is a leaf exactly
-    when there are just two nodes.
+    ``fanout`` is the child count of each dense id.  Every node hangs below
+    the root, so the root's child is a leaf exactly when there are just two
+    nodes.
     """
     if fanout[ROOT] != 1:
-        raise DegreeViolation(f"root must have exactly one child, found {fanout[ROOT]}")
-    if 1 in fanout[1:]:
-        raise DegreeViolation(f"internal node {names[fanout.index(1, 1)]!r} has exactly one child")
+        raise DegreeViolation(f"root must have exactly one child, found {int(fanout[ROOT])}")
+    single = (fanout[1:] == 1).argmax() + 1  # the first node with one child, if any has one
+    if fanout[single] == 1:
+        raise DegreeViolation(f"internal node {_listed(names)[single]!r} has exactly one child")
     if len(fanout) == 2:
         raise DegreeViolation("root's child must be internal (n >= m+1)")
 
@@ -394,9 +430,10 @@ def load_topology(path) -> LogicalTree:
     bulk, by array operations over its bytes, if every line holds zero or two
     tokens, one ``root`` starts a line and every other token has 1 to 18
     digits.  Such a token's ``_node_id`` is its decimal value, below
-    10**18 < 2**63, so its digits times powers of ten sum exactly in int64;
-    nothing rests on what ``int`` accepts.  Every other file is walked line
-    by line, and only the walk raises format errors.
+    10**18 < 2**63, and Horner's rule over its digits builds that value
+    through values no larger, so it is exact in int64; nothing rests on what
+    ``int`` accepts.  Every other file is walked line by line, and only the
+    walk raises format errors.
     """
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
@@ -426,10 +463,11 @@ def load_topology(path) -> LogicalTree:
     return build_tree(zip(ids, ids), root=root)  # consecutive ids pair up
 
 
-# load_topology walks files of fewer edges line by line.  On saved files (best of 7,
-# 2-core Xeon) the walk reads 11 links in 60 us against 124 in bulk, 89 in 159 against
-# 176 and 142 in 235 against 208; no benchmark file has between 26 and 1999 links.
-FEW_EDGES = 64
+# load_topology walks files of fewer edges line by line: where the two cross.  On saved
+# random trees (2-core Xeon, median of 40 interleaved ratios) the bulk read takes
+# 1.02-1.09x the walk's time at 87-103 links, 0.93-1.05x at 111-117 and 0.93-0.97x at
+# 121-141.  Every benchmark file has at most 23 or at least 1999 links.
+FEW_EDGES = 120
 _COMMENT = re.compile(r"#.*")
 # Byte classes: 0 for the ASCII bytes that str.split() splits on (\t \n \v \f \r,
 # \x1c-\x1f and space), 1 for the digits, 2 for every other byte.
@@ -439,7 +477,13 @@ _BYTE_CLASS[48:58] = 1
 
 
 def _decimal_edges(text: str):
-    """(edges, root) of an ASCII text that ``load_topology`` reads in bulk, else None."""
+    """(edges, root) of an ASCII text that ``load_topology`` reads in bulk, else None.
+
+    Ids are read one digit column at a time, right-aligned to the widest id:
+    ids = 10 * ids + digit where the column lies inside the id, at most 18
+    array steps in all.  Every value on the way is a prefix of an id of at
+    most 18 digits, below 10**18 < 2**63, so int64 holds it exactly.
+    """
     data = np.frombuffer(f" {text} ".encode("ascii"), dtype=np.uint8)
     kind = _BYTE_CLASS.take(data)
     # Token starts and ends alternate where the space class switches.
@@ -456,10 +500,9 @@ def _decimal_edges(text: str):
     width = int((end - start).max())
     if width > 18:
         return None
-    # The last width bytes of each id, right-aligned; those before its start count 0.
-    at = end[:, None] - np.arange(width, 0, -1)
-    digits = np.where(at >= start[:, None], data.take(at, mode="clip") - 48, 0)
-    ids = digits @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    ids = np.zeros(len(start), dtype=np.int64)
+    for at in end - np.arange(width, 0, -1)[:, None]:  # byte columns, the widest id's first to last
+        ids = np.where(at >= start, ids * 10 + data.take(at, mode="clip") - 48, ids)
     return np.delete(ids, k).reshape(-1, 2), int(ids[k])
 
 

@@ -715,6 +715,15 @@ class TestBadInput:
         assert err.splitlines() == ["error: seed must be an integer >= 0"]
         assert not out.exists()
 
+    def test_config_without_probe_counts(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"tree": "ternary:13", "k_values": [1, 2], "probe_counts": []}')
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run_cli(capsys, "experiment", "--config", str(config), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["error: probe_counts must be a non-empty list"]
+        assert not out.exists()
+
     def test_t_intervals_need_two_probes(self, capsys, tmp_path):
         out = tmp_path / "rows.csv"
         code, stdout, err = run_cli(capsys, "experiment", "--tree", "ternary:13", "--K", "1",

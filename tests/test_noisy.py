@@ -397,6 +397,21 @@ class TestUpsparsePlus:
                 last_gap = gap
             assert last_gap == 0.0
 
+    def test_min_l1_skips_the_l0_pass(self):
+        """MIN_L1 never calls z_stats, and scans its threshold min(max_lower, min_upper)."""
+        rng = np.random.default_rng(15)
+        for tree in random_small_trees(10, seed=16):
+            iv = random_intervals(tree, rng)
+            zs = z_stats(tree, iv)
+            z = np.zeros(tree.n + 1)
+            for v in [*tree.internal, *tree.leaves]:  # fathers first
+                z[v] = max(z[tree.parent[v]], min(zs.max_lower[v - 1], zs.min_upper[v - 1]))
+            batch = IntervalObservation(lo=np.stack([iv.lo, iv.lo]), hi=np.stack([iv.hi, iv.hi]))
+            with mock.patch("losstree.noisy.z_stats", side_effect=AssertionError("l0 pass")):
+                sol, rows = upsparse_plus(tree, iv, MIN_L1), upsparse_plus(tree, batch, MIN_L1)
+            assert np.array_equal(sol.z, z[1:]) and np.array_equal(rows.z, [z[1:], z[1:]])
+            assert np.array_equal(sol.x, z[1:] - z[tree.parent[1:]])
+
     def test_batch_rows_must_cover_the_trees_paths(self, fig_tree):
         iv = IntervalObservation(lo=np.zeros((2, 4)), hi=np.ones((2, 4)))
         for solve in (z_stats, upsparse_plus):

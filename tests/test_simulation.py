@@ -331,9 +331,10 @@ class TestExperimentConfig:
         ({"probe_counts": [100.5]}, "probe counts"),
         ({"probe_counts": [2**63]}, r"1\.\.2\*\*63 - 1"),
         ({"k_values": None}, "k_values"),
+        ({"probe_counts": []}, "probe_counts must be a non-empty list"),
     ], ids=["level-string", "halfwidth-string", "unknown-key", "k-float", "reps-float",
             "not-an-object", "tree-number", "loss-range-number", "probes-float", "probes-2**63",
-            "k-null"])
+            "k-null", "probes-empty"])
     def test_bad_config_file(self, tmp_path, config, expect):
         if isinstance(config, dict):
             config = {"tree": "ternary:13", "k_values": [1], **config}

@@ -498,8 +498,8 @@ def decimal_topology_files(draw):
     more than 18 digits.  ``edges`` are the file's edge lines as id pairs.
     """
     tree = draw(st.one_of(
-        st.integers(2, 40).map(caterpillar),
-        st.builds(gen_random_tree, st.integers(2, 40), st.integers(2, 4), st.integers(0, 999)),
+        st.integers(2, 80).map(caterpillar),
+        st.builds(gen_random_tree, st.integers(2, 80), st.integers(2, 4), st.integers(0, 999)),
     ))
     value = draw(st.lists(st.integers(0, 10**18 - 1) | st.integers(0, 999),
                           min_size=tree.n + 3, max_size=tree.n + 3, unique=True))
@@ -591,7 +591,7 @@ class TestBulkRead:
             "missing header", "5 root", "-3", "+5", "19 digits", "non-ASCII digit",
             "non-ASCII space"])
     def test_rejected_files_take_the_line_walk(self, tmp_path, edit, error):
-        tree = gen_random_tree(60, 3, 5)
+        tree = gen_random_tree(80, 3, 5)
         rows = ["root 0"] + [f"{v} {tree.parent[v]}" for v in range(1, tree.n + 1)]
         assert tree.n >= topology.FEW_EDGES
         path = tmp_path / "edited.tree"
@@ -638,6 +638,44 @@ class TestBulkRead:
         edges = np.array([(1, 2**63 - 1), (2, 1), (3, 1)])
         with pytest.raises(DisconnectedInput, match="9223372036854775807.* has no path to the root"):
             build_tree(edges, 2**63)
+
+
+class TestAlias:
+    """``alias`` as read from both paths of the reader, against the reference's dict."""
+
+    @pytest.mark.parametrize("spell, bulk", [
+        (lambda v: "999999999999999999" if v == 1 else "0042" if v == 2 else str(v * 7 + 1), True),
+        (lambda v: f"n{v}" if v % 3 else str(v * -7), False),
+    ], ids=["decimal with 18 digits and a leading zero", "strings and negative ids"])
+    def test_same_mapping_as_the_reference(self, tmp_path, spell, bulk):
+        tree = gen_random_tree(80, 3, 5)
+        rows = [f"root {spell(0)}"] + [f"{spell(v)} {spell(tree.parent[v])}"
+                                       for v in range(1, tree.n + 1)]
+        path = tmp_path / "named.tree"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        expected = loop_load_topology(path).alias
+        trees, arrays = with_build_tree_inputs(lambda: on_both_paths(lambda: load_topology(path)))
+        assert arrays == [False, bulk]
+        for got in (tree.alias for tree in trees):
+            assert got == expected and expected == got and got != {}
+            assert list(got.items()) == list(expected.items())
+            assert list(got) == list(range(1, tree.n + 1))
+            assert repr(got) == repr(expected) and len(got) == len(expected) == tree.n
+            assert list(map(type, got.values())) == list(map(type, expected.values()))
+            for label in (0, tree.n + 1):
+                with pytest.raises(KeyError):
+                    got[label]
+        assert 999999999999999999 in expected.values() or not bulk
+
+    def test_bulk_read_builds_the_dict_on_first_read(self, tmp_path):
+        tree = gen_random_tree(80, 3, 5)
+        path = tmp_path / "wide.tree"
+        path.write_text("\n".join(["root 0"] + [f"{v} {tree.parent[v]}" for v in range(1, tree.n + 1)]))
+        got, arrays = with_build_tree_inputs(lambda: load_topology(path))
+        assert arrays == [True]
+        assert "_dict" not in vars(got.alias)
+        assert got.alias[tree.n] == tree.n
+        assert "_dict" in vars(got.alias)
 
 
 def _renamed(rows, old, new):
