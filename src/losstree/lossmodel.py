@@ -216,24 +216,17 @@ def load_observations(path) -> np.ndarray:
     ``y <path> <value>`` line per path, after an optional ``scale <name>``
     header; '#' starts a comment.  A path or value holding "_" is not read
     (Python would take "0_1" as 1).
+
+    A long JSON file in the layout ``save_observations`` writes (or a bare
+    array in that spelling) is read from its bytes by ``_number_tokens``;
+    every other JSON file goes through ``json.loads``, to the same values
+    and errors.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("[") or stripped.startswith("{"):
-        data = _load_json(text, "observation file")
-        if isinstance(data, list):
-            data = {"y": data}
-        scale = data.get("scale", "addloss")
-        y = data.get("y")
-        # JSON numbers decode to int or float; true/false (bool), strings and
-        # nested values are not observations.
-        if not isinstance(y, list) or not set(map(type, y)) <= {int, float}:
-            raise OutOfDomain('observations must be a list of numbers, bare or as "y"')
-        try:
-            values = np.array(y, dtype=float)
-        except OverflowError:
-            raise OutOfDomain("observations must be finite") from None
+        scale, values = _bulk_observations(text) or _json_observations(text)
     else:
         scale = "addloss"
         entries = []
@@ -264,11 +257,117 @@ def load_observations(path) -> np.ndarray:
     return values
 
 
+def _json_observations(text: str):
+    """The scale and values of any JSON observation file, by ``json.loads``."""
+    data = _load_json(text, "observation file")
+    if isinstance(data, list):
+        data = {"y": data}
+    y = data.get("y")
+    # JSON numbers decode to int or float; true/false (bool), strings and
+    # nested values are not observations.
+    if not isinstance(y, list) or not set(map(type, y)) <= {int, float}:
+        raise OutOfDomain('observations must be a list of numbers, bare or as "y"')
+    try:
+        return data.get("scale", "addloss"), np.array(y, dtype=float)
+    except OverflowError:
+        raise OutOfDomain("observations must be finite") from None
+
+
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
     except RecursionError:
         raise OutOfDomain(f"{what} nests JSON too deeply") from None
+
+
+# A JSON file shorter than this goes to json.loads whatever its layout.  The byte read
+# costs some 40 numpy calls whatever the size; on mostly-zero files it first wins at
+# about 2000 chars (bytes/json time: interval files 1.25 at 1643 chars, 1.00 at 2151,
+# 0.96 at 2936; observation arrays 1.23 at 1094, 0.98 at 1725), on interval files of
+# mostly nonzero bounds at about 9000 (1.10 at 6512, 0.92 at 8479, 1.01 at 10498,
+# 0.87 at 13154).  BENCH_31.json in_process.json_crossing.
+FEW_JSON_CHARS = 2048
+# Bytes a JSON number may hold; deleting them from a file leaves its skeleton.
+_NUMBER_BYTES = b"+-.0123456789Ee"
+_NUMBER_MASK = bytes(byte in _NUMBER_BYTES for byte in range(256))  # a translate table to 0/1
+_OPENS_SLOT, _CLOSES_SLOT = np.zeros((2, 256), dtype=bool)
+_OPENS_SLOT[list(b" [")] = True
+_CLOSES_SLOT[list(b",]}")] = True
+# The heads of the observation files save_observations writes; a bare array has none.
+_SCALE_HEADS = (('{"scale": "addloss", "y": ', "addloss"),
+                ('{"scale": "probability", "y": ', "probability"))
+
+
+def _bulk_observations(text: str):
+    """(scale, values) of a file in the layout ``save_observations`` writes, else None.
+
+    A bare array of numbers in that spelling is read too.  The byte read costs
+    time per char and saves it per zero, so an array with fewer than one zero
+    per 12 chars is left to json (bytes/json time for 3000 values: 1.03 at
+    13.8 chars per zero, 0.82 at 9.8).
+    """
+    scale, body = "addloss", text.removesuffix("\n")
+    for head, name in _SCALE_HEADS:
+        if body.startswith(head) and body.endswith("}"):
+            scale, body = name, body[len(head) : -1]  # the "y" array
+    if 12 * body.count(" 0.0,") < len(body):
+        return None
+    found = _number_tokens(body, _array_slots)
+    values = None if found is None else _number_values(body, *found)
+    return None if values is None else (scale, values)
+
+
+def _array_slots(skeleton: bytes):
+    """How many numbers a JSON array of this skeleton holds, in json.dump's spelling, or None."""
+    gaps = len(skeleton) // 2 - 1  # one ", " between each two numbers
+    return gaps + 1 if skeleton == b"[" + b", " * gaps + b"]" else None
+
+
+def _number_tokens(text: str, slots):
+    """(data, start, end): the bytes of ``text`` and bounds of its numbers, if in a package layout.
+
+    ``slots`` takes the text's skeleton (its bytes less the number bytes and one
+    final newline) and gives how many numbers the layout puts in it, or None if
+    the skeleton is not the layout's.  Each maximal run of number bytes must then
+    fill one slot: a gap that " " or "[" opens and "," "]" or "}" closes, which
+    the package's layouts hold only where a value goes.  So runs inside a key,
+    a string or the spacing leave the file to ``json.loads``.  Returns None for
+    a file shorter than ``FEW_JSON_CHARS``, one that is not ASCII, or one not in
+    the layout.
+    """
+    if len(text) < FEW_JSON_CHARS or not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    count = slots(raw.translate(None, _NUMBER_BYTES).removesuffix(b"\n"))
+    if count is None or raw[0] in _NUMBER_BYTES or raw[-1] in _NUMBER_BYTES:  # runs pair up
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    is_number = np.frombuffer(raw.translate(_NUMBER_MASK), dtype=bool)
+    start, end = (np.flatnonzero(np.diff(is_number)) + 1).reshape(-1, 2).T
+    if len(start) != count or not (_OPENS_SLOT.take(data.take(start - 1))
+                                   & _CLOSES_SLOT.take(data.take(end))).all():
+        return None
+    return data, start, end
+
+
+def _number_values(text: str, data, start, end):
+    """The floats of the number tokens ``text[start:end]``, or None where json rejects one.
+
+    A token spelled exactly "0.0" is 0.0.  Every other token goes through one
+    ``json.loads`` of those tokens alone, so its value, grammar and limits are
+    json's: a token json rejects, or an int beyond float, gives None.
+    """
+    zero = ((end - start == 3) & (data.take(start) == 48) & (data.take(start + 1) == 46)
+            & (data.take(start + 2, mode="clip") == 48))
+    values = np.zeros(len(start))
+    rest = np.flatnonzero(~zero)
+    if len(rest):
+        tokens = ",".join([text[a:b] for a, b in zip(start[rest].tolist(), end[rest].tolist())])
+        try:
+            values[rest] = np.array(json.loads(f"[{tokens}]"), dtype=float)
+        except (ValueError, OverflowError):
+            return None
+    return values
 
 
 def _in_path_order(entries, what: str) -> list:

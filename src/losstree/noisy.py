@@ -25,14 +25,13 @@ that pick one solution prefer the largest x (most loss pulled up).
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomain, XOutOfRange, _check_tol
-from .lossmodel import DEFAULT_TOL, _in_path_order, _load_json
-from .topology import LogicalTree
+from .lossmodel import DEFAULT_TOL, _in_path_order, _load_json, _number_tokens, _number_values
+from .topology import LogicalTree, _decimal_values
 
 MIN_L0 = "min-l0"
 MIN_L1 = "min-l1"
@@ -341,17 +340,19 @@ def load_intervals(path) -> IntervalObservation:
     """Read a JSON interval file; "inf" or null upper ends mean unbounded.
 
     Every other path, lo and hi is a JSON number: a string such as "0.1"
-    is not read as one.  Plain rows in path order are read a column at a
-    time; any other file goes to the row walk, which alone raises, so errors
-    keep their order.
+    is not read as one.  A long file in the layout ``save_intervals`` writes,
+    rows in path order, is read from its bytes (``_bulk_intervals``); any
+    other file goes through ``json.loads`` to the row walk, which alone
+    raises, so both give the same values and errors.
     """
     with open(path, encoding="utf-8") as fh:
-        rows = _load_json(fh.read(), "interval file")
-    if not isinstance(rows, list):
-        raise OutOfDomain("interval file must hold a list of {path, lo, hi} rows")
-    bounds = _bulk_bounds(rows)
+        text = fh.read()
+    bounds = _bulk_intervals(text)
     if bounds is not None:
         return IntervalObservation(*bounds)
+    rows = _load_json(text, "interval file")
+    if not isinstance(rows, list):
+        raise OutOfDomain("interval file must hold a list of {path, lo, hi} rows")
     entries = []
     for row in rows:
         try:
@@ -373,17 +374,45 @@ def load_intervals(path) -> IntervalObservation:
     return IntervalObservation(lo=lo, hi=hi)
 
 
-def _bulk_bounds(rows):
-    """The (2, m) lo and hi of plain rows listed in path order, or None for the row walk to read."""
-    try:  # KeyError, TypeError or ValueError: no rows, or a row that is not a {path, lo, hi} dict
-        paths, lo, hi = zip(*map(operator.itemgetter("path", "lo", "hi"), rows))
-        hi = [math.inf if h == "inf" else h for h in hi] if "inf" in hi else hi
-        if (paths != tuple(range(1, len(paths) + 1)) or set(map(type, paths)) != {int}
-                or set(map(type, lo + tuple(hi))).difference(_NUMBERS)):
-            return None
-        return np.array((lo, hi), dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
+_ROW = b'{"path": , "lo": , "hi": }'  # a row's skeleton, less its numbers
+
+
+def _interval_slots(skeleton: bytes):
+    """How many numbers an interval file of this skeleton holds in the package layout, or None.
+
+    Rows are ``_ROW`` with a number in each slot, or with "inf" for hi.
+    """
+    plain = skeleton.replace(b' "inf"}', b" }")  # " }" ends only a hi slot
+    m = len(plain) // (len(_ROW) + 2)  # rows and ", " between them, in "[" and "]"
+    if plain != b"[" + (_ROW + b", ") * (m - 1) + _ROW + b"]":
         return None
+    return 3 * m - (len(skeleton) - len(plain)) // 5  # "inf" rows have no hi number
+
+
+def _bulk_intervals(text: str):
+    """The lo and hi of a file in the layout ``save_intervals`` writes, paths 1..m in order, else None.
+
+    A path is read by ``_decimal_values`` and must be 1..m, with no leading 0;
+    lo and hi come from ``_number_values``.
+    """
+    found = _number_tokens(text, _interval_slots)
+    if found is None:
+        return None
+    data, start, end = found
+    key = data.take(start - 4)  # the key's last letter: pat(h), l(o) or h(i)
+    is_path = key == ord("h")
+    paths = _decimal_values(data, start[is_path], end[is_path])
+    if (paths is None or (data.take(start[is_path]) == ord("0")).any()
+            or not np.array_equal(paths, np.arange(1, len(paths) + 1))):
+        return None
+    values = _number_values(text, data, start[~is_path], end[~is_path])
+    if values is None:
+        return None
+    is_lo = key[~is_path] == ord("o")
+    row = np.cumsum(is_path)[~is_path] - 1  # the row of each lo and hi number
+    hi = np.full(len(paths), math.inf)
+    hi[row[~is_lo]] = values[~is_lo]
+    return values[is_lo], hi
 
 
 def _as_intervals(y_lo, y_hi):

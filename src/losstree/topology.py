@@ -477,13 +477,7 @@ _BYTE_CLASS[48:58] = 1
 
 
 def _decimal_edges(text: str):
-    """(edges, root) of an ASCII text that ``load_topology`` reads in bulk, else None.
-
-    Ids are read one digit column at a time, right-aligned to the widest id:
-    ids = 10 * ids + digit where the column lies inside the id, at most 18
-    array steps in all.  Every value on the way is a prefix of an id of at
-    most 18 digits, below 10**18 < 2**63, so int64 holds it exactly.
-    """
+    """(edges, root) of an ASCII text that ``load_topology`` reads in bulk, else None."""
     data = np.frombuffer(f" {text} ".encode("ascii"), dtype=np.uint8)
     kind = _BYTE_CLASS.take(data)
     # Token starts and ends alternate where the space class switches.
@@ -496,14 +490,31 @@ def _decimal_edges(text: str):
     k = start.searchsorted(letters[0], side="right") - 1  # the token holding the first letter
     if k % 2 or data[start[k] : end[k]].tobytes() != b"root":  # odd: second on its line
         return None
-    start, end = np.delete(start, k), np.delete(end, k)  # ids only, the root's at k
+    ids = _decimal_values(data, np.delete(start, k), np.delete(end, k))  # the root's at k
+    if ids is None:
+        return None
+    return np.delete(ids, k).reshape(-1, 2), int(ids[k])
+
+
+def _decimal_values(data, start, end):
+    """The int64 values of the tokens ``data[start:end]`` of 1 to 18 digits each, else None.
+
+    Tokens are right-aligned to the widest in a (width, count) digit matrix,
+    0 outside a token, and read one digit column at a time: value = 10 * value
+    + digit, at most 18 array steps.  Every value on the way is a prefix of a
+    token of at most 18 digits, below 10**18 < 2**63, so int64 holds it exactly.
+    """
     width = int((end - start).max())
     if width > 18:
         return None
-    ids = np.zeros(len(start), dtype=np.int64)
-    for at in end - np.arange(width, 0, -1)[:, None]:  # byte columns, the widest id's first to last
-        ids = np.where(at >= start, ids * 10 + data.take(at, mode="clip") - 48, ids)
-    return np.delete(ids, k).reshape(-1, 2), int(ids[k])
+    at = end - np.arange(width, 0, -1)[:, None]  # byte columns, the widest token's first to last
+    digits = np.where(at >= start, data.take(at, mode="clip") - 48, 0)  # uint8: a non-digit exceeds 9
+    if digits.max() > 9:
+        return None
+    values = np.zeros(len(start), dtype=np.int64)
+    for digit in digits:
+        values = values * 10 + digit
+    return values
 
 
 def _node_id(token: str):

@@ -52,3 +52,14 @@ def random_sparse_x(tree, rng, k=None, lo=0.01, hi=0.2):
     sup = rng.choice(tree.n, size=min(k, tree.n), replace=False)
     x[sup] = rng.uniform(lo, hi, size=len(sup))
     return x
+
+
+# Spellings of one value in an interval or observation file.  The byte read takes the
+# first list, most of which json reads but json.dumps never writes; it must leave the
+# second to json.loads: numbers json rejects, ints beyond float, and non-numbers.
+READ_FROM_BYTES = ["0.0", "1E5", "1e+5", "1e-400", "1e400", "-1e400", "-0", "-0.0", "0.00", "-1",
+                   "3", "0", "1180591620717411303424", "0.30000000000000004", "5e-324",
+                   "1.7976931348623157e308", "2.2250738585072014e-308", "123456789012345678901"]
+LEFT_TO_JSON = ["1" + "0" * 400, "Infinity", "-Infinity", "NaN", "01", "-01", "+1", "1.", ".5",
+                "1_0", "1e", "1e+", "--1", "-", "1.0.0", "0x1", "1ee5", '"0.5"', '"inf"', '"Inf"',
+                "null", "true", "[0.5]"]

@@ -1,10 +1,14 @@
 """Addloss transform, forward model, formal solutions, feasibility, sampling."""
 
+import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from losstree import (
     DEFAULT_TOL,
@@ -31,9 +35,10 @@ from losstree import (
     unique_sparsest,
 )
 from losstree.errors import Infeasible, OutOfDomain, ParameterOutOfRange
+from losstree import lossmodel
 from losstree.lossmodel import plant_hotspots
 
-from conftest import caterpillar, random_small_trees
+from conftest import LEFT_TO_JSON, READ_FROM_BYTES, caterpillar, random_small_trees
 
 
 class TestAddloss:
@@ -324,6 +329,102 @@ class TestObservationFiles:
         path.write_text(text)
         with pytest.raises(OutOfDomain):
             load_observations(path)
+
+
+class TestObservationFileRoutes:
+    """Long files in the package's layout are read from their bytes, to json's values and errors."""
+
+    @staticmethod
+    def outcome(path):
+        """The values load_observations reads, as bytes, or the (type, message) of its error."""
+        try:
+            return load_observations(path).tobytes()
+        except ValueError as exc:  # OutOfDomain, or json's JSONDecodeError
+            return type(exc), str(exc)
+
+    def both_routes(self, path):
+        """The outcome with the byte read taking files of any size, and with it turned off."""
+        with mock.patch("losstree.lossmodel.FEW_JSON_CHARS", 0):
+            by_bytes = self.outcome(path)
+        with mock.patch("losstree.lossmodel._bulk_observations", return_value=None):
+            return by_bytes, self.outcome(path)
+
+    @pytest.mark.parametrize("head", ['{"scale": "addloss", "y": %s}',
+                                      '{"scale": "probability", "y": %s}', "%s"])
+    @pytest.mark.parametrize("value", READ_FROM_BYTES + LEFT_TO_JSON)
+    def test_value_spellings_read_as_json_reads_them(self, tmp_path, head, value):
+        text = head % f"[{'0.0, ' * 9}{value}{', 0.0' * 9}]"
+        path = tmp_path / "obs.json"
+        path.write_text(text, encoding="utf-8")
+        by_bytes, by_json = self.both_routes(path)
+        assert by_bytes == by_json
+        with mock.patch("losstree.lossmodel.FEW_JSON_CHARS", 0):
+            taken = lossmodel._bulk_observations(text) is not None
+        assert taken == (value in READ_FROM_BYTES)
+
+    @pytest.mark.parametrize("text", [
+        "[]", "{}", "[0.0]", "[[0.0]]", '{"scale": "addloss", "y": []}', '{"y": [0.0, 1.5]}',
+        '{"y": [0.0, 1.5], "scale": "addloss"}',  # reordered keys
+        '{"scale": "addloss", "y": [0.0, 1.5], "y": [2.0]}',  # a repeated key
+        '{"scale": "addloss", "scale": "probability", "y": [0.0, 0.5]}',
+        '{"scale": "percent", "y": [0.0, 1.5]}', '{"scale": "addl0ss", "y": [0.0, 1.5]}',
+        '{"scale": "addloss", "y": [0.0, 1.5], "note": 7}',  # an extra key
+        '{"scale":"addloss","y":[0.0,1.5]}', "[0.0,1.5]", "[0.0,  1.5]",  # other spacing
+        "[0.0, 1.5]\r\n", "[0.0, 1.5]\n\n", " [0.0, 1.5]", "[0.0, 1.5] ", "[0.0,\t1.5]",
+        "\ufeff[0.0, 1.5]",  # a byte-order mark
+        '{"sc\\u0061le": "addloss", "y": [0.0, 1.5]}',  # an escape
+        '{"scale": "addloss", "y": [0.0, 1.5], "n\u00f6te": 0}',  # non-ASCII
+        "[0.0, 1.5,]", "[0.0 1.5]", "[0.0, , 1.5]", "[, 0.0]", "[0.0, 1.5]5", "5[0.0, 1.5]",
+        "[0.0, 1.5]]", "[0.0, -1.5]", "[,0.0 1.5]", "[0.0,1.5 ]", '{"scale": "probability", "y": [0.0, 1.0]}',
+        '{"scale": "addloss", "y": [0.0, 1.5]}}', '{"scale": "addloss", "y": 1.5}',
+    ])
+    def test_other_layouts_read_as_json_reads_them(self, tmp_path, text):
+        path = tmp_path / "obs.json"
+        path.write_text(text, encoding="utf-8")
+        by_bytes, by_json = self.both_routes(path)
+        assert by_bytes == by_json
+
+    def test_mostly_nonzero_values_are_left_to_json(self):
+        """The byte read gains by skipping zeros; json.loads reads other arrays faster."""
+        with mock.patch("losstree.lossmodel.FEW_JSON_CHARS", 0):
+            assert lossmodel._bulk_observations("[0.0, 0.0, 0.0, 0.0, 1.5, 0.0]") is not None
+            assert lossmodel._bulk_observations("[0.0, 0.0, 2.5, 1.5, 0.0]") is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(y=st.lists(st.just(0.0) | st.floats(0.0, allow_infinity=False) | st.integers(0, 2**80),
+                      min_size=1, max_size=30),
+           scale=st.sampled_from(["addloss", "probability", None]))
+    def test_written_values_read_as_json_reads_them(self, tmp_path_factory, y, scale):
+        y = [v for value in y for v in (value, *[0.0] * 6)]  # mostly zeros, as the byte read wants
+        text = json.dumps(y if scale is None else {"scale": scale, "y": y})
+        path = tmp_path_factory.mktemp("obs") / "obs.json"
+        path.write_text(text, encoding="utf-8")
+        by_bytes, by_json = self.both_routes(path)
+        assert by_bytes == by_json
+        with mock.patch("losstree.lossmodel.FEW_JSON_CHARS", 0):
+            assert lossmodel._bulk_observations(text) is not None
+
+    def test_saved_file_is_never_decoded_whole(self, tmp_path):
+        """A long file save_observations writes takes the byte read: json.loads never sees all of it."""
+        rng = np.random.default_rng(5)
+        y = np.where(rng.random(5000) < 0.03, rng.uniform(0.0, 0.2, 5000), 0.0)
+        path = tmp_path / "obs.json"
+        save_observations(y, path)
+        text = path.read_text(encoding="utf-8")
+        assert (y > 0).sum() > 100
+        with mock.patch("json.loads", wraps=json.loads) as loads:
+            read = self.outcome(path)
+        decoded = [call.args[0] for call in loads.call_args_list]
+        assert decoded and text not in decoded  # only the lossy values' tokens
+        assert read == y.tobytes()
+
+    def test_small_file_is_decoded_whole(self, tmp_path):
+        """Below FEW_JSON_CHARS (a 9-path file here) json.loads beats the byte read."""
+        path = tmp_path / "obs.json"
+        save_observations([0.0] * 8 + [0.5], path)
+        with mock.patch("json.loads", wraps=json.loads) as loads:
+            load_observations(path)
+        loads.assert_called_once_with(path.read_text(encoding="utf-8"))
 
 
 class TestPlantHotspots:

@@ -29,7 +29,7 @@ from losstree import noisy
 from losstree.errors import OutOfDomain, XOutOfRange
 from losstree.noisy import MODES
 
-from conftest import random_small_trees, random_sparse_x
+from conftest import LEFT_TO_JSON, READ_FROM_BYTES, random_small_trees, random_sparse_x
 
 INF = math.inf
 
@@ -115,7 +115,7 @@ class TestIntervalObservation:
             load_intervals(path)
 
 
-# Values a row may hold, most of them ones the column-wise read must leave to the row walk.
+# Values a row may hold, most of them ones the byte read must leave to the row walk.
 ROW_VALUES = st.one_of(
     st.floats(0.0, 10.0), st.integers(0, 10),
     st.sampled_from([2**70, 10**400, -1.0, 2.0, 2.5, True, None, "inf", "Infinity", "0.1",
@@ -142,32 +142,139 @@ def interval_rows(draw):
     return rows
 
 
+def interval_text(value, slot):
+    """A three-row interval file in the package's layout; row 2 holds ``value`` in ``slot``."""
+    cells = [{"path": str(j), "lo": "0.0", "hi": "1.0"} for j in (1, 2, 3)]
+    cells[1][slot] = value
+    return "[" + ", ".join('{"path": %(path)s, "lo": %(lo)s, "hi": %(hi)s}' % c for c in cells) + "]"
+
+
 class TestIntervalFiles:
     @staticmethod
     def outcome(path):
         """The bounds load_intervals reads, as bytes, or the (type, message) of its error."""
         try:
             iv = load_intervals(path)
-        except OutOfDomain as exc:
+        except ValueError as exc:  # OutOfDomain, or json's JSONDecodeError
             return type(exc), str(exc)
         return iv.lo.tobytes(), iv.hi.tobytes(), iv.lo.shape
+
+    def both_routes(self, path):
+        """The outcome with the byte read taking files of any size, and with it turned off."""
+        with mock.patch("losstree.lossmodel.FEW_JSON_CHARS", 0):
+            by_bytes = self.outcome(path)
+        with mock.patch("losstree.noisy._bulk_intervals", return_value=None):
+            return by_bytes, self.outcome(path)
 
     @settings(max_examples=200, deadline=None)
     @given(rows=interval_rows())
     @example(rows=[{"path": True, "lo": 0, "hi": 1}, {"path": 2, "lo": 0, "hi": 1}])
     @example(rows=[{"path": 1.0, "lo": 0, "hi": 1}, {"path": 2, "lo": 0, "hi": None}])
     @example(rows=[{"path": 1, "lo": 10**400, "hi": "inf"}])
-    def test_column_read_matches_the_row_walk(self, tmp_path_factory, rows):
+    def test_byte_read_matches_the_row_walk(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("iv") / "iv.json"
         path.write_text(json.dumps(rows), encoding="utf-8")
-        read = self.outcome(path)
-        with mock.patch("losstree.noisy._bulk_bounds", return_value=None):
-            assert self.outcome(path) == read
+        by_bytes, by_json = self.both_routes(path)
+        assert by_bytes == by_json
 
-    def test_plain_rows_in_path_order_are_read_by_columns(self):
+    def test_package_layout_in_path_order_is_read_from_bytes(self):
         rows = [{"path": 1, "lo": 0.5, "hi": 2}, {"path": 2, "lo": 1, "hi": "inf"}]
-        assert noisy._bulk_bounds(rows).tolist() == [[0.5, 1.0], [2.0, INF]]
-        assert noisy._bulk_bounds(rows[::-1]) is None  # read by the row walk
+        with mock.patch("losstree.lossmodel.FEW_JSON_CHARS", 0):
+            lo, hi = noisy._bulk_intervals(json.dumps(rows))
+            assert (lo.tolist(), hi.tolist()) == ([0.5, 1.0], [2.0, INF])
+            assert noisy._bulk_intervals(json.dumps(rows[::-1])) is None  # read by the row walk
+
+    @pytest.mark.parametrize("slot", ["lo", "hi"])
+    @pytest.mark.parametrize("value", READ_FROM_BYTES + LEFT_TO_JSON)
+    def test_value_spellings_read_as_json_reads_them(self, tmp_path, slot, value):
+        text = interval_text(value, slot)
+        path = tmp_path / "iv.json"
+        path.write_text(text, encoding="utf-8")
+        by_bytes, by_json = self.both_routes(path)
+        assert by_bytes == by_json
+        with mock.patch("losstree.lossmodel.FEW_JSON_CHARS", 0):
+            taken = noisy._bulk_intervals(text) is not None
+        assert taken == (value in READ_FROM_BYTES or (slot, value) == ("hi", '"inf"'))
+
+    @pytest.mark.parametrize("value", ["2", "02", "2.0", "2e0", "+2", "-2", "0", "1", "3", "20",
+                                       "2 ", '"2"', "true", "null", "1" + "0" * 30])
+    def test_path_spellings_read_as_json_reads_them(self, tmp_path, value):
+        path = tmp_path / "iv.json"
+        path.write_text(interval_text(value, "path"), encoding="utf-8")
+        by_bytes, by_json = self.both_routes(path)
+        assert by_bytes == by_json
+
+    @pytest.mark.parametrize("text", [
+        "[]", "{}", "[{}]", "", "\n", "0.0", "[0.0]",
+        '[{"lo": 0.0, "path": 1, "hi": 1.0}]',  # reordered keys
+        '[{"path": 1, "path": 2, "lo": 0.0, "hi": 1.0}]',  # a repeated key
+        '[{"path": 1, "lo": 0.0, "hi": 1.0, "hi": 0.5}]',
+        '[{"path": 1, "lo": 0.0, "hi": 1.0, "note": 7}]',  # an extra key
+        '[{"path": 1, "lo": 0.0}]',  # a missing key
+        '[{"path":1,"lo":0.0,"hi":1.0}]',  # other spacing
+        '[{"path": 1, "lo": 0.0, "hi": 1.0}]\r\n',
+        '[{"path": 1, "lo": 0.0, "hi": 1.0}]\n\n',
+        ' [{"path": 1, "lo": 0.0, "hi": 1.0}]',
+        '[{"path": 1, "lo": 0.0, "hi": 1.0}]  ',
+        '[{"path": 1,\t"lo": 0.0, "hi": 1.0}]',
+        '[{"path": 1, "lo": 0.0, "hi": 1.0},{"path": 2, "lo": 0.0, "hi": 1.0}]',
+        '\ufeff[{"path": 1, "lo": 0.0, "hi": 1.0}]',  # a byte-order mark
+        '[{"p\\u0061th": 1, "lo": 0.0, "hi": 1.0}]',  # an escape
+        '[{"path": 1, "lo": 0.0, "hi": 1.0, "n\u00f6te": 0}]',  # non-ASCII
+        '[{"path": 1, "lo": 0.0, "hi": "inf"}, {"path": 2, "lo": 3.0, "hi": "inf"}]',
+        '[{"path": 1, "lo": 0.0, "hi": "inf1"}]', '[{"path": 1, "lo": 0.0, "hi": "1inf"}]',
+        '[{"path": 1, "lo": 0.0, "hi": 1"inf"}]', '[{"path": 1, "lo": 0.0, "hi": "inf"1}]',
+        '[{"path": 1, "lo": 0.0 0.0, "hi": 1.0}]', '[{"path": 1, "lo": , "hi": 1.0}]',
+        # as many numbers as the layout's slots, one of them out of its slot
+        '[{"pa1th": , "lo": 0.0, "hi": 1.0}]', '[{"path": 1, "l0o": , "hi": "inf"}]',
+        '[{"path": 1, "lo": , "hi": "i1nf"}]', '[{"path": 1, "lo": 0.0, "hi": 1.0 }]',
+        '[{"path": 1, "lo": 0.0, "hi": 1.0}, {"path": 1, "lo": 0.0, "hi": 1.0}]',  # path twice
+        '[{"path": 2, "lo": 0.0, "hi": 1.0}, {"path": 1, "lo": 0.0, "hi": 1.0}]',  # out of order
+        '[{"path": 1, "lo": 0.0, "hi": 1.0}, {"path": 3, "lo": 0.0, "hi": 1.0}]',  # path 2 missing
+        '[{"path": 0, "lo": 0.0, "hi": 1.0}]',
+        '[{"path": 1, "lo": 2.0, "hi": 1.0}]', '[{"path": 1, "lo": -1.0, "hi": 1.0}]',
+        '[{"path": 1, "lo": 1e999, "hi": "inf"}]',
+        '[{"path": 1, "lo": 0.0, "hi": 1.0}]5', '5[{"path": 1, "lo": 0.0, "hi": 1.0}]',
+        '[{"path": 1, "lo": 0.0, "hi": 1.0}]]', '[[{"path": 1, "lo": 0.0, "hi": 1.0}]]',
+    ])
+    def test_other_layouts_read_as_json_reads_them(self, tmp_path, text):
+        path = tmp_path / "iv.json"
+        path.write_text(text, encoding="utf-8")
+        by_bytes, by_json = self.both_routes(path)
+        assert by_bytes == by_json
+
+    @pytest.mark.parametrize("path_31, path_63", [("1E", "63"), ("31", "1e"), ("31", "63")])
+    def test_paths_with_other_bytes_are_not_digits(self, tmp_path, path_31, path_63):
+        """"1E" and "1e" would pass as 31 and 63 if their letters were read as digits."""
+        text = json.dumps([{"path": j, "lo": 0.0, "hi": 1.0} for j in range(1, 70)])
+        text = text.replace('"path": 31,', f'"path": {path_31},').replace('"path": 63,', f'"path": {path_63},')
+        path = tmp_path / "iv.json"
+        path.write_text(text, encoding="utf-8")
+        by_bytes, by_json = self.both_routes(path)
+        assert by_bytes == by_json
+
+    def test_saved_file_is_never_decoded_whole(self, tmp_path):
+        """A long file save_intervals writes takes the byte read: json.loads never sees all of it."""
+        rng = np.random.default_rng(5)
+        lo = np.where(rng.random(5000) < 0.03, rng.uniform(0.0, 0.2, 5000), 0.0)
+        hi = np.where(rng.random(5000) < 0.01, INF, lo + (lo > 0) * rng.uniform(0.0, 0.1, 5000))
+        path = tmp_path / "iv.json"
+        save_intervals(IntervalObservation(lo=lo, hi=hi), path)
+        text = path.read_text(encoding="utf-8")
+        assert '"hi": "inf"' in text and (lo > 0).sum() > 100
+        with mock.patch("json.loads", wraps=json.loads) as loads:
+            read = self.outcome(path)
+        decoded = [call.args[0] for call in loads.call_args_list]
+        assert decoded and text not in decoded  # only the lossy values' tokens
+        assert read == (lo.tobytes(), hi.tobytes(), (5000,))
+
+    def test_small_file_is_decoded_whole(self, tmp_path):
+        """Below FEW_JSON_CHARS (a 9-path file here) json.loads beats the byte read."""
+        path = tmp_path / "iv.json"
+        save_intervals(IntervalObservation(lo=[0.0] * 8 + [0.5], hi=[0.0] * 8 + [INF]), path)
+        with mock.patch("json.loads", wraps=json.loads) as loads:
+            load_intervals(path)
+        loads.assert_called_once_with(path.read_text(encoding="utf-8"))
 
 
 class TestGlocalFamily:
