@@ -253,13 +253,14 @@ def _cmd_verify(args) -> int:
     instances = np.atleast_2d(instances)
     l0s = np.count_nonzero(xs > DEFAULT_TOL, axis=1).tolist()
     enums = sparsest_enumerate(tree, instances)  # one oracle scan of every instance
+    seeds = [args.seed + i for i in range(len(instances))]
+    l1_oks = l1_sampling_check(tree, instances, xs, samples=200, seed=seeds).tolist()  # one draw
     failures = 0
-    for i, (y, x, l0, enum) in enumerate(zip(instances, xs, l0s, enums)):
+    for i, (x, l0, enum, l1_ok) in enumerate(zip(xs, l0s, enums, l1_oks)):
         l0_ok = enum.k_star == l0
         match_ok = True
         if enum.unique:
             match_ok = bool(np.abs(enum.solutions[0] - x).max() <= DEFAULT_TOL)
-        l1_ok = l1_sampling_check(tree, y, x, samples=200, seed=args.seed + i)
         status = "ok" if (l0_ok and match_ok and l1_ok) else "MISMATCH"
         failures += status != "ok"
         print(

@@ -94,37 +94,50 @@ def is_feasible(tree: LogicalTree, x, y) -> bool:
     return np.abs(forward(tree, x) - y).max() <= DEFAULT_TOL
 
 
-def sample_feasible(
-    tree: LogicalTree, y, rng: "np.random.Generator", size: int | None = None
-) -> np.ndarray:
+def sample_feasible(tree: LogicalTree, y, rng, size: int | None = None) -> np.ndarray:
     """Draw solutions from the feasible polytope of y = A x, x >= 0.
 
     Internal links are sampled top down, each uniformly within the slack
     its ancestors leave on the tightest path below it; leaves take the
-    remainder.  Covers the polytope interior (not uniformly).  Returns one
-    (n,) solution, or with ``size`` a (size, n) array whose rows equal
-    ``size`` successive single draws.  Each draw takes its uniforms in
-    order of depth, then label; they are scaled in one pass over the
-    internal labels (preorder, so every father comes first) that handles
-    all draws at once.
+    remainder.  Covers the polytope interior (not uniformly).  ``y`` is (m,)
+    with one ``np.random.Generator``, or (B, m) with a sequence of B of them,
+    row r drawing from ``rng[r]`` as a call on that row alone would.  One
+    row gives one (n,) solution, or with ``size`` a (size, n) array whose
+    rows equal ``size`` successive single draws; B rows give (B, n) or
+    (B, size, n).  Each draw takes its uniforms in order of depth, then
+    label; they are scaled in one pass over the internal labels (preorder,
+    so every father comes first) that handles all rows and draws at once.
     """
-    y = _checked(y, tree.m, "paths")
+    y = _checked(y, tree.m, "paths", batch=True)
     if not (size is None or (_is_int(size) and size >= 0)):
         raise ParameterOutOfRange(f"size must be a whole number of at least 0, got {size!r}")
+    if y.ndim == 1:
+        rngs = [rng]
+    elif isinstance(rng, (list, tuple)) and len(rng) == len(y):
+        rngs = rng
+    else:
+        raise ParameterOutOfRange(f"need one generator for each of the {len(y)} rows of y")
+    for g in rngs:
+        if not isinstance(g, np.random.Generator):
+            raise ParameterOutOfRange(f"need a numpy random Generator, got {g!r}")
     m, parent = tree.m, tree.parent
-    gamma = tree.span_min(y)  # the tightest path below each link
+    ys = y.reshape(-1, m)
+    gamma = tree.span_min(ys).T[:, :, None]  # the tightest path below each link, (n, B, 1)
     draws = 1 if size is None else size
-    u = np.empty((tree.n - m, draws))
-    u[np.argsort(tree.depth[m + 1 :], kind="stable")] = rng.random((draws, tree.n - m)).T
-    z = np.zeros((tree.n + 1, draws))  # loss assigned on the root-to-node path, node included
-    x = np.empty((tree.n, draws))
-    for v, p, g in zip(range(m + 1, tree.n + 1), parent[m + 1 :].tolist(), gamma[m:].tolist()):
+    u = np.empty((tree.n - m, len(ys), draws))
+    uniforms = np.reshape([g.random((draws, tree.n - m)) for g in rngs], u.shape[1:] + u.shape[:1])
+    u[np.argsort(tree.depth[m + 1 :], kind="stable")] = uniforms.transpose(2, 0, 1)
+    z = np.zeros((tree.n + 1, len(ys), draws))  # loss on the root-to-node path, node included
+    x = np.empty((tree.n, len(ys), draws))
+    for v, p, g in zip(range(m + 1, tree.n + 1), parent[m + 1 :].tolist(), gamma[m:]):
         # rng.uniform(0, c) draws c * rng.random()
         x[v - 1] = u[v - m - 1] * np.maximum(g - z[p], 0.0)
         z[v] = z[p] + x[v - 1]
-    x[:m] = np.maximum(y[:, None] - z[parent[1 : m + 1]], 0.0)
-    x = x.T.copy()  # C order: each row is contiguous and sums like a single draw
-    return x[0] if size is None else x
+    x[:m] = np.maximum(ys.T[:, :, None] - z[parent[1 : m + 1]], 0.0)
+    x = x.transpose(1, 2, 0).copy()  # C order: each draw is contiguous and sums like a single one
+    if size is None:
+        x = x[:, 0]
+    return x[0] if y.ndim == 1 else x
 
 
 DEFAULT_LOSS_RANGE = (0.01, 0.10)  # planted hotspot losses unless a range is given

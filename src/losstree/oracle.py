@@ -11,7 +11,11 @@ how often the minimum-l1 solution equals the planted truth, under random
 hotspot placements.
 
 Enumeration lists every support of each size k once per tree, sorted by
-the paths it covers.  At k* every link of a feasible support carries loss,
+the paths it covers.  Level k is built from level k-1 in lexicographic
+order: each support is extended by every link after its last one, and its
+masks are the parent's OR'd with the new link's.  Above n/2 a level is the
+complement of level n-k, so no level larger than the one asked for is
+built.  At k* every link of a feasible support carries loss,
 so only supports covering exactly the lossy paths are candidates; of
 those, only supports whose leaf spans start or end at every step of y (a
 gap between adjacent paths) can be feasible, since paths that no link of
@@ -23,15 +27,14 @@ nonsingular k x k minors, tests rank exactly.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    InstanceTooLarge, KTooSmall, NotBranchNode, ParameterOutOfRange, _check_seed, _check_tol,
-    _is_real
+    InstanceTooLarge, KTooSmall, NotBranchNode, OutOfDomain, ParameterOutOfRange, _check_seed,
+    _check_tol, _is_real
 )
 from .lossmodel import (
     DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, _planted_blocks, addloss, forward,
@@ -49,6 +52,7 @@ FEAS_TOL = 1e-7
 SIZE_LIMIT = 26
 _SCAN_LIMIT = 2_000_000  # supports per size level
 _CANDIDATES = 2**16  # exact-cover candidates pruned and solved at once, to bound memory
+_SAMPLED = 2**20  # link values the l1 check draws at once, to bound memory
 
 
 @dataclass
@@ -102,18 +106,70 @@ class SupportScanner:
         return self.path_bits[:-1] @ (np.diff(self.dense, axis=0) != 0)
 
     def level(self, k: int):
-        """(supports, cover masks, step masks) of all supports of size k, by cover mask."""
+        """(supports, cover masks, step masks) of all supports of size k, by cover mask.
+
+        Supports are (n choose k, k) link indices, sorted stably by cover mask
+        from lexicographic order, so lexicographic within a mask.  Level k is
+        derived from level k-1: each support is extended by every link after
+        its last one, and its cover and step masks are the parent's OR'd with
+        the new link's (Knuth, TAOCP 4A, 7.2.1.3).  Above n/2 the level is the
+        complement of level n-k, whose lexicographic order it reverses, so no
+        level larger than the one asked for is built.  A level is stored once,
+        sorted, with the sorted position of each support in lexicographic order.
+        """
+        if not (_is_int(k) and k >= 0):
+            raise ParameterOutOfRange(f"support size must be a whole number >= 0, got {k!r}")
+        return self._stored(k)[:3]
+
+    def _stored(self, k: int):
+        """Level k as stored: ``level(k)``'s arrays and each lexicographic support's position."""
         if k not in self._levels:
-            count = math.comb(self.tree.n, k)
+            n = self.tree.n
+            count = math.comb(n, k)
             if count > _SCAN_LIMIT:
-                raise InstanceTooLarge(f"{count} supports of size {k} on {self.tree.n} links")
-            supports = _supports(self.tree.n, k)
-            masks = np.bitwise_or.reduce(self.link_masks[supports], axis=1)
-            order = np.argsort(masks, kind="stable")
-            supports, masks = supports[order], masks[order]
-            steps = np.bitwise_or.reduce(self.step_masks[supports], axis=1)
-            self._levels[k] = (supports, masks, steps)
+                raise InstanceTooLarge(f"{count} supports of size {k} on {n} links")
+            if k == 0 or k > n:  # the empty support alone, or none
+                empty = np.zeros(count, np.int64)
+                self._levels[k] = (np.zeros((count, k), np.int64), empty, empty, empty)
+            elif 2 * k > n:
+                self._levels[k] = self._complement(k, count)
+            else:
+                self._levels[k] = self._extension(k, count)
         return self._levels[k]
+
+    def _extension(self, k: int, count: int):
+        """Level k, as stored, from level k-1's supports in lexicographic order."""
+        sup, masks, steps, rank = self._stored(k - 1)
+        last = sup[rank, -1] if k > 1 else np.full(1, -1)
+        fan = self.tree.n - 1 - last  # the links after each parent's last one
+        parent = np.repeat(rank, fan)  # children in lexicographic order, parents by sorted position
+        link = np.arange(count) - np.repeat(np.cumsum(fan) - fan - last - 1, fan)
+        cover = masks[parent] | self.link_masks[link]
+        order = np.argsort(cover, kind="stable")
+        parent, link = parent[order], link[order]
+        supports = np.empty((count, k), np.int64)
+        for lo in range(0, count, _CANDIDATES):  # in blocks: no second (count, k - 1) copy
+            supports[lo : lo + _CANDIDATES, :-1] = sup[parent[lo : lo + _CANDIDATES]]
+        supports[:, -1] = link
+        return supports, cover[order], steps[parent] | self.step_masks[link], _inverse(order)
+
+    def _complement(self, k: int, count: int):
+        """Level k > n/2, as stored, from level n-k's complements in reverse lexicographic order."""
+        sup, _, _, rank = self._stored(self.tree.n - k)
+        gaps = sup[rank[::-1]] - np.arange(self.tree.n - k)  # s_j - j: links not in S below s_j
+        supports = np.broadcast_to(np.arange(k), (count, k)).copy()
+        for column in gaps.T:  # the i-th link not in S is i + #{j: s_j - j <= i}
+            supports += column[:, None] <= np.arange(k)
+        cover = steps = np.zeros(count, np.int64)
+        for column in supports.T:
+            cover, steps = cover | self.link_masks[column], steps | self.step_masks[column]
+        order = np.argsort(cover, kind="stable")
+        return supports[order], cover[order], steps[order], _inverse(order)
+
+    def _lexicographic(self, k: int) -> np.ndarray:
+        """Level k's supports in lexicographic order."""
+        supports, _, _, rank = self._stored(k)
+        return supports[rank]
 
     def feasible_at(self, ys: np.ndarray, k: int):
         """Feasible size-k supports of each row of ys (T, m), as (rows, supports, (n,) xs), by row.
@@ -123,6 +179,9 @@ class SupportScanner:
         ends between leaves j and j+1, rows j and j+1 of A_S are equal, so a
         feasible S has |y_j - y_j+1| <= 2 DEFAULT_TOL.
         """
+        ys = _checked(ys, self.tree.m, "paths", batch=True)
+        if ys.ndim != 2:
+            raise OutOfDomain(f"need (T, {self.tree.m}) values for paths, got shape {ys.shape}")
         supports, masks, steps = self.level(k)
         required = np.where(ys > DEFAULT_TOL, self.path_bits, 0).sum(axis=1)
         jumps = np.abs(np.diff(ys, axis=1)) > 4 * DEFAULT_TOL  # twice the bound: rounding to spare
@@ -222,7 +281,7 @@ def uniqueness_census(
     if placement == "exhaustive":
         if math.comb(tree.n, K) > _SCAN_LIMIT:
             raise InstanceTooLarge("exhaustive placement sweep too large")
-        picks = _supports(tree.n, K)
+        picks = scanner._lexicographic(K)
         total = len(picks)
     elif placement == "random":
         if not (_is_int(trials) and trials >= 1):
@@ -250,25 +309,44 @@ def l1_sampling_check(
     y,
     x_star,
     samples: int = 1000,
-    seed: int = 0,
-) -> bool:
+    seed=0,
+):
     """Whether x_star's l1 norm beats every sampled feasible solution.
 
     True iff no sample has a smaller norm, strictly smaller than every
     sample that differs from x_star by more than DEFAULT_TOL in any
-    component.
-    All samples come from one batched draw.
+    component.  ``y`` (m,), ``x_star`` (n,) and one seed give one bool;
+    ``y`` (B, m), ``x_star`` (B, n) and a sequence of B seeds give a (B,)
+    bool array, row r the verdict of the call on that row with ``seed[r]``.
+    The rows' samples are drawn by one ``sample_feasible`` call, in passes
+    of at most ``_SAMPLED`` link values.
     """
-    x_star = _checked(x_star, tree.n, "links")
+    x_star = _checked(x_star, tree.n, "links", batch=True)
     if not (_is_int(samples) and samples >= 1):
         raise ParameterOutOfRange(f"the l1 check needs a whole number of samples, got {samples!r}")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    xs = sample_feasible(tree, y, rng, size=samples)
-    l1_star = x_star.sum()
-    l1 = xs.sum(axis=1)
-    far = np.abs(xs - x_star).max(axis=1) > DEFAULT_TOL
-    return not np.any((l1 < l1_star - 1e-12) | (far & ~(l1 > l1_star)))
+    y = _checked(y, tree.m, "paths", batch=True)
+    if y.shape[:-1] != x_star.shape[:-1]:
+        raise OutOfDomain(f"need one x_star row per row of y, got {x_star.shape} for {y.shape}")
+    if y.ndim == 1:
+        seeds = [seed]
+    elif isinstance(seed, (list, tuple, np.ndarray)) and len(seed) == len(y):
+        seeds = seed
+    else:
+        raise ParameterOutOfRange(f"need one seed for each of the {len(y)} rows of y")
+    for s in seeds:
+        _check_seed(s)
+    ys, x_star = y.reshape(-1, tree.m), np.ascontiguousarray(x_star.reshape(-1, tree.n))
+    per_pass = max(1, _SAMPLED // (samples * tree.n))
+    verdicts = np.empty(len(ys), bool)
+    for lo in range(0, len(ys), per_pass):
+        rows = slice(lo, lo + per_pass)
+        rngs = [np.random.default_rng(s) for s in seeds[rows]]
+        xs = sample_feasible(tree, ys[rows], rngs, size=samples)
+        star = x_star[rows, None]
+        l1_star, l1 = star.sum(axis=-1), xs.sum(axis=-1)
+        far = np.abs(xs - star).max(axis=-1) > DEFAULT_TOL
+        verdicts[rows] = ~np.any((l1 < l1_star - 1e-12) | (far & ~(l1 > l1_star)), axis=-1)
+    return bool(verdicts[0]) if y.ndim == 1 else verdicts
 
 
 def noisy_exact_check(
@@ -341,10 +419,11 @@ def _scanner_for(tree: LogicalTree, scanner: SupportScanner | None) -> SupportSc
     return scanner
 
 
-def _supports(n: int, k: int) -> np.ndarray:
-    """All size-k subsets of links 0..n-1, (n choose k, k), in lexicographic order."""
-    combos = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    return np.fromiter(combos, np.int64, math.comb(n, k) * k).reshape(math.comb(n, k), k)
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The permutation that undoes ``order``: position i of the result is where i went."""
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+    return inverse
 
 
 def _scan(scanner: SupportScanner, ys: np.ndarray, k_max: int) -> list[EnumerationResult]:

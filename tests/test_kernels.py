@@ -273,6 +273,18 @@ def ref_sparsest_enumerate(tree, y):
     return None, [], [], False
 
 
+def ref_level(tree, k):
+    """(supports, cover masks, step masks) of size k: itertools order, OR-reduced masks,
+    stably sorted by cover mask."""
+    scanner = SupportScanner(tree)
+    supports = np.array(list(itertools.combinations(range(tree.n), k)), dtype=np.int64)
+    supports = supports.reshape(math.comb(tree.n, k), k)
+    masks = np.bitwise_or.reduce(scanner.link_masks[supports], axis=1, initial=0)
+    steps = np.bitwise_or.reduce(scanner.step_masks[supports], axis=1, initial=0)
+    order = np.argsort(masks, kind="stable")
+    return supports[order], masks[order], steps[order]
+
+
 def ref_census(tree, K, loss_range, trials, seed, placement):
     """The census one trial at a time, through the reference scan."""
     if placement == "exhaustive":
@@ -463,6 +475,10 @@ def trees(draw, sizes=st.integers(2, 60)):
 
 
 ORACLE_TREES = st.one_of(trees(st.integers(2, 8)), st.integers(2, 9).map(star))
+# Random trees, caterpillars and stars of at most 14 links: every level is listed in full.
+LEVEL_TREES = st.one_of(trees(st.integers(2, 8)), st.integers(2, 13).map(star)).filter(
+    lambda tree: tree.n <= 14
+)
 
 
 def oracle_observations(tree, rng):
@@ -614,6 +630,18 @@ class TestKernelsMatchPathLoops:
 
 
     @settings(max_examples=60, deadline=None)
+    @given(tree=LEVEL_TREES, data=st.data())
+    def test_support_levels(self, tree, data):
+        """Every level, below and above n/2, built in any order, is the listing by itertools."""
+        scanner = SupportScanner(tree)
+        for k in data.draw(st.permutations(range(tree.n + 2))):
+            got, expected = scanner.level(k), ref_level(tree, k)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            lexicographic = list(itertools.combinations(range(tree.n), k))
+            assert list(map(tuple, scanner._lexicographic(k).tolist())) == lexicographic
+
+    @settings(max_examples=60, deadline=None)
     @given(tree=ORACLE_TREES, seed=st.integers(0, 2**31 - 1))
     def test_sparsest_enumerate(self, tree, seed):
         scanner = SupportScanner(tree)
@@ -703,6 +731,40 @@ class TestBatchesMatchSingleRows:
                 assert np.array_equal(sol.x[r], one.x) and np.array_equal(sol.y[r], one.y)
                 assert np.array_equal(sol.z[r], one.z)
                 assert sol.l0()[r] == one.l0() and sol.l1()[r] == one.l1()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=BATCH_TREES, seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 6),
+           size=st.sampled_from([None, 1, 3, 7]))
+    def test_sample_feasible(self, tree, seed, rows, size):
+        rng = np.random.default_rng(seed)
+        y = signed_zeros(rng, np.array([sparse_draw(rng, tree.m) for _ in range(rows)]))
+        seeds = rng.integers(0, 2**31, rows).tolist()
+        batch = sample_feasible(tree, y, [np.random.default_rng(s) for s in seeds], size=size)
+        assert batch.shape == (rows,) + (() if size is None else (size,)) + (tree.n,)
+        for r, s in enumerate(seeds):
+            single = sample_feasible(tree, y[r], np.random.default_rng(s), size=size)
+            assert np.array_equal(batch[r], single)
+            assert np.array_equal(np.signbit(batch[r]), np.signbit(single))
+            assert np.array_equal(batch[r].sum(axis=-1), single.sum(axis=-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tree=BATCH_TREES, seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 6),
+           samples=st.sampled_from([1, 9, 200]), sampled=st.sampled_from([1, 500, 2**20]))
+    def test_l1_sampling_check(self, tree, seed, rows, samples, sampled):
+        """All rows in one pass, or in passes of at most ``sampled`` link values (one row)."""
+        rng = np.random.default_rng(seed)
+        y = forward(tree, np.array([sparse_draw(rng, tree.n) for _ in range(rows)]))
+        # solutions that pass or fail, some moved just off the sampled polytope
+        solvers = [receiver_solution, closed_form]
+        x_star = np.array([solvers[r % 2](tree, row) for r, row in enumerate(y)])
+        x_star[:, 0] += rng.choice([0.0, 1e-12, -1e-9], rows)
+        seeds = rng.integers(0, 2**31, rows).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_SAMPLED", sampled)
+            batch = l1_sampling_check(tree, y, x_star, samples, seeds)
+        assert batch.shape == (rows,) and batch.dtype == bool
+        for r, s in enumerate(seeds):
+            assert batch[r].item() is l1_sampling_check(tree, y[r], x_star[r], samples, s)
 
     @settings(max_examples=60, deadline=None)
     @given(tree=BATCH_TREES, seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 5))

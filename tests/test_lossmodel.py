@@ -217,6 +217,34 @@ class TestSampling:
         with pytest.raises(ParameterOutOfRange, match="size must be a whole number"):
             sample_feasible(tree, np.ones(tree.m), np.random.default_rng(0), size=size)
 
+    @pytest.mark.parametrize("rng", [1, None, np.random.SeedSequence(0), np.random.RandomState(0),
+                                     [np.random.default_rng(0)]])
+    def test_needs_a_generator(self, rng):
+        tree = gen_regular_tree(2, 3)
+        with pytest.raises(ParameterOutOfRange, match="need a numpy random Generator"):
+            sample_feasible(tree, np.ones(tree.m), rng)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_generator_per_row(self, count):
+        tree = gen_regular_tree(2, 3)
+        rngs = [np.random.default_rng(s) for s in range(count)]
+        with pytest.raises(ParameterOutOfRange, match="need one generator for each of the 2 rows"):
+            sample_feasible(tree, np.ones((2, tree.m)), rngs)
+        with pytest.raises(ParameterOutOfRange, match="need one generator for each of the 2 rows"):
+            sample_feasible(tree, np.ones((2, tree.m)), np.random.default_rng(0))
+
+    def test_every_row_needs_a_generator(self):
+        tree = gen_regular_tree(2, 3)
+        with pytest.raises(ParameterOutOfRange, match="need a numpy random Generator, got 7"):
+            sample_feasible(tree, np.ones((2, tree.m)), [np.random.default_rng(0), 7], size=3)
+
+    def test_batch_shapes(self):
+        tree = gen_regular_tree(2, 3)
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        assert sample_feasible(tree, np.ones((4, tree.m)), rngs).shape == (4, tree.n)
+        assert sample_feasible(tree, np.ones((4, tree.m)), rngs, size=5).shape == (4, 5, tree.n)
+        assert sample_feasible(tree, np.ones((0, tree.m)), [], size=5).shape == (0, 5, tree.n)
+
 
 def bad_vector(kind, size):
     """A vector one short, one long, or of the right size with one NaN, inf or word."""

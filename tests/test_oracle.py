@@ -411,6 +411,40 @@ class TestUniquenessCensus:
         assert 0.4 < res.p_l1_recovers_true < 0.9
 
 
+class TestSupportScanner:
+    @pytest.mark.parametrize("k", [-1, 1.5, True, False, np.float64(2), "2", None])
+    def test_size_must_be_a_whole_number(self, k):
+        with pytest.raises(ParameterOutOfRange, match="support size must be a whole number >= 0"):
+            SupportScanner(tree_from_spec("random:8:3:0")).level(k)
+
+    @pytest.mark.parametrize("ys", [
+        np.zeros(15), np.zeros((1, 16)), np.zeros((1, 14)), np.zeros((2, 3, 15)),
+        np.full((1, 15), math.nan), np.full((1, 15), INF), [["a"] * 15],
+    ], ids=["1-D", "long row", "short row", "3-D", "nan", "inf", "word"])
+    def test_bad_observations_rejected(self, ys):
+        scanner = SupportScanner(gen_random_tree(15, 3, 1))
+        with pytest.raises(OutOfDomain):
+            scanner.feasible_at(ys, 1)
+
+    def test_levels_over_the_limit_are_never_built(self, monkeypatch):
+        """With 1001 supports allowed on 14 links, levels 5-9 are refused, and none is built."""
+        tree = tree_from_spec("random:8:3:0")
+        monkeypatch.setattr(oracle, "_SCAN_LIMIT", math.comb(tree.n, 4))
+        scanner = SupportScanner(tree)
+        for k in range(5):
+            assert len(scanner.level(k)[0]) == math.comb(tree.n, k)
+        with pytest.raises(InstanceTooLarge, match="2002 supports of size 5"):
+            scanner.level(5)
+        for k in (tree.n, 11, 10):  # complements of levels 0, 3 and 4
+            assert len(scanner.level(k)[0]) == math.comb(tree.n, k)
+        with pytest.raises(InstanceTooLarge, match="2002 supports of size 9"):
+            scanner.level(9)
+        assert sorted(scanner._levels) == [0, 1, 2, 3, 4, 10, 11, tree.n]
+        fresh = SupportScanner(tree)
+        assert len(fresh.level(10)[0]) == math.comb(tree.n, 10)
+        assert sorted(fresh._levels) == [0, 1, 2, 3, 4, 10]
+
+
 class TestL1SamplingCheck:
     def test_solver_output_passes(self, fig_tree):
         y = np.array([2.0, 3.0, 4.0])
@@ -447,6 +481,38 @@ class TestL1SamplingCheck:
         with pytest.raises(ParameterOutOfRange, match="seed must be a whole number"):
             l1_sampling_check(fig_tree, [2.0, 3.0, 4.0], [0, 1, 2, 2, 0], seed=seed)
 
+    @pytest.mark.parametrize("seed", [0, [0], [0, 1, 2], (0,), iter([0, 1])])
+    def test_one_seed_per_row(self, fig_tree, seed):
+        with pytest.raises(ParameterOutOfRange, match="need one seed for each of the 2 rows of y"):
+            l1_sampling_check(fig_tree, [[2.0, 3.0, 4.0]] * 2, [[0, 1, 2, 2, 0]] * 2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [[0, -1], [0, 1.5]])
+    def test_every_seed_must_be_a_whole_number(self, fig_tree, seed):
+        with pytest.raises(ParameterOutOfRange, match="seed must be a whole number"):
+            l1_sampling_check(fig_tree, [[2.0, 3.0, 4.0]] * 2, [[0, 1, 2, 2, 0]] * 2, seed=seed)
+
+    @pytest.mark.parametrize("x_star", [[0, 1, 2, 2, 0], [[0, 1, 2, 2, 0]] * 3],
+                             ids=["one row", "three rows"])
+    def test_one_solution_per_row(self, fig_tree, x_star):
+        with pytest.raises(OutOfDomain, match="one x_star row per row of y"):
+            l1_sampling_check(fig_tree, [[2.0, 3.0, 4.0]] * 2, x_star, seed=[0, 1])
+
+    def test_each_row_draws_from_its_own_seed(self, fig_tree):
+        """Against one drawn solution, one sample beats it for some seeds and not for others."""
+        y = np.array([2.0, 3.0, 4.0])
+        x_star = lossmodel.sample_feasible(fig_tree, y, np.random.default_rng(0))
+        singles = [l1_sampling_check(fig_tree, y, x_star, samples=1, seed=s) for s in range(20)]
+        assert True in singles and False in singles
+        batch = l1_sampling_check(fig_tree, [y] * 20, [x_star] * 20, samples=1, seed=list(range(20)))
+        assert batch.tolist() == singles
+
+    def test_batch_verdicts(self, fig_tree):
+        y = [[2.0, 3.0, 4.0]] * 2
+        x = [upsparse(fig_tree, y[0]).x, receiver_solution(fig_tree, y[0])]
+        verdicts = l1_sampling_check(fig_tree, y, x, samples=300, seed=[0, 1])
+        assert verdicts.dtype == bool and verdicts.tolist() == [True, False]
+        assert l1_sampling_check(fig_tree, np.zeros((0, 3)), np.zeros((0, 5)), seed=[]).shape == (0,)
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--tree", "random:8:3:0", "--trials", "10"],
@@ -456,11 +522,14 @@ def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
     """One scanner serves the whole command, so each size level is listed once;
     the rank test runs only on candidates that pass the cover and step prunes."""
     listed, ranked, solved, pinv_calls = [], [], [], []
-    combinations, det, solve = itertools.combinations, np.linalg.det, SupportScanner._solved
+    det, solve = np.linalg.det, SupportScanner._solved
+    constructors = {name: getattr(SupportScanner, name) for name in ("_extension", "_complement")}
 
-    def listing(pool, k):
-        listed.append(k)
-        return combinations(pool, k)
+    def listing(name):
+        def build(self, k, count):
+            listed.append(k)
+            return constructors[name](self, k, count)
+        return build
 
     def counting_det(a):
         ranked.append(len(a))
@@ -476,7 +545,8 @@ def test_each_support_size_inverted_once_per_command(argv, monkeypatch, capsys):
         solved.append(len(sup))
         return solve(self, y, sup)
 
-    monkeypatch.setattr(itertools, "combinations", listing)
+    for name in constructors:
+        monkeypatch.setattr(SupportScanner, name, listing(name))
     monkeypatch.setattr(np.linalg, "det", counting_det)
     monkeypatch.setattr(SupportScanner, "_solved", pruned_solve)
     monkeypatch.setattr(np.linalg, "pinv", lambda *args, **kwargs: pinv_calls.append(args))
