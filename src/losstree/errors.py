@@ -90,3 +90,12 @@ def _check_seed(seed, streams: bool = True) -> None:
     stream = isinstance(seed, (np.random.SeedSequence, np.random.Generator))
     if not ((_is_int(seed) and seed >= 0) or (streams and stream)):
         raise ParameterOutOfRange(f"seed must be a whole number of at least 0, got {seed!r}")
+
+
+def _per_row(value, rows, what: str, of: str):
+    """``[value]`` if ``rows`` is None, else ``value`` as a list, tuple or array of ``rows`` entries."""
+    if rows is None:
+        return [value]
+    if isinstance(value, (list, tuple, np.ndarray)) and len(value) == rows:
+        return value
+    raise ParameterOutOfRange(f"need one {what} for each of the {rows} rows of {of}")

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import Infeasible, OutOfDomain, ParameterOutOfRange, _check_seed, _is_int
+from .errors import Infeasible, OutOfDomain, ParameterOutOfRange, _check_seed, _is_int, _per_row
 from .topology import LogicalTree
 
 # A value is classified lossy iff it exceeds DEFAULT_TOL; shared by the
@@ -111,12 +111,7 @@ def sample_feasible(tree: LogicalTree, y, rng, size: int | None = None) -> np.nd
     y = _checked(y, tree.m, "paths", batch=True)
     if not (size is None or (_is_int(size) and size >= 0)):
         raise ParameterOutOfRange(f"size must be a whole number of at least 0, got {size!r}")
-    if y.ndim == 1:
-        rngs = [rng]
-    elif isinstance(rng, (list, tuple)) and len(rng) == len(y):
-        rngs = rng
-    else:
-        raise ParameterOutOfRange(f"need one generator for each of the {len(y)} rows of y")
+    rngs = _per_row(rng, None if y.ndim == 1 else len(y), "generator", "y")
     for g in rngs:
         if not isinstance(g, np.random.Generator):
             raise ParameterOutOfRange(f"need a numpy random Generator, got {g!r}")

@@ -216,19 +216,3 @@ def _diagnostics(tree: LogicalTree, x, lossless):
     unique = bool(((x[tree.m :] <= DEFAULT_TOL) | (lossless >= 2)).all())
     return unique, bool(lossless.all())
 
-
-__all__ = [
-    "ComplexState",
-    "ComplexStates",
-    "SolutionReport",
-    "put_in_upstate",
-    "upsparse",
-    "closed_form",
-    "classify_complexes",
-    "unique_sparsest",
-    "recovery_condition",
-    "solution_report",
-    "UP",
-    "DOWN",
-    "MIXED",
-]

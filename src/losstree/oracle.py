@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (
     InstanceTooLarge, KTooSmall, NotBranchNode, OutOfDomain, ParameterOutOfRange, _check_seed,
-    _check_tol, _is_real
+    _check_tol, _is_real, _per_row
 )
 from .lossmodel import (
     DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, _planted_blocks, addloss, forward,
@@ -279,8 +279,6 @@ def uniqueness_census(
     scanner = _scanner_for(tree, scanner)
 
     if placement == "exhaustive":
-        if math.comb(tree.n, K) > _SCAN_LIMIT:
-            raise InstanceTooLarge("exhaustive placement sweep too large")
         picks = scanner._lexicographic(K)
         total = len(picks)
     elif placement == "random":
@@ -327,12 +325,7 @@ def l1_sampling_check(
     y = _checked(y, tree.m, "paths", batch=True)
     if y.shape[:-1] != x_star.shape[:-1]:
         raise OutOfDomain(f"need one x_star row per row of y, got {x_star.shape} for {y.shape}")
-    if y.ndim == 1:
-        seeds = [seed]
-    elif isinstance(seed, (list, tuple, np.ndarray)) and len(seed) == len(y):
-        seeds = seed
-    else:
-        raise ParameterOutOfRange(f"need one seed for each of the {len(y)} rows of y")
+    seeds = _per_row(seed, None if y.ndim == 1 else len(y), "seed", "y")
     for s in seeds:
         _check_seed(s)
     ys, x_star = y.reshape(-1, tree.m), np.ascontiguousarray(x_star.reshape(-1, tree.n))

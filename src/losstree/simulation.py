@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange, _check_seed, _is_real
+from .errors import ConfigInvalid, OutOfDomain, ParameterOutOfRange, _check_seed, _is_real, _per_row
 from .lossmodel import (
     DEFAULT_LOSS_RANGE, DEFAULT_TOL, _checked, _is_int, _load_json, _planted_blocks, addloss,
     forward, inverse_addloss
@@ -189,12 +189,7 @@ def simulate_probes(tree: LogicalTree, b, probes: int, seed) -> ProbeRun:
     if not (_is_int(probes) and 1 <= probes < 2**63):  # the binomial draw takes an int64 count
         raise ParameterOutOfRange(f"need a whole number of probes in 1..2**63 - 1, got {probes!r}")
     p = path_loss_probabilities(tree, b)
-    if p.ndim == 1:
-        seeds = [seed]
-    elif isinstance(seed, (list, tuple, np.ndarray)) and len(seed) == len(p):
-        seeds = seed
-    else:
-        raise ParameterOutOfRange(f"need one seed for each of the {len(p)} rows of b")
+    seeds = _per_row(seed, None if p.ndim == 1 else len(p), "seed", "b")
     for s in seeds:
         _check_seed(s)
     rows = zip(seeds, p.reshape(-1, tree.m))

@@ -337,17 +337,10 @@ def gen_regular_tree(branching: int, height: int) -> LogicalTree:
         raise ParameterOutOfRange(
             f"need whole numbers branching >= 2 and height >= 2, got ({branching!r}, {height!r})"
         )
-    edges = [(1, 0)]
-    next_id = 2
-    frontier = [(1, 1)]  # (node id, depth), walked first in, first out
-    for v, d in frontier:  # the walk also visits the entries appended below
-        if d == height:
-            continue
-        for _ in range(branching):
-            edges.append((next_id, v))
-            frontier.append((next_id, d + 1))
-            next_id += 1
-    return build_tree(edges, root=0)
+    branching, height = int(branching), int(height)  # so every id is a Python int
+    n = (branching**height - 1) // (branching - 1)
+    # ids in breadth-first order from the top link 1, whose father the formula gives as 0
+    return build_tree([(c, (c - 2) // branching + 1) for c in range(1, n + 1)], root=0)
 
 
 def gen_ternary_tree(links: int) -> LogicalTree:

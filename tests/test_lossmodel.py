@@ -238,6 +238,14 @@ class TestSampling:
         with pytest.raises(ParameterOutOfRange, match="need a numpy random Generator, got 7"):
             sample_feasible(tree, np.ones((2, tree.m)), [np.random.default_rng(0), 7], size=3)
 
+    def test_generators_in_an_array(self):
+        """A numpy array of B generators draws as the list of the same generators does."""
+        tree = gen_regular_tree(2, 3)
+        ys = np.ones((3, tree.m))
+        listed = sample_feasible(tree, ys, [np.random.default_rng(s) for s in range(3)], size=2)
+        array = np.array([np.random.default_rng(s) for s in range(3)], dtype=object)
+        assert np.array_equal(sample_feasible(tree, ys, array, size=2), listed)
+
     def test_batch_shapes(self):
         tree = gen_regular_tree(2, 3)
         rngs = [np.random.default_rng(s) for s in range(4)]

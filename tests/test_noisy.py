@@ -15,6 +15,7 @@ from losstree import (
     MIN_L0,
     MIN_L1,
     MIN_L1_AMONG_L0,
+    build_tree,
     closed_form,
     forward,
     glocal_family,
@@ -430,6 +431,41 @@ class TestZStats:
                 t = zs.l0_threshold[v - 1]
                 assert t == min(z for z in [0.0, *lows] if fewest(z) == least)
                 assert all(fewest(z) == least + 1 for z in [0.0, *lows] if z < t)
+
+
+class TestMinL1AmongL0Counterexample:
+    """A caterpillar on which ``min-l1-among-l0`` is sparsest but not l1-least among sparsest.
+
+    Links are labelled l1-l4 = 1-4, s1 = 5, s2 = 6, s3 = 7.  Loss 0.5 on s2 and
+    0.2 on l2 and l3 realises y = (0, 0.7, 0.7, 0.5): three lossy links with
+    l1 = 0.9.  The solver instead puts 0.3 on s1 and 0.4 on l2 and l3, also
+    three links, with l1 = 1.1.
+    """
+
+    EDGES = [("s1", "r"), ("l1", "s1"), ("s2", "s1"), ("l2", "s2"), ("s3", "s2"), ("l3", "s3"),
+             ("l4", "s3")]
+    INTERVALS = IntervalObservation(lo=[0.0, 0.7, 0.7, 0.3], hi=[0.3, 0.7, 1.1, 0.5])
+
+    @pytest.fixture
+    def tree(self):
+        tree = build_tree(self.EDGES, root="r")
+        assert [tree.alias[v] for v in range(1, tree.n + 1)] == [
+            "l1", "l2", "l3", "l4", "s1", "s2", "s3"
+        ]
+        return tree
+
+    def test_a_3_sparse_solution_with_l1_0_9_is_feasible(self, tree):
+        x = np.array([0.0, 0.2, 0.2, 0.0, 0.0, 0.5, 0.0])
+        assert self.INTERVALS.contains(forward(tree, x))
+        assert np.count_nonzero(x) == 3 == upsparse_plus(tree, self.INTERVALS, MIN_L0).l0()
+        assert x.sum() == pytest.approx(0.9)
+
+    @pytest.mark.xfail(strict=True, reason="min-l1-among-l0 returns l1 = 1.1 (x_s1 = 0.3, "
+                       "x_l2 = x_l3 = 0.4); it is not l1-least among the sparsest solutions")
+    def test_min_l1_among_l0_is_l1_least_among_sparsest(self, tree):
+        sol = upsparse_plus(tree, self.INTERVALS, MIN_L1_AMONG_L0)
+        assert sol.l0() == 3
+        assert sol.l1() == pytest.approx(0.9)
 
 
 class TestUpsparsePlus:

@@ -170,6 +170,45 @@ def planted_batches(draw):
     return tree, np.array(rows), kinds, draw(st.integers(0, 4))
 
 
+@st.composite
+def theorem_instances(draw):
+    """(tree, ys): a random tree, caterpillar or star of at most 20 links and 1-6 planted rows.
+
+    A row plants a support of any size 0..n with losses in [0.01, 0.2], or
+    is lemma 1's u at a branch node (A u = A v in units of the weight), with
+    weight in [0.01, 0.2] and a K from the node's fan-out up to every link.
+    """
+    shape = draw(st.sampled_from(["random", "caterpillar", "star"]))
+    if shape == "random":  # at most 2m - 1 links
+        tree = gen_random_tree(draw(st.integers(2, 10)), draw(st.integers(2, 4)),
+                               draw(st.integers(0, 2**31 - 1)))
+    elif shape == "caterpillar":
+        tree = caterpillar(draw(st.integers(2, 10)))
+    else:
+        tree = star(draw(st.integers(2, 19)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            x = random_sparse_x(tree, rng, k=draw(st.integers(0, tree.n)))
+        else:
+            i = draw(st.sampled_from(tree.internal))
+            fan = len(tree.children[i])
+            x = lemma1_construct(tree, i, draw(st.integers(fan, tree.n)), rng.uniform(0.01, 0.2))[0]
+        rows.append(forward(tree, x))
+    return tree, np.array(rows)
+
+
+class TestTheoremAgainstScan:
+    @settings(max_examples=100, deadline=None)
+    @given(theorem_instances())
+    def test_unique_sparsest_matches_the_scan(self, instance):
+        """The O(n) uniqueness condition on the closed form agrees with the exhaustive scan."""
+        tree, ys = instance
+        for y, enum in zip(ys, sparsest_enumerate(tree, ys)):
+            assert unique_sparsest(tree, closed_form(tree, y)) == enum.unique
+
+
 class TestSparsestEnumerate:
     def test_three_leaf_instance(self, fig_tree):
         enum = sparsest_enumerate(fig_tree, [2.0, 3.0, 4.0])
@@ -374,6 +413,17 @@ class TestUniquenessCensus:
         tree = gen_regular_tree(3, 3)
         with pytest.raises(ParameterOutOfRange):
             uniqueness_census(tree, K=1, trials=5, scanner=SupportScanner(gen_regular_tree(3, 3)))
+
+    @pytest.mark.parametrize("K", [5, 8], ids=["extended level", "complement level"])
+    def test_exhaustive_sweep_over_the_limit_builds_no_level(self, monkeypatch, K):
+        """The scanner refuses the sweep's level by its size before building any level."""
+        tree = tree_from_spec("random:8:3:0")  # 14 links
+        monkeypatch.setattr(oracle, "_SCAN_LIMIT", math.comb(tree.n, 4))
+        scanner = SupportScanner(tree)
+        message = f"{math.comb(tree.n, K)} supports of size {K} on {tree.n} links"
+        with pytest.raises(InstanceTooLarge, match=message):
+            uniqueness_census(tree, K=K, placement="exhaustive", scanner=scanner)
+        assert scanner._levels == {}
 
     @pytest.mark.parametrize("block, calls", [(None, 1), (3, 10)])
     def test_one_batched_call_per_block(self, monkeypatch, block, calls):

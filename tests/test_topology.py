@@ -32,6 +32,7 @@ from losstree.errors import (
 from conftest import caterpillar, caterpillar_edges, random_small_trees
 from topology_reference import EDGE_FAULTS, inject_edge_fault, on_both_paths, same_tree
 from topology_reference import build_tree as loop_build_tree
+from topology_reference import gen_regular_tree as walk_gen_regular_tree
 from topology_reference import load_topology as loop_load_topology
 
 CATERPILLAR = Path(__file__).parent / "data" / "caterpillar40.tree"
@@ -229,6 +230,16 @@ class TestGenerators:
         for c, h, n, m in [(3, 3, 13, 9), (3, 4, 40, 27), (2, 2, 3, 2)]:
             tree = gen_regular_tree(c, h)
             assert (tree.n, tree.m) == (n, m)
+
+    @pytest.mark.parametrize("branching", [2, 3, 4, 5])
+    @pytest.mark.parametrize("height", [2, 3, 4, 5, 6])
+    def test_regular_matches_the_breadth_first_walk(self, branching, height):
+        """The closed-form fathers give the walk's tree: same edges, same order, int ids."""
+        walked = walk_gen_regular_tree(branching, height)
+        for args in ((branching, height), (np.int64(branching), np.int64(height))):
+            tree = gen_regular_tree(*args)
+            assert same_tree(tree, walked)
+            assert all(type(k) is int and type(v) is int for k, v in tree.alias.items())
 
     def test_regular_bad_params(self):
         with pytest.raises(ParameterOutOfRange):

@@ -5,6 +5,9 @@ the line loop that ``losstree.topology`` replaced with array operations,
 with the two rules added since: a file may hold only one ``root`` line,
 and a leading byte-order mark is skipped.  The array versions must give
 the same trees, and raise the same exceptions with the same messages.
+``gen_regular_tree`` is the breadth-first walk that the closed form in
+``losstree.topology`` replaced; it hands its edges to the package's
+``build_tree``, so the two must list the same edges in the same order.
 """
 
 from itertools import chain
@@ -121,6 +124,20 @@ def load_topology(path) -> LogicalTree:
     node = {t: _node_id(t) for t in set(tokens)}
     ids = map(node.__getitem__, tokens)
     return build_tree(zip(ids, ids), root=root)
+
+
+def gen_regular_tree(branching: int, height: int) -> LogicalTree:
+    edges = [(1, 0)]
+    next_id = 2
+    frontier = [(1, 1)]  # (node id, depth), walked first in, first out
+    for v, d in frontier:  # the walk also visits the entries appended below
+        if d == height:
+            continue
+        for _ in range(branching):
+            edges.append((next_id, v))
+            frontier.append((next_id, d + 1))
+            next_id += 1
+    return topology.build_tree(edges, root=0)
 
 
 def on_both_paths(call) -> list:
