@@ -370,7 +370,7 @@ def load_intervals(path) -> IntervalObservation:
                 " (a whole path number; true/false are not numbers)"
             ) from None
         entries.append((j, bounds))
-    lo, hi = np.array(_in_path_order(entries, "interval file")).reshape(-1, 2).T.copy()
+    lo, hi = np.array(list(zip(*_in_path_order(entries, "interval file"))) or [(), ()])
     return IntervalObservation(lo=lo, hi=hi)
 
 

@@ -368,8 +368,11 @@ def lemma1_construct(tree: LogicalTree, i: int, K: int, w: float):
     first K-1 child links for u; the complementary pattern for v; so
     u - v is w times the null vector (father link minus all child links).
     For K beyond the complex size, extra off-complex links carry w in
-    both vectors.  Guarantees A(u - v) = 0 exactly, ||u||_0 = K, and
-    ||v||_0 <= K.
+    both vectors.  Guarantees ||u||_0 = K and ||v||_0 <= K.  A(u - v) = 0
+    holds exactly in units of w, for the integer patterns; the returned
+    vectors are w times them, rounded, so ``forward`` of the two can differ
+    in the last bit (43 of 1440 draws on a 7-leaf caterpillar).  Compare
+    them within a tolerance.
     """
     if not tree.is_internal(i):
         raise NotBranchNode(f"node {i!r} is not a branch node")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from losstree import (
     IntervalObservation,
     forward,
+    load_intervals,
     load_observations,
     load_topology,
     save_intervals,
@@ -411,6 +412,42 @@ REPORTS = st.dictionaries(
     max_size=6,
 )
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# Long lists and table columns, from just below to well above cli.FEW_ITEMS, where the writer
+# shares one text among the items that have it: floats mostly +0.0, ints or strs of few values.
+LONG = st.integers(cli.FEW_ITEMS - 3, 3 * cli.FEW_ITEMS)
+SCATTERED_FLOATS = st.sampled_from([-0.0, 5e-324, 1e308, 0.1]) | REPORT_FLOATS
+FEW_VALUES = {
+    "ints": st.sampled_from([0, 7, -1, 2**64, 2**64 + 1, -(2**70), True]),  # True: not shared
+    "strs": st.sampled_from(["up", "%", "%s", "%%", "\x00", "a\x00b", "é", "€", '"', ""]),
+    "scalars": REPORT_SCALARS,
+}
+
+
+@st.composite
+def long_items(draw, size, kinds=("floats", "zeros", *FEW_VALUES)):
+    """``size`` items: floats mostly +0.0, about the seven-in-eight gate, or few values repeated."""
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("floats", "zeros"):
+        items = [0.0] * size
+        if kind == "floats":
+            for i in draw(st.lists(st.integers(0, size - 1), max_size=size // 8 + 3)):
+                items[i] = draw(SCATTERED_FLOATS)
+        return items
+    pool = draw(st.lists(FEW_VALUES[kind], min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+
+
+@st.composite
+def long_tables(draw):
+    """A table of at least FEW_ITEMS - 3 rows whose columns are ``long_items``."""
+    keys = draw(st.lists(ROW_KEYS, unique=True, min_size=1, max_size=4))
+    rows = draw(LONG)
+    return {key: draw(long_items(rows)) for key in keys}
+
+
+LONG_REPORTS = st.dictionaries(
+    REPORT_STRINGS, REPORT_SCALARS | LONG.flatmap(long_items) | long_tables(), max_size=4
+)
 
 
 def as_rows(report):
@@ -455,18 +492,55 @@ class TestReportJson:
         assert stdout.encode() == expected
         assert out.read_bytes() == expected
 
-    @settings(max_examples=300, deadline=None)
-    @given(report=REPORTS)
+    @settings(max_examples=450, deadline=None)
+    @given(report=REPORTS | LONG_REPORTS)
     @example(report={})
     @example(report={"x": [], "states": {}, "l1": -0.0, "y": [-0.0, 5e-324, 1e308, 2**64]})
     @example(report={"states": {"a": [], "b": []}})
     @example(report={"states": {"a": ["},\n      {", "%s"], "%": [1, None], "\x00": ["\x00", 0.1]}})
+    @example(report={"x": [0.0] * cli.FEW_ITEMS, "states": {"%s": ["\x00"] * cli.FEW_ITEMS}})
+    @example(report={"x": [2**64 + 1] * (cli.FEW_ITEMS - 1) + [True],
+                     "states": {"a": [-0.0] * cli.FEW_ITEMS, "b": [2**70] * cli.FEW_ITEMS}})
     def test_matches_indented_dumps(self, report):
         assert _report_json(report) == json.dumps(as_rows(report), indent=2, allow_nan=False)
 
-    @settings(max_examples=60, deadline=None)
-    @given(report=REPORTS, bad=NON_FINITE, where=st.sampled_from(["scalar", "list", "table"]),
-           data=st.data())
+    @pytest.mark.parametrize("size", [cli.FEW_ITEMS - 1, cli.FEW_ITEMS, 2 * cli.FEW_ITEMS + 5])
+    @pytest.mark.parametrize("nonzero", ["none", "at gate", "over gate", "half", "all"])
+    def test_shared_float_texts_at_the_gate(self, size, nonzero):
+        # With at most one item in eight other than 0.0 the +0.0 share one text; -0.0 is its own.
+        count = {"none": 0, "at gate": size // 8, "over gate": size // 8 + 1, "half": size // 2,
+                 "all": size}[nonzero]
+        items = [0.0] * size
+        for k in range(count):
+            items[k * size // count] = [5e-324, 1e308, 0.1, -2.5][k % 4]
+        if count < size:
+            items[items.index(0.0)] = -0.0  # equals 0.0, but is encoded
+        shared = cli._column_texts(items, {float}, ', "d": ')
+        assert (shared is None) == (8 * count > size)
+        assert shared in (None, cli._texts(items, ', "d": '))
+        report = {"x": items, "states": {"node": list(range(size)), "delta": items}}
+        assert _report_json(report) == json.dumps(as_rows(report), indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("column, shared", [
+        ([2**64 + 1, 7] * cli.FEW_ITEMS, True),
+        ([2**64 + 1, 7] * (cli.FEW_ITEMS - 1) + [True, 7], False),  # an int and a bool: one call
+        (["%", "\x00", "é"] * cli.FEW_ITEMS, True),
+        (list(range(2 * cli.FEW_ITEMS)), False),  # every value new
+        ([0] * cli.FEW_ITEMS + list(range(cli.FEW_ITEMS)), False),  # a repeated head, new values
+        (list(map(str, range(cli.FEW_ITEMS))) + ["x"] * 7 * cli.FEW_ITEMS, False),  # a new head
+    ], ids=["big-ints", "int-and-bool", "strs", "distinct", "distinct-tail", "distinct-head"])
+    def test_shared_column_texts(self, column, shared):
+        kinds = set(map(type, column))
+        texts = cli._column_texts(column, kinds, ', "k": ')
+        assert (texts is not None) == shared
+        assert texts in (None, cli._texts(column, ', "k": '))
+        assert cli._column_texts(column, kinds) is None  # a flat list shares no int or str texts
+        report = {"states": {"k": column, "n": [0.0] * len(column)}}
+        assert _report_json(report) == json.dumps(as_rows(report), indent=2, allow_nan=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=REPORTS | LONG_REPORTS, bad=NON_FINITE, data=st.data(),
+           where=st.sampled_from(["scalar", "list", "table", "long list", "long table"]))
     def test_non_finite_gives_one_error_line(self, tmp_path_factory, report, bad, where, data):
         key = data.draw(REPORT_STRINGS)
         if where == "scalar":
@@ -475,6 +549,10 @@ class TestReportJson:
             items = data.draw(st.lists(REPORT_SCALARS, max_size=4))
             items.insert(data.draw(st.integers(0, len(items))), bad)
             report[key] = items
+        elif where.startswith("long"):  # floats mostly +0.0, which share one text
+            items = data.draw(LONG.flatmap(lambda size: long_items(size, ["floats", "zeros"])))
+            items[data.draw(st.integers(0, len(items) - 1))] = bad
+            report[key] = {"delta": items} if where == "long table" else items
         else:
             table = data.draw(tables(min_rows=1))
             column = table[data.draw(st.sampled_from(sorted(table)))]
@@ -488,6 +566,22 @@ class TestReportJson:
         assert err.splitlines() == [
             "error: the result overflows to a non-finite number; inputs too large"
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(report=LONG_REPORTS | REPORTS, bad=NON_FINITE, fault=st.sampled_from([
+        {"a": 1.0}, [[1.0]], [1.0, {"a": 1.0}], {"a": [1.0], "b": []}, (1.0,),
+        [{"a": 1.0}], {"a": [0.0] * cli.FEW_ITEMS + [[1.0]]},
+    ]))
+    def test_layout_fault_in_a_later_field_wins_over_non_finite(self, tmp_path_factory, report,
+                                                                 bad, fault):
+        long_zeros = [0.0] * cli.FEW_ITEMS
+        report = {"first": [bad] + long_zeros, "second": {"d": long_zeros + [bad]}, **report}
+        report["last"] = fault
+        with pytest.raises(AssertionError):
+            _report_json(report)
+        code, stdout, err = _solve_with_report(report, tmp_path_factory.mktemp("fault"))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("internal invariant failure: ")
 
     @pytest.mark.parametrize("report", [
         {"x": {"a": 1.0}},
@@ -682,6 +776,16 @@ class TestBadInput:
         iv = tmp_path / "iv.json"
         iv.write_text(text)
         self.run_bad(capsys, "solve-noisy", "--tree", tree4, "--intervals", str(iv), expect="list")
+
+    def test_empty_interval_file(self, capsys, tmp_path, tree4):
+        # An empty list of rows reads as no intervals, not as an unpacking error.
+        capsys.readouterr()
+        iv = tmp_path / "iv.json"
+        iv.write_text("[]")
+        observed = load_intervals(iv)
+        assert observed.lo.shape == observed.hi.shape == (0,)
+        self.run_bad(capsys, "solve-noisy", "--tree", tree4, "--intervals", str(iv),
+                     expect="error: tree has 4 paths but intervals cover 0")
 
     @pytest.mark.parametrize("argv, expect", [
         (["census", "--tree", "ternary:13", "--K", "x"], "'x'"),
